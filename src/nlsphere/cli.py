@@ -208,41 +208,22 @@ def run(config):
     kind, cap, scale = _parse_ic(config.ic)
     observers = []
 
-    def snapshot_observer(tag):
-        def observer(step, t, state):
-            if config.snapshot_stride < 1 or step % config.snapshot_stride:
-                return
-            u = state[0] if isinstance(state, tuple) else state
-            v = state[1] if isinstance(state, tuple) and tag == "v" else None
-            c = v if tag == "v" else u
-            if config.cesaro_kappa >= 1:
-                c = M.cesaro_apply(c, config.cesaro_kappa)
-            path = out(f"snapshot_{tag}_{step:06d}.csv")
-            write_coeffs(c, path, comment=f"t={t:.17g}")
-            written.append(path)
-        return observer
-
     if config.model == "allen-cahn":
         cfg = M.AllenCahnConfig(
             epsilon=config.epsilon, kernel=kernel, degree=n, h=h, steps=steps
         )
         if kind == "cos10xy":
-            state = analysis(M.cos10xy(grid), grid)
+            u0 = analysis(M.cos10xy(grid), grid)
         elif kind == "random":
-            state = M.random_coeffs(cap, n, scale, config.seed)
+            u0 = M.random_coeffs(cap, n, scale, config.seed)
         else:
             raise CliError("--ic equilibrium applies only to the brusselator model")
-        operator = M.allen_cahn_operator(cfg, spec)
+        tags = ("u",)
+        state = [u0.data]
+        operators = [M.allen_cahn_operator(cfg, spec)]
         nonlinearity = pseudospectral(M.allen_cahn_nonlinearity, grid)
         recorder = M.EnergyRecorder(spec, cfg.epsilon)
         observers.append(recorder)
-        if config.snapshot_stride >= 1:
-            observers.append(snapshot_observer("u"))
-        final = evolve(state, operator, nonlinearity, h, steps,
-                       observers=observers, observer_stride=1)
-        recorder.write(out("energy.csv"))
-        written.append(out("energy.csv"))
-        finals = [("u", final)]
     else:
         cfg = M.BrusselatorConfig(
             E=config.E, epsilon=config.epsilon, tau=config.tau, f=config.f,
@@ -263,20 +244,35 @@ def run(config):
             raise CliError(
                 "--ic for the brusselator model must be equilibrium or random:<cap>:<scale>"
             )
+        tags = ("u", "v")
+        state = [u0.data, v0.data]
         operators = M.brusselator_operators(cfg, spec)
         nonlinearity = pseudospectral(
             lambda u, v: M.brusselator_nonlinearities(u, v, cfg), grid
         )
-        if config.snapshot_stride >= 1:
-            observers += [snapshot_observer("u"), snapshot_observer("v")]
-        final_u, final_v = evolve((u0, v0), operators, nonlinearity, h, steps,
-                                  observers=observers, observer_stride=1)
-        finals = [("u", final_u), ("v", final_v)]
 
-    for tag, coeffs in finals:
+    def snapshot_observer(step, t, state):
+        if step % config.snapshot_stride:
+            return
+        for tag, data in zip(tags, state):
+            c = M.SphHarmCoeffs(n, data)
+            if config.cesaro_kappa >= 1:
+                c = M.cesaro_apply(c, config.cesaro_kappa)
+            path = out(f"snapshot_{tag}_{step:06d}.csv")
+            write_coeffs(c, path, comment=f"t={t:.17g}")
+            written.append(path)
+
+    if config.snapshot_stride >= 1:
+        observers.append(snapshot_observer)
+    final = evolve(state, operators, nonlinearity, h, steps, observers=observers)
+    if config.model == "allen-cahn":
+        recorder.write(out("energy.csv"))
+        written.append(out("energy.csv"))
+
+    for tag, data in zip(tags, final):
         cpath, gpath = out(f"final_{tag}_coeffs.csv"), out(f"final_{tag}_grid.csv")
-        write_coeffs(coeffs, cpath, comment=f"t={steps * h:.17g}")
-        write_grid_values(synthesis(coeffs, grid), grid, gpath)
+        write_coeffs(M.SphHarmCoeffs(n, data), cpath, comment=f"t={steps * h:.17g}")
+        write_grid_values(synthesis(data, grid), grid, gpath)
         written += [cpath, gpath]
     return written
 

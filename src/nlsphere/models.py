@@ -57,12 +57,8 @@ def embed(coeffs, degree):
     if degree == n:
         return coeffs.copy()
     out = SphHarmCoeffs(degree)
-    out.data[: n + 1, 0] = coeffs.data[:, 0]
-    for m in range(1, n + 1):
-        rows = n - m + 1
-        out.data[:rows, 2 * m - 1 : 2 * m + 1] = coeffs.data[
-            :rows, 2 * m - 1 : 2 * m + 1
-        ]
+    # the slot of (ell, m) does not depend on the layout degree
+    out.data[: n + 1, : 2 * n + 1] = coeffs.data
     return out
 
 
@@ -275,7 +271,8 @@ def ginzburg_landau_energy(u, spec, epsilon, grid=None):
 
 
 class EnergyRecorder:
-    """Observer for `evolve` that records (t, energy) of the first field."""
+    """Observer for `evolve` that records (t, energy) of the first field
+    of its (k, n+1, 2n+1) state."""
 
     def __init__(self, spec, epsilon, grid=None):
         self.spec = spec
@@ -285,7 +282,7 @@ class EnergyRecorder:
         self.energies = []
 
     def __call__(self, step, t, state):
-        u = state[0] if isinstance(state, tuple) else state
+        u = SphHarmCoeffs(self.spec.degree, state[0])
         self.times.append(t)
         self.energies.append(ginzburg_landau_energy(u, self.spec, self.epsilon, self.grid))
 

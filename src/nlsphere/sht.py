@@ -58,16 +58,12 @@ _TABLE_CACHE_MAX_DEGREE = 300
 def _layout(degree):
     """Per-slot harmonic degree and validity mask of the coefficient matrix."""
     n = degree
-    deg = np.zeros((n + 1, 2 * n + 1), dtype=np.int64)
-    valid = np.zeros((n + 1, 2 * n + 1), dtype=bool)
-    deg[:, 0] = np.arange(n + 1)
-    valid[:, 0] = True
-    for m in range(1, n + 1):
-        rows = n - m + 1
-        ells = m + np.arange(rows)
-        for col in (2 * m - 1, 2 * m):
-            deg[:rows, col] = ells
-            valid[:rows, col] = True
+    row = np.arange(n + 1)[:, None]
+    col = np.arange(2 * n + 1)[None, :]
+    # column 0 holds m = 0; columns 2m-1 and 2m hold order m from row 0
+    deg = row + (col + 1) // 2
+    valid = deg <= n
+    deg[~valid] = 0
     deg.setflags(write=False)
     valid.setflags(write=False)
     return deg, valid
@@ -189,23 +185,30 @@ class SphereGrid:
         return f"SphereGrid(degree={self.degree})"
 
 
-def _check_pair(coeffs, grid):
-    if coeffs.degree != grid.degree:
-        raise ValueError(
-            f"degree mismatch: coefficients {coeffs.degree}, grid {grid.degree}"
-        )
+def _coeff_data(coeffs):
+    """The coefficient matrix of a SphHarmCoeffs, or a plain array as floats."""
+    if isinstance(coeffs, SphHarmCoeffs):
+        return coeffs.data
+    return np.asarray(coeffs, dtype=float)
 
 
 def synthesis(coeffs, grid):
-    """Evaluate the expansion on the grid; returns (n+1) x (2n+1) values."""
-    _check_pair(coeffs, grid)
+    """Evaluate the expansion on the grid; returns (n+1) x (2n+1) values.
+
+    ``coeffs`` is a SphHarmCoeffs or its plain (n+1) x (2n+1) data array.
+    """
+    data = _coeff_data(coeffs)
     n = grid.degree
+    if data.shape != (n + 1, 2 * n + 1):
+        raise ValueError(
+            f"coefficient shape {data.shape} does not match grid degree {n}"
+        )
     # colatitude profiles per coefficient column
     profiles = np.empty((n + 1, 2 * n + 1))
-    profiles[:, 0] = grid.legendre_table(0).T @ coeffs.data[:, 0]
+    profiles[:, 0] = grid.legendre_table(0).T @ data[:, 0]
     for m in range(1, n + 1):
         rows = n - m + 1
-        block = grid.legendre_table(m).T @ coeffs.data[:rows, 2 * m - 1 : 2 * m + 1]
+        block = grid.legendre_table(m).T @ data[:rows, 2 * m - 1 : 2 * m + 1]
         profiles[:, 2 * m - 1 : 2 * m + 1] = block
     return profiles @ grid._trig_matrix().T
 
@@ -243,8 +246,8 @@ def relative_error_2norm(a, b):
     By Parseval this equals the relative L2 error of the corresponding
     fields.  Accepts SphHarmCoeffs or plain arrays of equal shape.
     """
-    a_data = a.data if isinstance(a, SphHarmCoeffs) else np.asarray(a, dtype=float)
-    b_data = b.data if isinstance(b, SphHarmCoeffs) else np.asarray(b, dtype=float)
+    a_data = _coeff_data(a)
+    b_data = _coeff_data(b)
     if a_data.shape != b_data.shape:
         raise ValueError(f"shape mismatch: {a_data.shape} vs {b_data.shape}")
     denom = np.linalg.norm(b_data)

@@ -15,6 +15,11 @@ Evaluated literally these lose all accuracy near z = 0 (the z^3 division
 cancels); below |z| = 1/2 they are therefore computed from Taylor series
 carried to 16 terms, which keeps the two evaluation paths within 1e-14
 of each other at the seam.
+
+The integrator state is one float array of shape (k, n+1, 2n+1): k
+fields (k = 1 for a single field), each in the coefficient layout of
+:mod:`nlsphere.sht`.  The tables are stacked the same way, so a step is
+the same vector formula for every k.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sht import SphHarmCoeffs, _layout, analysis, synthesis
+from .sht import _layout, analysis, synthesis
 
 __all__ = [
     "BlowUpError",
@@ -96,7 +101,7 @@ class DiagonalOperator:
 
 @dataclass(frozen=True)
 class ETDRK4Tables:
-    """Precomputed per-mode ETDRK4 coefficients for one operator and h."""
+    """Precomputed per-mode ETDRK4 coefficients of k stacked operators at h."""
 
     h: float
     degree: int
@@ -148,20 +153,24 @@ def _phi_taylor(z):
     return stage, f1, f2, f3
 
 
-def etdrk4_tables(op, h):
-    """Coefficient tables for one diagonal operator at step size h."""
-    if not isinstance(op, DiagonalOperator):
-        raise TypeError("op must be a DiagonalOperator")
+def etdrk4_tables(operators, h):
+    """Coefficient tables for k diagonal operators of one degree n at step
+    size h, stacked to shape (k, n+1, 2n+1) in one pass (they are
+    elementwise in z = h lambda)."""
+    operators = tuple(operators)
+    if not all(isinstance(op, DiagonalOperator) for op in operators):
+        raise TypeError("operators must be a sequence of DiagonalOperator")
     h = float(h)
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"step size must be positive and finite, got {h!r}")
-    if np.any(op.prefactor * op.values > 0.0):
+    if any(np.any(op.prefactor * op.values > 0.0) for op in operators):
         warnings.warn(
             "diagonal operator has positive eigenvalues: linear modes grow",
             StabilityWarning,
             stacklevel=2,
         )
-    z = h * op.dense()
+    # raises ValueError for no operators or operators of different degrees
+    z = h * np.stack([op.dense() for op in operators])
     small = np.abs(z) < _Z_STAR
     parts = [np.empty_like(z) for _ in range(4)]
     if small.any():
@@ -174,7 +183,7 @@ def etdrk4_tables(op, h):
     stage, f1, f2, f3 = (h * p for p in parts)
     return ETDRK4Tables(
         h=h,
-        degree=op.degree,
+        degree=operators[0].degree,
         exp_full=np.exp(z),
         exp_half=np.exp(0.5 * z),
         stage=stage,
@@ -184,70 +193,49 @@ def etdrk4_tables(op, h):
     )
 
 
-def _as_tuple(x):
-    return x if isinstance(x, tuple) else (x,)
-
-
-def _wrap_fields(degree, datas):
-    out = []
-    for d in datas:
-        c = SphHarmCoeffs.__new__(SphHarmCoeffs)
-        c.degree = degree
-        c.data = d
-        out.append(c)
-    return tuple(out)
+def _check_shape(state, tables):
+    if state.shape != tables.exp_full.shape:
+        raise ValueError(
+            f"state shape {state.shape} does not match the coefficient "
+            f"tables {tables.exp_full.shape}"
+        )
 
 
 def etdrk4_step(state, tables, nonlinearity, step_index=None):
     """One ETDRK4 step (Cox--Matthews stages with half-step exponentials).
 
-    ``state`` is a SphHarmCoeffs or a tuple of them (coupled systems);
-    ``tables`` matches its arity.  ``nonlinearity`` maps coefficient
-    state to coefficient state with the same arity -- wrap a pointwise
-    grid-space function with :func:`pseudospectral` to obtain one.
-    Raises BlowUpError when any output coefficient is non-finite.
+    ``state`` is a (k, n+1, 2n+1) coefficient array of k fields and
+    ``tables`` their stacked coefficients.  ``nonlinearity`` maps such an
+    array to one of the same shape -- wrap a pointwise grid-space function
+    with :func:`pseudospectral` to obtain one.  Returns the new state;
+    raises BlowUpError when any output coefficient is non-finite.
     """
-    single = not isinstance(state, tuple)
-    fields = _as_tuple(state)
-    tabs = _as_tuple(tables)
-    if len(fields) != len(tabs):
-        raise ValueError(
-            f"{len(fields)} fields but {len(tabs)} coefficient tables"
-        )
-    degree = fields[0].degree
-    nl = (lambda s: _as_tuple(nonlinearity(s[0]))) if single else nonlinearity
-
-    u = tuple(f.data for f in fields)
-    n_u = tuple(f.data for f in nl(_wrap_fields(degree, u)))
-    a = tuple(t.exp_half * ui + t.stage * ni for t, ui, ni in zip(tabs, u, n_u))
-    n_a = tuple(f.data for f in nl(_wrap_fields(degree, a)))
-    b = tuple(t.exp_half * ui + t.stage * ni for t, ui, ni in zip(tabs, u, n_a))
-    n_b = tuple(f.data for f in nl(_wrap_fields(degree, b)))
-    c = tuple(
-        t.exp_half * ai + t.stage * (2.0 * nbi - nui)
-        for t, ai, nbi, nui in zip(tabs, a, n_b, n_u)
-    )
-    n_c = tuple(f.data for f in nl(_wrap_fields(degree, c)))
-    new = tuple(
-        t.exp_full * ui + t.f1 * nui + 2.0 * t.f2 * (nai + nbi) + t.f3 * nci
-        for t, ui, nui, nai, nbi, nci in zip(tabs, u, n_u, n_a, n_b, n_c)
-    )
-    for d in new:
-        if not np.all(np.isfinite(d)):
-            raise BlowUpError(step_index if step_index is not None else "?")
-    result = _wrap_fields(degree, new)
-    return result[0] if single else result
+    _check_shape(state, tables)
+    t = tables
+    n_u = nonlinearity(state)
+    a = t.exp_half * state + t.stage * n_u
+    n_a = nonlinearity(a)
+    b = t.exp_half * state + t.stage * n_a
+    n_b = nonlinearity(b)
+    c = t.exp_half * a + t.stage * (2.0 * n_b - n_u)
+    n_c = nonlinearity(c)
+    new = t.exp_full * state + t.f1 * n_u + 2.0 * t.f2 * (n_a + n_b) + t.f3 * n_c
+    if not np.all(np.isfinite(new)):
+        raise BlowUpError(step_index if step_index is not None else "?")
+    return new
 
 
 def evolve(initial, operators, nonlinearity, h, steps, observers=(),
            observer_stride=1):
     """Integrate ``steps`` ETDRK4 steps of size ``h`` from ``initial``.
 
-    ``operators`` is one DiagonalOperator per field (a single one for a
-    single field).  ``observers`` are callables ``(step, time, state)``
-    invoked with read-only state at step 0 and then every
-    ``observer_stride`` steps; their outputs are owned by the caller.
-    Returns the final state; a BlowUpError carries the failing step.
+    ``initial`` holds the coefficient arrays of k fields, stacked to shape
+    (k, n+1, 2n+1) (k = 1 for a single field), and ``operators`` one
+    DiagonalOperator per field.
+    ``observers`` are callables ``(step, time, state)`` invoked with
+    read-only state at step 0 and then every ``observer_stride`` steps;
+    their outputs are owned by the caller.  Returns the final state array;
+    a BlowUpError carries the failing step.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
@@ -255,28 +243,13 @@ def evolve(initial, operators, nonlinearity, h, steps, observers=(),
         raise ValueError(
             f"observer_stride must be a positive integer, got {observer_stride!r}"
         )
-    single = not isinstance(initial, tuple)
-    ops = _as_tuple(operators)
-    fields = _as_tuple(initial)
-    if len(ops) != len(fields):
-        raise ValueError(f"{len(fields)} fields but {len(ops)} operators")
-    for f, op in zip(fields, ops):
-        if f.degree != op.degree:
-            raise ValueError(
-                f"field degree {f.degree} does not match operator degree "
-                f"{op.degree}"
-            )
-    tabs = tuple(etdrk4_tables(op, h) for op in ops)
-    if single:
-        tabs_arg = tabs[0]
-        state = fields[0]
-    else:
-        tabs_arg = tabs
-        state = fields
+    state = np.asarray(initial, dtype=float)
+    tables = etdrk4_tables(operators, h)
+    _check_shape(state, tables)
     for obs in observers:
         obs(0, 0.0, state)
     for k in range(1, int(steps) + 1):
-        state = etdrk4_step(state, tabs_arg, nonlinearity, step_index=k)
+        state = etdrk4_step(state, tables, nonlinearity, step_index=k)
         if k % int(observer_stride) == 0:
             for obs in observers:
                 obs(k, k * h, state)
@@ -286,20 +259,22 @@ def evolve(initial, operators, nonlinearity, h, steps, observers=(),
 def pseudospectral(pointwise, grid):
     """Lift a pointwise grid function to a coefficient-space nonlinearity.
 
-    ``pointwise`` receives one value array per field and returns the same
-    number of arrays; the wrapper performs synthesis before and analysis
-    after.  No dealiasing is applied.
+    The result maps a (k, n+1, 2n+1) coefficient array to one of the same
+    shape.  Each field is synthesized on ``grid``; ``pointwise`` receives
+    the k value arrays as positional arguments and returns a tuple of k
+    arrays (a single field may return a bare array), each of which is
+    analyzed back.  No dealiasing is applied.
     """
 
     def coefficient_nonlinearity(state):
-        if isinstance(state, tuple):
-            vals = [synthesis(s, grid) for s in state]
-            outs = pointwise(*vals)
-            if not isinstance(outs, tuple):
-                raise TypeError(
-                    "pointwise function must return a tuple for coupled fields"
-                )
-            return tuple(analysis(o, grid) for o in outs)
-        return analysis(pointwise(synthesis(state, grid)), grid)
+        outs = pointwise(*(synthesis(s, grid) for s in state))
+        if not isinstance(outs, tuple):
+            outs = (outs,)
+        if len(outs) != len(state):
+            raise TypeError(
+                f"pointwise function returned {len(outs)} arrays "
+                f"for {len(state)} fields"
+            )
+        return np.stack([analysis(o, grid).data for o in outs])
 
     return coefficient_nonlinearity

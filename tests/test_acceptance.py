@@ -187,7 +187,7 @@ def test_criterion_08_etdrk4_temporal_order():
         cfg = M.AllenCahnConfig(epsilon=0.1, kernel=kernel, degree=n, h=h,
                                 steps=round(1.0 / h))
         op = M.allen_cahn_operator(cfg, spec)
-        return evolve(u0, op, nl, cfg.h, cfg.steps)
+        return evolve(u0.data[None], [op], nl, cfg.h, cfg.steps)
 
     ref = run(2.0**-8)
     hs = [2.0**-k for k in range(2, 7)]
@@ -215,7 +215,7 @@ def test_criterion_09_energy_monotonicity():
         cfg = M.AllenCahnConfig(epsilon=0.1, kernel=kernel, degree=n,
                                 h=0.1, steps=200)
         rec = M.EnergyRecorder(spec, cfg.epsilon)
-        evolve(u0, M.allen_cahn_operator(cfg, spec), nl, cfg.h, cfg.steps,
+        evolve(u0.data[None], [M.allen_cahn_operator(cfg, spec)], nl, cfg.h, cfg.steps,
                observers=[rec], observer_stride=1)
         e = np.array(rec.energies)
         increases = np.diff(e) - 1e-8 * np.abs(e[:-1])
@@ -258,8 +258,9 @@ def test_criterion_11_brusselator_equilibrium():
     v0 = SphHarmCoeffs(cfg.degree)
     u0.set(0, 0, u_e * math.sqrt(4.0 * math.pi))
     v0.set(0, 0, v_e * math.sqrt(4.0 * math.pi))
-    fu, fv = evolve((u0, v0), M.brusselator_operators(cfg, spec), nl,
-                    cfg.h, cfg.steps)
+    fu, fv = (SphHarmCoeffs(cfg.degree, d) for d in evolve(
+        np.stack([u0.data, v0.data]), M.brusselator_operators(cfg, spec), nl,
+        cfg.h, cfg.steps))
     drift = max(np.abs(fu.data - u0.data).max(), np.abs(fv.data - v0.data).max())
     elapsed = time.monotonic() - t0
     ok = drift <= 1e-10

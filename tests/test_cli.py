@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nlsphere import models as M
-from nlsphere.cli import CliError, RunConfig, _apply_thread_cap, main
+from nlsphere.cli import CliError, RunConfig, _apply_thread_cap, build_parser, main, run
 from nlsphere.sht import SphereGrid, SphHarmCoeffs, analysis, read_coeffs, write_coeffs
 from nlsphere.spectrum import KernelParams
 from nlsphere.timestep import StabilityWarning  # noqa: F401  (re-export check)
@@ -151,6 +151,33 @@ def test_evolve_brusselator_equilibrium_fixed_point(tmp_path):
     assert np.abs(v_vals - 1.0 / u_e).max() < 1e-10
 
 
+def test_evolve_brusselator_snapshots(tmp_path):
+    n, seed = 6, 3
+    args = ["evolve", "--model", "brusselator", "--local", "--degree", str(n),
+            "--dt", "0.05", "--t-final", "0.25", "--ic", "random:4:0.01",
+            "--seed", str(seed), "--snapshot-stride", "2", "--cesaro-kappa", "2",
+            "--output-dir", str(tmp_path)]
+    written = run(RunConfig(**vars(build_parser().parse_args(args))))
+    snapshots = [os.path.basename(p) for p in written
+                 if os.path.basename(p).startswith("snapshot_")]
+    assert snapshots == [
+        "snapshot_u_000000.csv", "snapshot_v_000000.csv",
+        "snapshot_u_000002.csv", "snapshot_v_000002.csv",
+        "snapshot_u_000004.csv", "snapshot_v_000004.csv",
+    ]
+    assert sorted(n_ for n_ in os.listdir(tmp_path)
+                  if n_.startswith("snapshot_")) == sorted(snapshots)
+    # step-0 v snapshot is the Cesaro-smoothed v initial condition
+    cfg = M.BrusselatorConfig(E=4.0, epsilon=0.1, tau=7.8125, f=0.8, kernel=None,
+                              degree=n, h=0.05, steps=5)
+    v0 = SphHarmCoeffs(n)
+    v0.set(0, 0, cfg.equilibrium()[1] * math.sqrt(4.0 * math.pi))
+    v0 = SphHarmCoeffs(n, v0.data + M.random_coeffs(4, n, 0.01, seed + 1).data)
+    snap = read_coeffs(tmp_path / "snapshot_v_000000.csv")
+    np.testing.assert_array_equal(snap.data, M.cesaro_apply(v0, 2).data)
+    assert not np.array_equal(snap.data, v0.data)
+
+
 def test_evolve_random_ic_reproducible(tmp_path):
     args = ["evolve", "--model", "allen-cahn", "--local", "--degree", "8",
             "--dt", "0.1", "--t-final", "0.3", "--ic", "random:5:0.25",
@@ -265,5 +292,9 @@ def test_cli_import_does_not_pull_numpy():
     # the thread cap can only take effect if the parser loads without numpy
     code = ("import nlsphere.cli, sys; "
             "sys.exit(0 if 'numpy' not in sys.modules else 3)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    # the child imports the package under test, whether installed or not
+    src = os.path.dirname(os.path.dirname(M.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr.decode()

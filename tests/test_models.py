@@ -203,7 +203,8 @@ def test_brusselator_equilibrium_is_fixed_point(decay_in_linear):
     v0 = SphHarmCoeffs(cfg.degree)
     u0.set(0, 0, u_e * math.sqrt(4.0 * math.pi))
     v0.set(0, 0, v_e * math.sqrt(4.0 * math.pi))
-    fu, fv = evolve((u0, v0), ops, nl, cfg.h, cfg.steps)
+    fu, fv = (SphHarmCoeffs(cfg.degree, d)
+              for d in evolve(np.stack([u0.data, v0.data]), ops, nl, cfg.h, cfg.steps))
     assert np.abs(fu.data - u0.data).max() <= 1e-12
     assert np.abs(fv.data - v0.data).max() <= 1e-12
 
@@ -257,7 +258,7 @@ def test_energy_decreases_along_allen_cahn_flow(kernel):
     grid = SphereGrid(cfg.degree)
     u0 = analysis(M.cos10xy(grid), grid)
     rec = M.EnergyRecorder(spec, cfg.epsilon)
-    evolve(u0, M.allen_cahn_operator(cfg, spec),
+    evolve(u0.data[None], [M.allen_cahn_operator(cfg, spec)],
            pseudospectral(M.allen_cahn_nonlinearity, grid),
            cfg.h, cfg.steps, observers=[rec], observer_stride=1)
     e = np.array(rec.energies)

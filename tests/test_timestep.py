@@ -36,6 +36,19 @@ def scalar_state(value):
     return c
 
 
+def stacked(*fields):
+    """(k, n+1, 2n+1) integrator state of k coefficient sets."""
+    return np.stack([f.data for f in fields])
+
+
+def unstacked(state):
+    return [SphHarmCoeffs(state.shape[1] - 1, d) for d in state]
+
+
+def zero(state):
+    return np.zeros_like(state)
+
+
 def exact_bernoulli(u0, t):
     return 1.0 / ((1.0 / u0 - 0.5) * math.exp(2.0 * t) + 0.5)
 
@@ -47,7 +60,7 @@ def exact_bernoulli(u0, t):
 def test_tables_zero_entry_limits():
     op = DiagonalOperator(np.array([0.0]))
     for h in (1.0, 0.1, 0.00390625):
-        t = etdrk4_tables(op, h)
+        t = etdrk4_tables([op], h)
         assert t.exp_full[0, 0] == 1.0
         assert t.exp_half[0, 0] == 1.0
         assert t.stage[0, 0] == 0.5 * h
@@ -61,7 +74,7 @@ def test_tables_zero_entry_limits():
 def test_f1_at_minus_one_closed_form():
     # f1(z=-1, h=1) = -(-4 + 1 + 8/e) / (-1) ... = 3 - 8/e
     op = DiagonalOperator(np.array([-1.0]))
-    t = etdrk4_tables(op, 1.0)
+    t = etdrk4_tables([op], 1.0)
     assert t.f1[0, 0] == pytest.approx(3.0 - 8.0 / math.e, rel=1e-14)
 
 
@@ -77,18 +90,18 @@ def test_taylor_direct_seam_agreement():
 
 def test_tables_positive_eigenvalue_warns():
     with pytest.warns(StabilityWarning):
-        etdrk4_tables(DiagonalOperator(np.array([0.0, 2.0])), 0.1)
+        etdrk4_tables([DiagonalOperator(np.array([0.0, 2.0]))], 0.1)
     # negative prefactor times negative values is also growth
     with pytest.warns(StabilityWarning):
-        etdrk4_tables(DiagonalOperator(np.array([0.0, -2.0]), prefactor=-1.0), 0.1)
+        etdrk4_tables([DiagonalOperator(np.array([0.0, -2.0]), prefactor=-1.0)], 0.1)
 
 
 def test_tables_validation():
     op = DiagonalOperator(np.array([0.0, -2.0]))
     with pytest.raises(ValueError):
-        etdrk4_tables(op, 0.0)
+        etdrk4_tables([op], 0.0)
     with pytest.raises(ValueError):
-        etdrk4_tables(op, -1.0)
+        etdrk4_tables([op], -1.0)
     with pytest.raises(TypeError):
         etdrk4_tables(np.array([1.0]), 0.1)
     with pytest.raises(ValueError):
@@ -121,9 +134,8 @@ def test_step_linear_exactness():
         for m in range(-ell, ell + 1):
             c.set(ell, m, rng.standard_normal())
     op = DiagonalOperator.from_spectrum(local_spectrum(n))
-    tables = etdrk4_tables(op, 0.37)
-    zero = lambda s: SphHarmCoeffs(s.degree)
-    out = etdrk4_step(c, tables, zero)
+    tables = etdrk4_tables([op], 0.37)
+    (out,) = unstacked(etdrk4_step(stacked(c), tables, zero))
     expected = np.exp(0.37 * op.dense()) * c.data
     np.testing.assert_allclose(out.data, expected, rtol=1e-14, atol=0)
 
@@ -132,21 +144,21 @@ def test_step_constant_nonlinearity_quadrature_identity():
     # L = 0 and N = const c: one step advances by exactly h*c
     h = 0.25
     op = DiagonalOperator(np.array([0.0, 0.0, 0.0]))
-    tables = etdrk4_tables(op, h)
+    tables = etdrk4_tables([op], h)
     const = SphHarmCoeffs(2)
     const.set(1, 1, 3.0)
     state = SphHarmCoeffs(2)
     state.set(1, 1, 1.0)
-    out = etdrk4_step(state, tables, lambda s: const)
+    (out,) = unstacked(etdrk4_step(stacked(state), tables, lambda s: stacked(const)))
     assert out.get(1, 1) == pytest.approx(1.0 + h * 3.0, rel=1e-13)
 
 
 def test_step_scalar_ode_against_fine_rk4():
     lam, h, u0 = -2.0, 1e-2, 0.1
     op = DiagonalOperator(np.array([lam]))
-    tables = etdrk4_tables(op, h)
-    square = lambda s: SphHarmCoeffs(0, s.data * s.data)
-    out = etdrk4_step(scalar_state(u0), tables, square)
+    tables = etdrk4_tables([op], h)
+    square = lambda s: s * s
+    (out,) = unstacked(etdrk4_step(stacked(scalar_state(u0)), tables, square))
     # classical RK4 at h = 1e-5 over the same interval
     f = lambda u: lam * u + u * u
     u = u0
@@ -165,13 +177,13 @@ def test_step_scalar_ode_against_fine_rk4():
 def test_scalar_ode_fourth_order_convergence():
     lam, u0, T = -2.0, 0.1, 1.0
     op = DiagonalOperator(np.array([lam]))
-    square = lambda s: SphHarmCoeffs(0, s.data * s.data)
+    square = lambda s: s * s
     exact = exact_bernoulli(u0, T)
     errs = []
     hs = [0.1 * 2.0**-i for i in range(5)]
     for h in hs:
         state = scalar_state(u0)
-        state = evolve(state, op, square, h, round(T / h))
+        (state,) = unstacked(evolve(stacked(state), [op], square, h, round(T / h)))
         errs.append(abs(state.get(0, 0) - exact))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 3.8 <= slope <= 4.2
@@ -181,10 +193,10 @@ def test_step_blow_up_detection():
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", StabilityWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
-        tables = etdrk4_tables(DiagonalOperator(np.array([1e3])), 1.0)
-        square = lambda s: SphHarmCoeffs(0, s.data * s.data)
+        tables = etdrk4_tables([DiagonalOperator(np.array([1e3]))], 1.0)
+        square = lambda s: s * s
         with pytest.raises(BlowUpError) as err:
-            etdrk4_step(scalar_state(1e200), tables, square, step_index=17)
+            etdrk4_step(stacked(scalar_state(1e200)), tables, square, step_index=17)
     assert err.value.step_index == 17
     assert "17" in str(err.value)
 
@@ -201,8 +213,7 @@ def test_evolve_mean_mode_constant_under_diffusion():
         c.set(ell, 0, rng.standard_normal())
     c.set(0, 0, 1.2345)
     op = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=0.01)
-    zero = lambda s: SphHarmCoeffs(s.degree)
-    out = evolve(c, op, zero, h=0.1, steps=25)
+    (out,) = unstacked(evolve(stacked(c), [op], zero, h=0.1, steps=25))
     assert out.get(0, 0) == 1.2345
 
 
@@ -212,9 +223,8 @@ def test_evolve_heat_decay_single_mode():
     c = SphHarmCoeffs(n)
     c.set(5, 2, 0.75)
     op = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=eps * eps)
-    zero = lambda s: SphHarmCoeffs(s.degree)
     T, h = 2.0, 0.125
-    out = evolve(c, op, zero, h, round(T / h))
+    (out,) = unstacked(evolve(stacked(c), [op], zero, h, round(T / h)))
     expected = 0.75 * math.exp(-30.0 * eps * eps * T)
     assert out.get(5, 2) == pytest.approx(expected, rel=1e-12)
     # every other mode stays exactly zero
@@ -225,8 +235,7 @@ def test_evolve_heat_decay_single_mode():
 def test_evolve_observers_stride_and_times():
     seen = []
     op = DiagonalOperator(np.array([0.0]))
-    zero = lambda s: SphHarmCoeffs(0)
-    evolve(scalar_state(1.0), op, zero, h=0.5, steps=7,
+    evolve(stacked(scalar_state(1.0)), [op], zero, h=0.5, steps=7,
            observers=[lambda k, t, s: seen.append((k, t))], observer_stride=3)
     assert seen == [(0, 0.0), (3, 1.5), (6, 3.0)]
 
@@ -239,24 +248,47 @@ def test_evolve_coupled_fields_tuple_path():
     v.set(1, 0, 2.0)
     op_u = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=1.0)
     op_v = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=0.5)
-    zeros = lambda s: (SphHarmCoeffs(n), SphHarmCoeffs(n))
     T, h = 1.0, 0.1
-    fu, fv = evolve((u, v), (op_u, op_v), zeros, h, round(T / h))
+    fu, fv = unstacked(evolve(stacked(u, v), [op_u, op_v], zero, h, round(T / h)))
     assert fu.get(2, 1) == pytest.approx(math.exp(-6.0 * T), rel=1e-12)
     assert fv.get(1, 0) == pytest.approx(2.0 * math.exp(-1.0 * T), rel=1e-12)
 
 
+def test_evolve_stacked_fields_do_not_mix():
+    # two operators and a decoupled nonlinearity: the k = 2 run must
+    # reproduce the two k = 1 runs bit for bit
+    n = 6
+    grid = SphereGrid(n)
+    rng = np.random.default_rng(11)
+    u, v = SphHarmCoeffs(n), SphHarmCoeffs(n)
+    for c in (u, v):
+        for ell in range(n + 1):
+            for m in range(-ell, ell + 1):
+                c.set(ell, m, 0.1 * rng.standard_normal())
+    op_u = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=0.01)
+    op_v = DiagonalOperator(np.linspace(0.0, -3.0, n + 1), prefactor=0.5)
+    react_u = lambda a: a - a * a * a
+    react_v = lambda b: 0.5 * b * b
+    h, steps = 0.1, 5
+    both = evolve(stacked(u, v), [op_u, op_v],
+                  pseudospectral(lambda a, b: (react_u(a), react_v(b)), grid), h, steps)
+    alone_u = evolve(stacked(u), [op_u], pseudospectral(react_u, grid), h, steps)
+    alone_v = evolve(stacked(v), [op_v], pseudospectral(react_v, grid), h, steps)
+    np.testing.assert_array_equal(both[0], alone_u[0])
+    np.testing.assert_array_equal(both[1], alone_v[0])
+    assert not np.array_equal(both[0], both[1])
+
+
 def test_evolve_validation():
     op = DiagonalOperator(np.array([0.0]))
-    zero = lambda s: SphHarmCoeffs(0)
     with pytest.raises(ValueError):
-        evolve(scalar_state(1.0), op, zero, h=0.1, steps=0)
+        evolve(stacked(scalar_state(1.0)), [op], zero, h=0.1, steps=0)
     with pytest.raises(ValueError):
-        evolve(scalar_state(1.0), op, zero, h=0.1, steps=3, observer_stride=0)
+        evolve(stacked(scalar_state(1.0)), [op], zero, h=0.1, steps=3, observer_stride=0)
     with pytest.raises(ValueError):
-        evolve((scalar_state(1.0),), (op, op), zero, h=0.1, steps=1)
+        evolve(stacked(scalar_state(1.0)), [op, op], zero, h=0.1, steps=1)
     with pytest.raises(ValueError):
-        evolve(SphHarmCoeffs(2), op, zero, h=0.1, steps=1)
+        evolve(stacked(SphHarmCoeffs(2)), [op], zero, h=0.1, steps=1)
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +304,7 @@ def test_pseudospectral_identity_roundtrip():
         for m in range(-ell, ell + 1):
             c.set(ell, m, rng.standard_normal())
     nl = pseudospectral(lambda v: v, grid)
-    out = nl(c)
+    (out,) = unstacked(nl(stacked(c)))
     np.testing.assert_allclose(out.data, c.data, atol=1e-13)
 
 
@@ -283,9 +315,9 @@ def test_pseudospectral_coupled_contract():
     u.set(0, 0, 1.0)
     v.set(0, 0, 2.0)
     nl = pseudospectral(lambda a, b: (b, a), grid)
-    ou, ov = nl((u, v))
+    ou, ov = unstacked(nl(stacked(u, v)))
     assert ou.get(0, 0) == pytest.approx(2.0, rel=1e-13)
     assert ov.get(0, 0) == pytest.approx(1.0, rel=1e-13)
     bad = pseudospectral(lambda a, b: a, grid)
     with pytest.raises(TypeError):
-        bad((u, v))
+        bad(stacked(u, v))
