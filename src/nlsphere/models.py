@@ -8,12 +8,13 @@ expansions, and reproducible random fields.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .spectrum import DEFAULT_METHOD, KernelParams, Spectrum, local_spectrum
 from .spectrum import spectrum as _spectrum
-from .sht import SphereGrid, SphHarmCoeffs, _layout, synthesis
+from .sht import SphereGrid, SphHarmCoeffs, _layout, _synthesize
 from .timestep import DiagonalOperator
 
 __all__ = [
@@ -235,15 +236,9 @@ def brusselator_operators(cfg, spec):
 # Ginzburg--Landau free energy
 # ----------------------------------------------------------------------
 
-_REFINED_GRIDS = {}
-
-
+@lru_cache(maxsize=4)
 def _refined_grid(degree):
-    grid = _REFINED_GRIDS.get(degree)
-    if grid is None:
-        grid = SphereGrid(degree)
-        _REFINED_GRIDS[degree] = grid
-    return grid
+    return SphereGrid(degree)
 
 
 def ginzburg_landau_energy(u, spec, epsilon, grid=None):
@@ -251,8 +246,9 @@ def ginzburg_landau_energy(u, spec, epsilon, grid=None):
 
     The diffusion term reduces to a coefficient sum by orthonormality.
     The quartic term has band limit 4n, so it is synthesized and
-    integrated on a degree-2n grid (built on demand and cached) unless a
-    sufficiently fine grid is supplied.
+    integrated on a degree-2n grid (built on demand; the four most
+    recent are cached) unless a sufficiently fine grid is supplied.  The
+    synthesis uses only the orders and degrees <= n of that grid.
     """
     if not isinstance(u, SphHarmCoeffs):
         raise TypeError(f"u must be SphHarmCoeffs, got {u!r}")
@@ -265,7 +261,7 @@ def ginzburg_landau_energy(u, spec, epsilon, grid=None):
         grid = _refined_grid(2 * n)
     elif grid.degree < n:
         raise ValueError(f"grid degree {grid.degree} is below the field degree {n}")
-    vals = synthesis(embed(u, grid.degree), grid)
+    vals = _synthesize(u.data[None], grid)[0]
     quartic = (vals * vals - 1.0) ** 2
     return linear + 0.25 * integrate_grid(quartic, grid)
 

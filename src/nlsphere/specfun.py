@@ -337,46 +337,58 @@ def _m1_over_hav_from_q(ell, q):
 # ----------------------------------------------------------------------
 
 def assoc_legendre_table(m, degree, t):
-    """Table of normalized associated Legendre functions for one order.
+    """Table of normalized associated Legendre functions.
 
-    Returns an array of shape ``(degree - m + 1, len(t))`` whose row ``i``
-    holds ``Ptilde_{m+i}^m(t)``, normalized so that the square integrates
-    to 1 over [-1, 1].  Requires ``0 <= m <= degree``.  No Condon-Shortley
-    phase is applied.
+    For one order ``m`` returns an array of shape ``(degree - m + 1,
+    len(t))`` whose row ``i`` holds ``Ptilde_{m+i}^m(t)``, normalized so
+    that the square integrates to 1 over [-1, 1].  For a 1-D array of
+    orders returns the block of shape ``(len(m), degree - min(m) + 1,
+    len(t))`` whose entry ``[j, i]`` holds ``Ptilde_{m_j+i}^{m_j}(t)``
+    and is zero where ``m_j + i > degree``; each order's rows equal the
+    one-order table bit for bit.  Requires ``0 <= m <= degree``.  No
+    Condon-Shortley phase is applied.
     """
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"order m must be a non-negative integer, got {m!r}")
-    degree = _check_degree(degree, minimum=int(m))
+    orders = np.asarray(m)
+    if (orders.ndim > 1 or orders.size == 0 or orders.dtype.kind not in "iu"
+            or np.any(orders < 0)):
+        raise ValueError(
+            f"order m must be a non-negative integer or a 1-D array of them, got {m!r}"
+        )
+    degree = _check_degree(degree, minimum=int(orders.max()))
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.abs(t) > 1.0 + 4.0 * _EPS):
         raise ValueError("argument must lie in [-1, 1]")
-    m = int(m)
-    rows = degree - m + 1
-    out = np.empty((rows, t.size))
-    # diagonal seed: Ptilde_m^m, built as a running product so large m
-    # cannot overflow before the sin^m factor damps it
+    ms = np.atleast_1d(orders).astype(np.int64)
+    rows = degree - int(ms.min()) + 1
+    out = np.empty((ms.size, rows, t.size))
+    # diagonal seeds Ptilde_m^m, built as a running product over k = 1..m
+    # so large m cannot overflow before the sin^m factor damps it
     p = np.full(t.shape, 1.0 / math.sqrt(2.0))
-    if m > 0:
-        sint = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        for k in range(1, m + 1):
-            p = p * (math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sint)
-    out[0] = p
-    if rows == 1:
-        return out
+    out[ms == 0, 0] = p
+    sint = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    for k in range(1, int(ms.max()) + 1):
+        p = p * (math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sint)
+        out[ms == k, 0] = p
+    # three-term recurrence in ell = m + i, all orders at once; column
+    # i - 1 of a and b holds the coefficients of row i
+    ell = ms[:, None] + np.arange(1, rows)[None, :]
+    a = np.sqrt(
+        (2.0 * ell - 1.0) * (2.0 * ell + 1.0) / ((ell - ms[:, None]) * (ell + ms[:, None]))
+    )
+    b = np.sqrt(
+        (2.0 * ell + 1.0)
+        / (2.0 * ell - 3.0)
+        * ((ell - 1.0 - ms[:, None]) * (ell - 1.0 + ms[:, None]))
+        / ((ell - ms[:, None]) * (ell + ms[:, None]))
+    )
+    b[:, :1] = 0.0
+    p = out[:, 0]
     prev = np.zeros_like(p)
-    for ell in range(m + 1, degree + 1):
-        a = math.sqrt(
-            (2.0 * ell - 1.0) * (2.0 * ell + 1.0) / ((ell - m) * (ell + m))
-        )
-        b = math.sqrt(
-            (2.0 * ell + 1.0)
-            / (2.0 * ell - 3.0)
-            * ((ell - 1.0 - m) * (ell - 1.0 + m))
-            / ((ell - m) * (ell + m))
-        ) if ell - m >= 2 else 0.0
-        p, prev = a * t * p - b * prev, p
-        out[ell - m] = p
-    return out
+    for i in range(1, rows):
+        p, prev = a[:, i - 1, None] * t * p - b[:, i - 1, None] * prev, p
+        out[:, i] = p
+    out[np.arange(rows)[None, :] > degree - ms[:, None]] = 0.0
+    return out if orders.ndim else out[0]
 
 
 def assoc_legendre_normalized(ell, m, t):

@@ -260,14 +260,15 @@ def pseudospectral(pointwise, grid):
     """Lift a pointwise grid function to a coefficient-space nonlinearity.
 
     The result maps a (k, n+1, 2n+1) coefficient array to one of the same
-    shape.  Each field is synthesized on ``grid``; ``pointwise`` receives
-    the k value arrays as positional arguments and returns a tuple of k
-    arrays (a single field may return a bare array), each of which is
-    analyzed back.  No dealiasing is applied.
+    shape.  The k fields are synthesized on ``grid`` in one stacked
+    transform; ``pointwise`` receives the k value arrays as positional
+    arguments and returns a tuple of k arrays (a single field may return
+    a bare array), which are analyzed back in one stacked transform.  No
+    dealiasing is applied.
     """
 
     def coefficient_nonlinearity(state):
-        outs = pointwise(*(synthesis(s, grid) for s in state))
+        outs = pointwise(*synthesis(state, grid))
         if not isinstance(outs, tuple):
             outs = (outs,)
         if len(outs) != len(state):
@@ -275,6 +276,6 @@ def pseudospectral(pointwise, grid):
                 f"pointwise function returned {len(outs)} arrays "
                 f"for {len(state)} fields"
             )
-        return np.stack([analysis(o, grid).data for o in outs])
+        return analysis(np.stack(outs), grid)
 
     return coefficient_nonlinearity

@@ -15,7 +15,7 @@ import pytest
 from nlsphere import models as M
 from nlsphere.spectrum import KernelParams, Spectrum, local_spectrum
 from nlsphere.sht import SphereGrid, SphHarmCoeffs, analysis, synthesis
-from nlsphere.timestep import evolve, pseudospectral
+from nlsphere.timestep import DiagonalOperator, evolve, pseudospectral
 
 GL_QUARTIC_U20 = 2.6842234419179793
 
@@ -249,6 +249,35 @@ def test_energy_validation():
         M.ginzburg_landau_energy(c, spec, 0.1, grid=SphereGrid(3))
     with pytest.raises(TypeError):
         M.ginzburg_landau_energy(np.zeros((5, 9)), spec, 0.1)
+
+
+def _energy_by_embedding(u, spec, epsilon, grid):
+    # the zero-padded route: degree-2n coefficients and degree-2n tables
+    lam = DiagonalOperator(spec.values).dense()
+    linear = -0.5 * epsilon**2 * float(np.sum(lam * u.data * u.data))
+    vals = synthesis(M.embed(u, grid.degree), grid)
+    return linear + 0.25 * M.integrate_grid((vals * vals - 1.0) ** 2, grid)
+
+
+@pytest.mark.parametrize("n", [1, 6, 31])
+def test_energy_band_n_synthesis_matches_embedding(n):
+    spec = M.build_spectrum(n, KernelParams(-0.5, 1.0))
+    u = M.random_coeffs(n, n, 0.3, seed=n)
+    for grid in (None, SphereGrid(2 * n + 3)):
+        want = _energy_by_embedding(u, spec, 0.1, grid or SphereGrid(2 * n))
+        got = M.ginzburg_landau_energy(u, spec, 0.1, grid=grid)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_refined_grid_cache_evicts_oldest_of_five():
+    M._refined_grid.cache_clear()
+    grids = [M._refined_grid(degree) for degree in (2, 4, 6, 8)]
+    assert [M._refined_grid(degree) for degree in (2, 4, 6, 8)] == grids
+    M._refined_grid(10)
+    assert M._refined_grid.cache_info().currsize == 4
+    assert [M._refined_grid(degree) for degree in (4, 6, 8)] == grids[1:]
+    assert M._refined_grid(2) is not grids[0]
+    M._refined_grid.cache_clear()
 
 
 @pytest.mark.parametrize("kernel", [None, KernelParams(-0.5, 1.0)])

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 import scipy.special
 
+from nlsphere.specfun import assoc_legendre_table
 from nlsphere.sht import (
+    _TABLE_CACHE_MAX_DEGREE,
     SphHarmCoeffs,
     SphereGrid,
     _layout,
@@ -287,3 +289,128 @@ def test_grid_values_file(tmp_path):
     first = lines[2].split(",")
     assert float(first[0]) == pytest.approx(grid.colat_nodes[0])
     assert float(first[2]) == pytest.approx(1.0, rel=1e-12)
+
+
+def _old_write_coeffs(coeffs, path, comment=None):
+    # per-value formatting of the first file-format version
+    lines = [f"# sht-coeffs v1 degree={coeffs.degree}"]
+    if comment:
+        lines.append(f"# {comment}")
+    for row in coeffs.data:
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _old_write_grid_values(values, grid, path, comment=None):
+    # per-point formatting of the first file-format version
+    n = grid.degree
+    lines = [f"# sht-grid v1 degree={n}"]
+    if comment:
+        lines.append(f"# {comment}")
+    lines.append("theta,phi,value")
+    for i, theta in enumerate(grid.colat_nodes):
+        for j, phi in enumerate(grid.lon_nodes):
+            lines.append(f"{theta:.17g},{phi:.17g},{values[i, j]:.17g}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n", [0, 3, 16])
+def test_writers_match_per_value_formatting(tmp_path, n):
+    grid = SphereGrid(n)
+    c = random_coeffs(n, seed=n + 5)
+    c.data[0, 0] = -0.0
+    vals = synthesis(c, grid)
+    for comment in (None, "a comment"):
+        write_coeffs(c, tmp_path / "new_c.csv", comment=comment)
+        _old_write_coeffs(c, tmp_path / "old_c.csv", comment=comment)
+        assert (tmp_path / "new_c.csv").read_bytes() == (tmp_path / "old_c.csv").read_bytes()
+        write_grid_values(vals, grid, tmp_path / "new_g.csv", comment=comment)
+        _old_write_grid_values(vals, grid, tmp_path / "old_g.csv", comment=comment)
+        assert (tmp_path / "new_g.csv").read_bytes() == (tmp_path / "old_g.csv").read_bytes()
+
+
+# ----------------------------------------------------------------------
+# Legendre stage: northern-node tables, parity fold, stacked fields
+# ----------------------------------------------------------------------
+
+def naive_synthesis(c, grid):
+    """Every mode evaluated at every grid point through scipy."""
+    n = c.degree
+    theta = grid.colat_nodes[:, None]
+    phi = grid.lon_nodes[None, :]
+    out = np.zeros((n + 1, 2 * n + 1))
+    for ell in range(n + 1):
+        for m in range(-ell, ell + 1):
+            out += c.get(ell, m) * np.vectorize(naive_basis)(ell, m, theta, phi)
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 17])
+def test_parity_fold_matches_naive_evaluator_and_round_trips(n):
+    # even n puts a node on the equator; odd n pairs every node
+    c = random_coeffs(n, seed=100 + n)
+    grid = SphereGrid(n)
+    assert grid.north == (n + 2) // 2
+    if n % 2 == 0:
+        assert grid.colat_cos[n // 2] == 0.0
+    vals = synthesis(c, grid)
+    assert np.max(np.abs(vals - naive_synthesis(c, grid))) <= 1e-12
+    back = analysis(vals, grid)
+    assert np.max(np.abs(back.data - c.data)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_stacked_fields_match_single_fields(n):
+    grid = SphereGrid(n)
+    a, b = random_coeffs(n, seed=1), random_coeffs(n, seed=2)
+    stacked = synthesis(np.stack([a.data, b.data]), grid)
+    assert stacked.shape == (2, n + 1, 2 * n + 1)
+    for field, single in zip(stacked, (a, b)):
+        np.testing.assert_allclose(field, synthesis(single, grid), rtol=0, atol=1e-14)
+    back = analysis(stacked, grid)
+    assert isinstance(back, np.ndarray) and back.shape == (2, n + 1, 2 * n + 1)
+    for field, values in zip(back, stacked):
+        np.testing.assert_allclose(field, analysis(values, grid).data, rtol=0, atol=1e-14)
+
+
+def test_stack_shape_checked():
+    grid = SphereGrid(4)
+    with pytest.raises(ValueError):
+        synthesis(np.zeros((2, 4, 9)), grid)
+    with pytest.raises(ValueError):
+        analysis(np.zeros((2, 2, 5, 9)), grid)
+
+
+def test_legendre_table_blocks():
+    n = 40
+    grid = SphereGrid(n)
+    north = grid.colat_cos[: grid.north]
+    first = grid.legendre_table(1)
+    assert first.shape == (9, n - 32 + 1, grid.north)  # orders 32..40
+    assert not first.flags.writeable
+    assert grid.legendre_table(1) is first  # cached below the limit
+    sub = grid.legendre_table(0, degree=20)  # orders 0..20, degrees <= 20
+    assert sub.shape == (21, 21, grid.north)
+    for j, m in enumerate(range(32, n + 1)):
+        rows = assoc_legendre_table(m, n, north)
+        assert first[j, : n - m + 1].tobytes() == rows.tobytes()
+    np.testing.assert_array_equal(
+        sub[3, : 20 - 3 + 1], assoc_legendre_table(3, 20, north)
+    )
+    with pytest.raises(ValueError):
+        grid.legendre_table(2)  # first order 64 > 40
+    with pytest.raises(ValueError):
+        grid.legendre_table(0, degree=n + 1)
+
+
+def test_round_trip_above_cache_limit_keeps_no_tables():
+    n = _TABLE_CACHE_MAX_DEGREE + 1
+    rng = np.random.default_rng(n)
+    data = rng.standard_normal((n + 1, 2 * n + 1))
+    data[~_layout(n)[1]] = 0.0
+    grid = SphereGrid(n)
+    back = analysis(synthesis(data, grid), grid)
+    assert np.max(np.abs(back.data - data)) <= 1e-12
+    assert grid._tables == {}

@@ -331,3 +331,55 @@ def test_assoc_legendre_rejects_bad_order():
         assoc_legendre_table(-1, 3, 0.5)
     with pytest.raises(ValueError):
         assoc_legendre_table(4, 3, 0.5)
+
+
+def _one_order_rows(m, degree, t):
+    """The one-order recurrence, term for term: seed product, then
+    Ptilde_ell^m = a t Ptilde_{ell-1}^m - b Ptilde_{ell-2}^m."""
+    p = np.full(t.shape, 1.0 / math.sqrt(2.0))
+    sint = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    for k in range(1, m + 1):
+        p = p * (math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sint)
+    rows, prev = [p], np.zeros_like(p)
+    for ell in range(m + 1, degree + 1):
+        a = math.sqrt((2.0 * ell - 1.0) * (2.0 * ell + 1.0) / ((ell - m) * (ell + m)))
+        b = math.sqrt(
+            (2.0 * ell + 1.0)
+            / (2.0 * ell - 3.0)
+            * ((ell - 1.0 - m) * (ell - 1.0 + m))
+            / ((ell - m) * (ell + m))
+        ) if ell - m >= 2 else 0.0
+        p, prev = a * t * p - b * prev, p
+        rows.append(p)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 127])
+def test_assoc_legendre_table_order_array_matches_one_order_rows(n):
+    t = np.polynomial.legendre.leggauss(n + 1)[0]
+    t = np.concatenate([t, [-1.0, 0.0, 1.0]])
+    orders = np.arange(n + 1)
+    full = assoc_legendre_table(orders, n, t)
+    assert full.shape == (n + 1, n + 1, t.size)
+    for start in range(0, n + 1, 5):  # blocks that do not start at order 0
+        block = assoc_legendre_table(orders[start : start + 5], n, t)
+        assert block.shape == (min(5, n + 1 - start), n - start + 1, t.size)
+        for j, m in enumerate(orders[start : start + 5]):
+            rows = assoc_legendre_table(int(m), n, t)
+            # bit for bit, signs of zeros included
+            assert rows.tobytes() == _one_order_rows(int(m), n, t).tobytes()
+            assert block[j, : n - m + 1].tobytes() == rows.tobytes()
+            assert full[m, : n - m + 1].tobytes() == rows.tobytes()
+            assert np.all(block[j, n - m + 1 :] == 0.0)
+            assert np.all(full[m, n - m + 1 :] == 0.0)
+
+
+def test_assoc_legendre_table_order_array_validation():
+    with pytest.raises(ValueError):
+        assoc_legendre_table(np.array([0, 4]), 3, 0.5)
+    with pytest.raises(ValueError):
+        assoc_legendre_table(np.array([-1, 2]), 3, 0.5)
+    with pytest.raises(ValueError):
+        assoc_legendre_table(np.array([1.0, 2.0]), 3, 0.5)
+    with pytest.raises(ValueError):
+        assoc_legendre_table(np.zeros((2, 2), dtype=int), 3, 0.5)
