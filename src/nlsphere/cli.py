@@ -25,7 +25,6 @@ _THREAD_ENV_VARS = (
 
 _COMMANDS = ("spectrum", "poisson", "evolve")
 _MODELS = ("allen-cahn", "brusselator")
-_METHODS = ("rec", "asy", "hybrid")
 
 
 class CliError(ValueError):
@@ -63,8 +62,6 @@ class RunConfig:
     degree: int = 0
     dt: float | None = None
     t_final: float | None = None
-    method: str = "hybrid"
-    switch_degree: int = 50
     cesaro_kappa: int = 0
     seed: int = 0
     output_dir: str = "."
@@ -83,10 +80,6 @@ class RunConfig:
                 raise CliError(f"delta must lie in (0, 2], got {self.delta}")
         if not (isinstance(self.degree, int) and self.degree >= 0):
             raise CliError(f"degree must be a non-negative integer, got {self.degree!r}")
-        if self.method not in _METHODS:
-            raise CliError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.switch_degree < 0:
-            raise CliError(f"switch-degree must be non-negative, got {self.switch_degree}")
         if self.cesaro_kappa < 0:
             raise CliError(f"cesaro-kappa must be non-negative, got {self.cesaro_kappa}")
         if self.snapshot_stride < 0:
@@ -142,13 +135,7 @@ def run(config):
     _apply_thread_cap()
     # deferred so the thread cap above precedes the first numpy import
     from . import models as M
-    from .spectrum import (
-        ASYMPTOTIC,
-        RECURRENCE,
-        KernelParams,
-        hybrid,
-        write_spectrum,
-    )
+    from .spectrum import KernelParams, write_spectrum
     from .sht import (
         SphereGrid,
         analysis,
@@ -160,17 +147,12 @@ def run(config):
     from .timestep import evolve, pseudospectral
 
     kernel = None if config.local else KernelParams(config.alpha, config.delta)
-    method = {
-        "rec": RECURRENCE,
-        "asy": ASYMPTOTIC,
-        "hybrid": hybrid(config.switch_degree),
-    }[config.method]
 
     os.makedirs(config.output_dir, exist_ok=True)
     out = lambda name: os.path.join(config.output_dir, name)
     written = []
 
-    spec = M.build_spectrum(config.degree, kernel, method)
+    spec = M.build_spectrum(config.degree, kernel)
 
     if config.command == "spectrum":
         kernel_desc = (
@@ -179,7 +161,7 @@ def run(config):
         )
         write_spectrum(
             spec, out("spectrum.csv"),
-            comment=f"{kernel_desc} degree={config.degree} method={config.method}",
+            comment=f"{kernel_desc} degree={config.degree}",
         )
         written.append(out("spectrum.csv"))
         return written
@@ -297,10 +279,6 @@ def build_parser():
                        help="use the classical operator instead of a kernel")
         p.add_argument("--degree", type=int, required=True,
                        help="maximum retained harmonic degree n")
-        p.add_argument("--method", choices=_METHODS, default="hybrid",
-                       help="eigenvalue evaluation route")
-        p.add_argument("--switch-degree", type=int, default=50,
-                       help="first degree handled asymptotically in hybrid mode")
         p.add_argument("--output-dir", default=".")
 
     p_spec = sub.add_parser("spectrum", help="write the eigenvalue table")
@@ -334,7 +312,9 @@ def build_parser():
 def main(argv=None):
     try:
         _apply_thread_cap()
-        namespace = build_parser().parse_args(argv)
+        namespace, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
         config = RunConfig(**vars(namespace))
         run(config)
     except (CliError, ValueError, OSError) as err:

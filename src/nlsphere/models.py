@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import DEFAULT_METHOD, KernelParams, Spectrum, local_spectrum
+from .spectrum import KernelParams, Spectrum, local_spectrum
 from .spectrum import spectrum as _spectrum
 from .sht import SphereGrid, SphHarmCoeffs, _layout, _synthesize
 from .timestep import DiagonalOperator
@@ -41,13 +41,13 @@ __all__ = [
 ]
 
 
-def build_spectrum(degree, kernel=None, method=None):
+def build_spectrum(degree, kernel=None):
     """Eigenvalue table for a kernel, or the local spectrum if kernel is None."""
     if kernel is None:
         return local_spectrum(degree)
     if not isinstance(kernel, KernelParams):
         raise TypeError(f"kernel must be KernelParams or None, got {kernel!r}")
-    return _spectrum(degree, kernel, method or DEFAULT_METHOD)
+    return _spectrum(degree, kernel)
 
 
 def embed(coeffs, degree):

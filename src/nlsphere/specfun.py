@@ -58,7 +58,7 @@ _SZEGO_TINY_THETA = 1e-8
 _SERIES_OSC_MAX = 4.0
 
 #: Haversine threshold for preferring the ratio series over direct
-#: evaluation of (P_ell - 1) / q.
+#: evaluation of (P_ell - 1) / q; the eigenvalue integrands share it.
 _SERIES_HAV_MAX = 1e-2
 
 
@@ -273,16 +273,17 @@ def _m1_series_from_hav(ell, q):
 
     term_1 = -ell(ell+1) and term_{k+1}/term_k =
     -(ell-k)(ell+k+1) q / (k+1)^2, so the loop needs no binomials.
+    ``ell`` may be an array of degrees broadcasting against ``q``.
     Terminates early once the current term is below machine epsilon
     relative to the running magnitude of the partial sums and the terms
     are shrinking.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    term = np.full(q.shape, -float(ell) * (ell + 1.0))
+    ell, q = np.broadcast_arrays(np.asarray(ell, float), np.atleast_1d(q).astype(float))
+    term = -ell * (ell + 1.0)
     total = term.copy()
     running = np.abs(total)
     prev_mag = np.abs(term)
-    for k in range(1, ell):
+    for k in range(1, int(ell.max())):
         term = term * (-(ell - k) * (ell + k + 1.0) / ((k + 1.0) * (k + 1.0))) * q
         total += term
         np.maximum(running, np.abs(total), out=running)
@@ -317,12 +318,16 @@ def legendre_m1_over_hav(ell, theta):
     return _wrap(_m1_over_hav_from_q(ell, q), scalar)
 
 
+def _in_series_region(ell, q):
+    """Where the ratio series, not (P_ell - 1) / q, gives the quotient."""
+    return (q <= _SERIES_HAV_MAX) & ((ell + 0.5) ** 2 * q <= _SERIES_OSC_MAX)
+
+
 def _m1_over_hav_from_q(ell, q):
     """Dispatch between the ratio series and direct evaluation, given q."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     out = np.empty_like(q)
-    nu2 = (ell + 0.5) ** 2
-    use_series = (q <= _SERIES_HAV_MAX) & (nu2 * q <= _SERIES_OSC_MAX)
+    use_series = _in_series_region(ell, q)
     if use_series.any():
         out[use_series] = _m1_series_from_hav(ell, q[use_series])
     direct = ~use_series

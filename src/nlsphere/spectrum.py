@@ -4,22 +4,26 @@ The operator acts on spherical harmonics diagonally; its eigenvalue at
 degree ell is a weighted integral of (P_ell(t(x)) - 1)/(1-x) against the
 algebraic weight (1-x)^alpha on [-1, 1], where t(x) interpolates between
 1 and 1 - delta^2/2.  A modified Clenshaw--Curtis rule absorbs the
-singular factor, the near-zero region of the integrand is evaluated by a
-cancellation-free ratio series, and the remaining Legendre values come
-from either the three-term recurrence or Bessel-series asymptotics
-depending on the evaluation method.
+singular factor and a cancellation-free ratio series evaluates the
+near-zero region of the integrand.  ``spectrum(n)`` serves every degree
+through n with one rule and one three-term recurrence; ``eigenvalue(ell)``
+uses its own rule and, per the evaluation method, the recurrence or
+Bessel-series asymptotics, which serve isolated large degrees.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import cc_weights
 from .specfun import (
+    _SERIES_HAV_MAX,
+    _in_series_region,
     _m1_over_hav_from_q,
+    _m1_series_from_hav,
     _szego_from_haversine,
     legendre_rec,
 )
@@ -38,12 +42,6 @@ __all__ = [
     "spectrum",
     "write_spectrum",
 ]
-
-#: Haversine threshold below which the integrand switches to the stable
-#: ratio evaluation; P_ell(cos theta) - 1 only suffers cancellation where
-#: P_ell is close to 1.
-_NEAR_ZERO_HAV = 1e-2
-
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -125,7 +123,6 @@ class Spectrum:
 
     params: KernelParams | None
     values: np.ndarray
-    method: EvalMethod | None = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -154,7 +151,7 @@ def _eigenvalue_with_panels(ell, params, method, panels):
     # clip guards the delta = 2 endpoint where roundoff could push q past 1
     q = np.clip(d2 * (1.0 - x) / 8.0, 0.0, 1.0)
     g = np.empty_like(x)
-    near = q <= _NEAR_ZERO_HAV
+    near = q <= _SERIES_HAV_MAX
     if near.any():
         g[near] = (d2 / 8.0) * _m1_over_hav_from_q(ell, q[near])
     far = ~near
@@ -187,13 +184,29 @@ def eigenvalue(ell, params, method=DEFAULT_METHOD):
     return _eigenvalue_with_panels(ell, params, method, max(ell + 1, 8))
 
 
-def spectrum(n, params, method=DEFAULT_METHOD):
-    """All eigenvalues through degree ``n`` as an immutable Spectrum."""
+def spectrum(n, params):
+    """All eigenvalues through degree ``n`` as an immutable Spectrum: one
+    rule with max(n+1, 8) panels and one Legendre recurrence for every
+    degree, integrated by one matrix-vector product with the weights."""
     n = _check_ell(n)
-    values = np.empty(n + 1)
-    for ell in range(n + 1):
-        values[ell] = eigenvalue(ell, params, method)
-    return Spectrum(params=params, values=values, method=method)
+    if not isinstance(params, KernelParams):
+        raise TypeError("params must be a KernelParams instance")
+    values = np.zeros(n + 1)
+    if n:
+        rule = cc_weights(params.alpha, 0.0, max(n + 1, 8))
+        q = np.clip(params.delta**2 * (1.0 - rule.nodes) / 8.0, 0.0, 1.0)
+        t = 1.0 - 2.0 * q
+        p = np.empty((n + 1, t.size))
+        p[0], p[1] = 1.0, t
+        for k in range(1, n):
+            p[k + 1] = ((2.0 * k + 1.0) * t * p[k] - k * p[k - 1]) / (k + 1.0)
+        ells, qs = np.broadcast_arrays(np.arange(1.0, n + 1.0)[:, None], q)
+        series = _in_series_region(ells, qs)
+        g = np.divide(p[1:] - 1.0, qs, out=np.empty(ells.shape), where=~series)
+        g[series] = _m1_series_from_hav(ells[series], qs[series])
+        # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the prefactor
+        values[1:] = (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha) * (g @ rule.weights)
+    return Spectrum(params=params, values=values)
 
 
 def local_eigenvalue(ell):
@@ -206,7 +219,7 @@ def local_spectrum(n):
     """Spectrum of the classical operator through degree ``n``."""
     n = _check_ell(n)
     ells = np.arange(n + 1, dtype=float)
-    return Spectrum(params=None, values=-ells * (ells + 1.0), method=None)
+    return Spectrum(params=None, values=-ells * (ells + 1.0))
 
 
 def write_spectrum(spec, path, comment=None):

@@ -235,6 +235,7 @@ def test_evolve_blow_up_exits_2(tmp_path):
      "--t-final", "1", "--ic", "random:9:1"],
     ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "-0.1",
      "--t-final", "1"],
+    ["spectrum", "--method", "rec", "--degree", "4"],
 ])
 def test_validation_failures_exit_1(tmp_path, args):
     assert main(args + ["--output-dir", str(tmp_path)]) == 1
@@ -253,8 +254,6 @@ def test_runconfig_direct_validation():
         RunConfig(command="orbit", degree=4)
     with pytest.raises(CliError):
         RunConfig(command="spectrum", degree=4, alpha=1.0)
-    with pytest.raises(CliError):
-        RunConfig(command="spectrum", degree=4, method="magic")
     with pytest.raises(CliError):
         RunConfig(command="evolve", model="allen-cahn", degree=4, t_final=1.0)
     cfg = RunConfig(command="evolve", model="allen-cahn", degree=4,

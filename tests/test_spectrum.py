@@ -8,7 +8,9 @@ Cross-checks used here, in increasing strength:
 * agreement between the default summation and a compensated (math.fsum)
   re-evaluation of the same quadrature sum,
 * node-count independence, since the recurrence integrand is a polynomial
-  the rule already integrates exactly.
+  the rule already integrates exactly,
+* full spectra at degrees above 300 against an mpmath evaluation of the
+  exact hypergeometric sum, which shares no code with the package.
 """
 
 import math
@@ -82,7 +84,7 @@ def test_minus_two_ell_kernel():
 
 
 def test_spectrum_low_degrees_minus_two_ell():
-    sp = spectrum(3, KernelParams(-0.5, 2.0), RECURRENCE)
+    sp = spectrum(3, KernelParams(-0.5, 2.0))
     assert sp.values[0] == 0.0
     np.testing.assert_allclose(sp.values, [0.0, -2.0, -4.0, -6.0], rtol=1e-11)
 
@@ -178,6 +180,20 @@ def test_monotonicity_where_claimed(alpha):
             )
 
 
+@pytest.mark.parametrize("alpha,delta", [
+    (-0.5, 2.0), (-0.9, 0.01), (0.9, 0.7), (0.0, 1.0), (0.3, 0.1), (-0.5, 0.01),
+])
+def test_spectrum_matches_per_degree_recurrence(alpha, delta):
+    # the one-pass sweep against eigenvalue(ell) on its own rule, degree by
+    # degree, across the panel floor of 8 and through degree 200
+    params = KernelParams(alpha, delta)
+    ref = np.array([eigenvalue(ell, params, RECURRENCE) for ell in range(201)])
+    for n in (0, 1, 6, 7, 8, 63, 200):
+        values = spectrum(n, params).values
+        assert values.shape == (n + 1,) and values[0] == 0.0  # exactly, at n = 0 too
+        np.testing.assert_allclose(values, ref[: n + 1], rtol=3e-13, atol=0.0)
+
+
 def test_local_eigenvalue_values():
     assert local_eigenvalue(0) == 0.0
     assert local_eigenvalue(1) == -2.0
@@ -214,7 +230,7 @@ def test_eigenvalue_argument_validation():
 
 
 def test_write_spectrum_format(tmp_path):
-    sp = spectrum(3, KernelParams(-0.5, 2.0), RECURRENCE)
+    sp = spectrum(3, KernelParams(-0.5, 2.0))
     path = tmp_path / "spec.csv"
     write_spectrum(sp, path, comment="kernel alpha=-0.5 delta=2")
     text = path.read_text()
@@ -225,9 +241,45 @@ def test_write_spectrum_format(tmp_path):
     assert len(lines) == 6
     # deterministic: writing again yields identical bytes
     path2 = tmp_path / "spec2.csv"
-    write_spectrum(spectrum(3, KernelParams(-0.5, 2.0), RECURRENCE), path2,
+    write_spectrum(spectrum(3, KernelParams(-0.5, 2.0)), path2,
                    comment="kernel alpha=-0.5 delta=2")
     assert path.read_bytes() == path2.read_bytes()
     # full precision round trip
     data = np.genfromtxt(path, delimiter=",", skip_header=2)
     np.testing.assert_array_equal(data[:, 1], sp.values)
+
+
+def _mpmath_eigenvalue(ell, alpha, delta):
+    """lambda(ell) from the terminating series of the eigenvalue integral.
+
+    P_ell(1 - 2u) = sum_k (-ell)_k (ell+1)_k / (k!)^2 u^k with u =
+    delta^2 (1-x)/8 makes the integrand a polynomial in s = 1-x times
+    s^(alpha-1); integrating term by term over s in [0, 2] gives
+    lambda = (1+alpha) 4/delta^2 sum_{k>=1} c_k (delta^2/4)^k / (k+alpha).
+    The alternating terms reach ~5.9^ell, so the sum runs at ell + 30
+    digits.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30 + ell):
+        a = mpmath.mpf(alpha)
+        d2 = mpmath.mpf(delta) ** 2
+        coeff = mpmath.mpf(1)
+        total = mpmath.mpf(0)
+        for k in range(1, ell + 1):
+            coeff = coeff * ((k - 1 - ell) * (ell + k)) / (k * k) * (d2 / 4)
+            total += coeff / (k + a)
+        return float((1 + a) * 4 / d2 * total)
+
+
+@pytest.mark.parametrize("alpha,delta,n", [
+    (-0.5, 2.0, 383), (-0.9, 0.01, 383), (0.9, 0.01, 300), (0.9, 1.0, 383),
+    (-0.9, 2.0, 311), (0.9, 2.0, 383), (0.3, 1.5, 340),
+])
+def test_spectrum_against_mpmath(alpha, delta, n):
+    # tolerance: about twice the worst error of eigenvalue(ell) with the
+    # default method on these kernels, 1.15e-13 at alpha = 0.3, delta = 1.5,
+    # ell = 51
+    values = spectrum(n, KernelParams(alpha, delta)).values
+    for ell in (1, 2, 7, 50, 51, 100, 200, 300, n):
+        ref = _mpmath_eigenvalue(ell, alpha, delta)
+        assert abs(values[ell] - ref) <= 2e-13 * abs(ref), (ell, values[ell], ref)
