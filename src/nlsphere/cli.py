@@ -312,9 +312,7 @@ def build_parser():
 def main(argv=None):
     try:
         _apply_thread_cap()
-        namespace, unknown = build_parser().parse_known_args(argv)
-        if unknown:
-            raise CliError(f"unrecognized arguments: {' '.join(unknown)}")
+        namespace = build_parser().parse_args(argv)
         config = RunConfig(**vars(namespace))
         run(config)
     except (CliError, ValueError, OSError) as err:

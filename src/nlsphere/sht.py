@@ -59,9 +59,8 @@ __all__ = [
 #: (colat_nodes[i], lon_nodes[j]).
 GridValues = np.ndarray
 
-#: Legendre tables are cached on the grid object while a table set is no
-#: larger than the full set of the degree-300 grid, measured as (degree +
-#: 1)^2 x northern nodes (a set holds about half that: 60 MB at degree 300).
+#: Legendre tables are cached on the grid object up to this degree
+#: (memory for all orders together grows like degree^3 / 4 doubles).
 _TABLE_CACHE_MAX_DEGREE = 300
 
 #: Orders per Legendre table block: one batched matrix product per block.
@@ -151,11 +150,10 @@ class SphereGrid:
 
     Legendre tables cover the ``north`` = ceil((n+1)/2) northern
     colatitudes and come in blocks of up to ``_ORDER_BLOCK`` orders,
-    built on demand.  A table degree's set is cached on the grid instance
-    while it is no larger than the full set of a degree-300 grid (so up to
-    n = 238 for the degree-2n energy grid); larger sets are rebuilt one
-    block per lookup, so a transform holds one block at a time.  The
-    longitude basis matrix is always cached.
+    built on demand.  Up to grid degree ``_TABLE_CACHE_MAX_DEGREE`` they
+    are cached on the grid instance; above it each block is rebuilt per
+    lookup, so a transform holds one block at a time.  The longitude
+    basis matrix is always cached.
     """
 
     def __init__(self, degree):
@@ -196,8 +194,7 @@ class SphereGrid:
             orders = np.arange(first, min(first + _ORDER_BLOCK, degree + 1))
             table = assoc_legendre_table(orders, degree, self.colat_cos[: self.north])
             table.setflags(write=False)
-            limit = _TABLE_CACHE_MAX_DEGREE + 1
-            if (degree + 1) ** 2 * self.north <= limit**2 * ((limit + 1) // 2):
+            if self.degree <= _TABLE_CACHE_MAX_DEGREE:
                 self._tables[(block, degree)] = table
         return table
 

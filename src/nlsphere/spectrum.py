@@ -5,10 +5,9 @@ degree ell is a weighted integral of (P_ell(t(x)) - 1)/(1-x) against the
 algebraic weight (1-x)^alpha on [-1, 1], where t(x) interpolates between
 1 and 1 - delta^2/2.  A modified Clenshaw--Curtis rule absorbs the
 singular factor and a cancellation-free ratio series evaluates the
-near-zero region of the integrand.  ``spectrum(n)`` serves every degree
-through n with one rule and one three-term recurrence; ``eigenvalue(ell)``
-uses its own rule and, per the evaluation method, the recurrence or
-Bessel-series asymptotics, which serve isolated large degrees.
+near-zero region.  ``spectrum(n)`` serves all degrees through n with one
+rule and one three-term recurrence; ``eigenvalue(ell)`` has its own rule
+and the recurrence or Bessel-series asymptotics (for isolated large ell).
 """
 
 from __future__ import annotations
@@ -42,6 +41,10 @@ __all__ = [
     "spectrum",
     "write_spectrum",
 ]
+
+#: Degrees per block of Legendre rows in ``spectrum``; keeps its memory O(n).
+_SWEEP_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -185,27 +188,28 @@ def eigenvalue(ell, params, method=DEFAULT_METHOD):
 
 
 def spectrum(n, params):
-    """All eigenvalues through degree ``n`` as an immutable Spectrum: one
-    rule with max(n+1, 8) panels and one Legendre recurrence for every
-    degree, integrated by one matrix-vector product with the weights."""
+    """All eigenvalues through degree ``n`` from one rule with max(n+1, 8) panels."""
     n = _check_ell(n)
     if not isinstance(params, KernelParams):
         raise TypeError("params must be a KernelParams instance")
     values = np.zeros(n + 1)
-    if n:
-        rule = cc_weights(params.alpha, 0.0, max(n + 1, 8))
-        q = np.clip(params.delta**2 * (1.0 - rule.nodes) / 8.0, 0.0, 1.0)
-        t = 1.0 - 2.0 * q
-        p = np.empty((n + 1, t.size))
-        p[0], p[1] = 1.0, t
-        for k in range(1, n):
-            p[k + 1] = ((2.0 * k + 1.0) * t * p[k] - k * p[k - 1]) / (k + 1.0)
-        ells, qs = np.broadcast_arrays(np.arange(1.0, n + 1.0)[:, None], q)
+    rule = cc_weights(params.alpha, 0.0, max(n + 1, 8))
+    q = np.clip(params.delta**2 * (1.0 - rule.nodes) / 8.0, 0.0, 1.0)
+    t = 1.0 - 2.0 * q
+    p_prev = p = np.ones_like(t)  # P_0; the first step gives P_1 = t exactly
+    for first in range(1, n + 1, _SWEEP_BLOCK):
+        ells = np.arange(first, min(first + _SWEEP_BLOCK, n + 1), dtype=float)
+        g = np.empty((ells.size, t.size))
+        for row, ell in zip(g, ells):
+            p_prev, p = p, ((2.0 * ell - 1.0) * t * p - (ell - 1.0) * p_prev) / ell
+            np.subtract(p, 1.0, out=row)
+        ells, qs = np.broadcast_arrays(ells[:, None], q)
         series = _in_series_region(ells, qs)
-        g = np.divide(p[1:] - 1.0, qs, out=np.empty(ells.shape), where=~series)
+        np.divide(g, qs, out=g, where=~series)
         g[series] = _m1_series_from_hav(ells[series], qs[series])
         # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the prefactor
-        values[1:] = (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha) * (g @ rule.weights)
+        values[first : first + g.shape[0]] = g @ rule.weights
+    values[1:] *= (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha)
     return Spectrum(params=params, values=values)
 
 

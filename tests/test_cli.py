@@ -235,14 +235,14 @@ def test_evolve_blow_up_exits_2(tmp_path):
      "--t-final", "1", "--ic", "random:9:1"],
     ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "-0.1",
      "--t-final", "1"],
-    ["spectrum", "--method", "rec", "--degree", "4"],
 ])
 def test_validation_failures_exit_1(tmp_path, args):
     assert main(args + ["--output-dir", str(tmp_path)]) == 1
 
 
 def test_usage_errors_exit_1():
-    for args in ([], ["unknown-command"], ["evolve", "--degree", "4"]):
+    for args in ([], ["unknown-command"], ["evolve", "--degree", "4"],
+                 ["spectrum", "--method", "rec", "--degree", "4"]):
         with pytest.raises(SystemExit) as err:
             main(args)
         assert err.value.code == 1

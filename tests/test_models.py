@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from nlsphere import models as M
-from nlsphere import sht
 from nlsphere.spectrum import KernelParams, Spectrum, local_spectrum
 from nlsphere.sht import SphereGrid, SphHarmCoeffs, analysis, synthesis
 from nlsphere.timestep import DiagonalOperator, evolve, pseudospectral
@@ -268,25 +267,6 @@ def test_energy_band_n_synthesis_matches_embedding(n):
         want = _energy_by_embedding(u, spec, 0.1, grid or SphereGrid(2 * n))
         got = M.ginzburg_landau_energy(u, spec, 0.1, grid=grid)
         assert got == pytest.approx(want, rel=1e-13, abs=0)
-
-
-def test_energy_tables_stay_cached_above_grid_degree_300(monkeypatch):
-    # the degree-151 field is evaluated on the degree-302 grid; its
-    # degree-151 table set is smaller than a degree-300 grid's full set
-    n = 151
-    spec = local_spectrum(n)
-    u = M.random_coeffs(n, n, 0.3, seed=n)
-    first = M.ginzburg_landau_energy(u, spec, 0.1)
-    builds = []
-    build = sht.assoc_legendre_table
-
-    def counting_build(*args):
-        builds.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(sht, "assoc_legendre_table", counting_build)
-    assert M.ginzburg_landau_energy(u, spec, 0.1) == first
-    assert builds == []
 
 
 def test_refined_grid_cache_evicts_oldest_of_five():
