@@ -14,7 +14,7 @@ import numpy as np
 
 from .spectrum import KernelParams, Spectrum, local_spectrum
 from .spectrum import spectrum as _spectrum
-from .sht import SphereGrid, SphHarmCoeffs, _layout, _synthesize
+from .sht import SphereGrid, SphHarmCoeffs, _layout, _synthesize, _write_csv
 from .timestep import DiagonalOperator
 
 __all__ = [
@@ -283,10 +283,8 @@ class EnergyRecorder:
         self.energies.append(ginzburg_landau_energy(u, self.spec, self.epsilon, self.grid))
 
     def write(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# t,energy\n")
-            for t, e in zip(self.times, self.energies):
-                fh.write(f"{t:.17g},{e:.17g}\n")
+        rows = ("%.17g,%.17g\n" % row for row in zip(self.times, self.energies))
+        _write_csv(path, ["# t,energy"], rows)
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -355,8 +356,18 @@ def relative_error_2norm(a, b):
 
 
 # ----------------------------------------------------------------------
-# file formats
+# file formats: UTF-8 CSV, "\n" line ends, "#" head lines first.  Writers
+# stream one "%"-formatted text row per data row (2n+1 lines per grid row);
+# "%.17g" round-trips every double and gives the bytes f"{x:.17g}" gives.
 # ----------------------------------------------------------------------
+
+def _write_csv(path, head, rows):
+    """Write the ``head`` lines, skipping empty or None ones (an absent
+    comment), then the formatted ``rows``, each ending in a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{line}\n" for line in head if line)
+        fh.writelines(rows)
+
 
 def write_coeffs(coeffs, path, comment=None):
     """Write coefficients as CSV rows of the layout matrix.
@@ -364,31 +375,25 @@ def write_coeffs(coeffs, path, comment=None):
     The first line is the format header ``# sht-coeffs v1 degree=<n>``;
     an optional extra ``#`` comment line follows.  Deterministic output.
     """
-    lines = [f"# sht-coeffs v1 degree={coeffs.degree}"]
-    if comment:
-        lines.append(f"# {comment}")
-    for row in coeffs.data.tolist():
-        lines.append(",".join([f"{v:.17g}" for v in row]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = [f"# sht-coeffs v1 degree={coeffs.degree}", comment and f"# {comment}"]
+    fmt = ",".join(["%.17g"] * coeffs.data.shape[1]) + "\n"
+    _write_csv(path, head, (fmt % tuple(row.tolist()) for row in coeffs.data))
 
 
 def read_coeffs(path):
-    """Read a coefficient file written by :func:`write_coeffs`."""
+    """Read a coefficient file written by :func:`write_coeffs`; raises
+    ValueError on a bad header, a non-numeric token, a ragged row or a
+    body whose shape does not match the header's degree."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         match = re.match(r"#\s*sht-coeffs\s+v1\s+degree=(\d+)\s*$", first)
         if not match:
             raise ValueError(f"{path}: not an sht-coeffs v1 file")
-        degree = int(match.group(1))
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    data = np.array(rows, dtype=float)
-    return SphHarmCoeffs(degree, data)
+        with warnings.catch_warnings():
+            # a file without rows fails the shape check instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+    return SphHarmCoeffs(int(match.group(1)), data)
 
 
 def write_grid_values(values, grid, path, comment=None):
@@ -399,13 +404,9 @@ def write_grid_values(values, grid, path, comment=None):
         raise ValueError(
             f"values shape {values.shape} does not match grid degree {n}"
         )
-    lines = [f"# sht-grid v1 degree={n}"]
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("theta,phi,value")
-    phis = [f"{phi:.17g}" for phi in grid.lon_nodes.tolist()]
-    for theta, row in zip(grid.colat_nodes.tolist(), values.tolist()):
-        theta = f"{theta:.17g}"
-        lines.extend([f"{theta},{phi},{v:.17g}" for phi, v in zip(phis, row)])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = [f"# sht-grid v1 degree={n}", comment and f"# {comment}", "theta,phi,value"]
+    # the lines of one colatitude: theta goes in at "\0", the values at "%.17g"
+    block = "".join([f"\0,{phi:.17g},%.17g\n" for phi in grid.lon_nodes.tolist()])
+    rows = (block.replace("\0", f"{theta:.17g}") % tuple(row.tolist())
+            for theta, row in zip(grid.colat_nodes.tolist(), values))
+    _write_csv(path, head, rows)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import cc_weights
+from .sht import _write_csv
 from .specfun import (
     _SERIES_HAV_MAX,
     _in_series_region,
@@ -233,11 +234,5 @@ def write_spectrum(spec, path, comment=None):
     metadata line.  The output is deterministic: identical spectra produce
     byte-identical files.
     """
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("ell,lambda")
-    for ell, value in enumerate(spec.values):
-        lines.append(f"{ell},{value:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ("%d,%.17g\n" % row for row in enumerate(spec.values.tolist()))
+    _write_csv(path, [comment and f"# {comment}", "ell,lambda"], rows)

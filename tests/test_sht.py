@@ -7,11 +7,14 @@ not use, hence the (-1)^m factor in the oracle).
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 
+from nlsphere.cli import main
 from nlsphere.specfun import assoc_legendre_table
 from nlsphere.sht import (
     _TABLE_CACHE_MAX_DEGREE,
@@ -316,12 +319,36 @@ def _old_write_grid_values(values, grid, path, comment=None):
         fh.write("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("n", [0, 3, 16])
+def _old_write_spectrum(values, path, comment=None):
+    # per-value formatting of the first spectrum file
+    lines = [f"# {comment}"] if comment else []
+    lines.append("ell,lambda")
+    lines += [f"{ell},{value:.17g}" for ell, value in enumerate(values)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _old_write_energy(times, energies, path):
+    # per-value formatting of the first energy file
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# t,energy\n")
+        for t, e in zip(times, energies):
+            fh.write(f"{t:.17g},{e:.17g}\n")
+
+
+#: values whose text is not a plain 17-digit mantissa
+SPECIAL_VALUES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("n", [0, 3, 16, 127])
 def test_writers_match_per_value_formatting(tmp_path, n):
     grid = SphereGrid(n)
     c = random_coeffs(n, seed=n + 5)
-    c.data[0, 0] = -0.0
     vals = synthesis(c, grid)
+    # special values in valid slots of the layout and at grid points
+    slots = np.flatnonzero(_layout(n)[1])[: len(SPECIAL_VALUES)]
+    c.data.flat[slots] = SPECIAL_VALUES[: len(slots)]
+    vals.flat[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: vals.size]
     for comment in (None, "a comment"):
         write_coeffs(c, tmp_path / "new_c.csv", comment=comment)
         _old_write_coeffs(c, tmp_path / "old_c.csv", comment=comment)
@@ -329,6 +356,102 @@ def test_writers_match_per_value_formatting(tmp_path, n):
         write_grid_values(vals, grid, tmp_path / "new_g.csv", comment=comment)
         _old_write_grid_values(vals, grid, tmp_path / "old_g.csv", comment=comment)
         assert (tmp_path / "new_g.csv").read_bytes() == (tmp_path / "old_g.csv").read_bytes()
+
+
+def _reemit(path, out):
+    """Rewrite a CLI output file from its parsed numbers with the per-value
+    writers; returns the kind of file."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    comment = lines[1][2:] if lines[1].startswith("# ") else None
+    body = [line for line in lines
+            if not line.startswith("#") and line not in ("theta,phi,value", "ell,lambda")]
+    rows = np.array([[float(tok) for tok in line.split(",")] for line in body])
+    if lines[0].startswith("# sht-coeffs"):
+        _old_write_coeffs(read_coeffs(path), out, comment=comment)
+        return "coeffs"
+    if lines[0].startswith("# sht-grid"):
+        n = int(lines[0].split("=")[1])
+        _old_write_grid_values(rows[:, 2].reshape(n + 1, 2 * n + 1), SphereGrid(n), out,
+                               comment=comment)
+        return "grid"
+    if path.name == "spectrum.csv":
+        _old_write_spectrum(rows[:, 1], out, comment=lines[0][2:])
+        return "spectrum"
+    assert path.name == "energy.csv"
+    _old_write_energy(rows[:, 0], rows[:, 1], out)
+    return "energy"
+
+
+def test_cli_outputs_match_per_value_formatting(tmp_path):
+    runs = [
+        ["spectrum", "--alpha", "-0.5", "--delta", "2", "--degree", "20"],
+        ["poisson", "--alpha", "0", "--delta", "1.5", "--degree", "16", "--rhs", "death-star"],
+        ["evolve", "--model", "allen-cahn", "--alpha", "-0.5", "--delta", "1",
+         "--epsilon", "0.1", "--degree", "15", "--dt", "0.01", "--t-final", "0.04",
+         "--ic", "random:7:0.1", "--cesaro-kappa", "2", "--snapshot-stride", "2"],
+        ["evolve", "--model", "brusselator", "--alpha", "0", "--delta", "1",
+         "--epsilon", "0.075", "--E", "4", "--tau", "7.8125", "--f", "0.8",
+         "--degree", "11", "--dt", "0.1", "--t-final", "0.3", "--ic", "random:5:0.01",
+         "--snapshot-stride", "1"],
+    ]
+    kinds = set()
+    for i, args in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        assert main(args + ["--output-dir", str(out)]) == 0
+        for path in sorted(out.iterdir()):
+            kinds.add(_reemit(path, tmp_path / "old.csv"))
+            assert path.read_bytes() == (tmp_path / "old.csv").read_bytes(), path.name
+    assert kinds == {"coeffs", "grid", "spectrum", "energy"}
+
+
+def test_read_coeffs_matches_per_token_float(tmp_path):
+    n = 3
+    c = random_coeffs(n, seed=3)
+    rows = [[f"{v:.17g}" for v in row] for row in c.data.tolist()]
+    # every special value, and other spellings float() reads, in valid slots
+    tokens = [f"{v:.17g}" for v in SPECIAL_VALUES] + ["-nan", "Infinity", "+1", "1e400", "1E-400"]
+    slots = np.flatnonzero(_layout(n)[1])
+    for slot, tok in zip(slots, tokens):
+        rows[slot // (2 * n + 1)][slot % (2 * n + 1)] = tok
+    assert len(slots) >= len(tokens)
+    path = tmp_path / "c.csv"
+    path.write_text(f"# sht-coeffs v1 degree={n}\n# a comment\n"
+                    + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    expected = np.array([[float(tok) for tok in row] for row in rows])
+    back = read_coeffs(path)
+    np.testing.assert_array_equal(back.data.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("body", [
+    "",                                    # header only
+    "1,0,0,0,0\n2,0,0,0\n3,0,0,0,0\n",      # ragged row
+    "1,0,0,0,0\n2,x,0,0,0\n3,0,0,0,0\n",    # non-numeric token
+    "1,0,0\n2,0,0\n",                       # a degree-1 body
+    "1_000,0,0,0,0\n2,0,0,0,0\n3,0,0,0,0\n",  # float() reads 1_000, the format does not
+])
+def test_malformed_coeff_files_raise(tmp_path, body):
+    path = tmp_path / "rhs.csv"
+    path.write_text("# sht-coeffs v1 degree=2\n" + body, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may escape
+        with pytest.raises(ValueError):
+            read_coeffs(path)
+        assert main(["poisson", "--local", "--degree", "2", "--rhs", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+
+
+def test_grid_writer_streams(tmp_path):
+    n = 255
+    grid = SphereGrid(n)
+    vals = np.random.default_rng(0).standard_normal((n + 1, 2 * n + 1))
+    tracemalloc.start()
+    try:
+        write_grid_values(vals, grid, tmp_path / "g.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole file as text is about 15 MB at this degree
+    assert peak <= 8 * 2**20
 
 
 # ----------------------------------------------------------------------
