@@ -66,17 +66,17 @@ def embed(coeffs, degree):
 def integrate_grid(values, grid):
     """Quadrature of grid values over the sphere.
 
-    Longitudes carry the uniform periodic-trapezoid weight 2*pi/(2n+1);
-    colatitudes carry the Gauss--Legendre weights in cos(theta), which
-    absorb the sin(theta) surface factor.  Exact for integrands of
-    harmonic degree <= 2n.
+    Longitudes carry the uniform periodic-trapezoid weight 2*pi/L on the
+    grid's L longitudes; colatitudes carry the Gauss--Legendre weights in
+    cos(theta), which absorb the sin(theta) surface factor.  Exact for
+    integrands of harmonic degree <= 2n (and longitude frequency < L).
     """
     values = np.asarray(values, dtype=float)
-    n = grid.degree
-    if values.shape != (n + 1, 2 * n + 1):
-        raise ValueError(f"values shape {values.shape} does not match grid degree {n}")
+    shape = (grid.degree + 1, grid.lon_nodes.size)
+    if values.shape != shape:
+        raise ValueError(f"values shape {values.shape} does not match the grid's {shape}")
     return float(
-        np.dot(grid.colat_weights, values.sum(axis=1)) * (2.0 * np.pi / (2 * n + 1))
+        np.dot(grid.colat_weights, values.sum(axis=1)) * (2.0 * np.pi / shape[1])
     )
 
 
@@ -236,9 +236,24 @@ def brusselator_operators(cfg, spec):
 # Ginzburg--Landau free energy
 # ----------------------------------------------------------------------
 
+def _fft_length(count):
+    """The smallest 5-smooth integer (2^a 3^b 5^c) >= ``count``."""
+    length = count
+    while True:
+        rest = length
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return length
+        length += 1
+
+
 @lru_cache(maxsize=4)
 def _refined_grid(degree):
-    return SphereGrid(degree)
+    """Degree-``degree`` colatitudes with an FFT-friendly longitude count
+    >= 2 degree + 1, which keeps the quadrature exact."""
+    return SphereGrid(degree, longitudes=_fft_length(2 * degree + 1))
 
 
 def ginzburg_landau_energy(u, spec, epsilon, grid=None):
@@ -246,9 +261,10 @@ def ginzburg_landau_energy(u, spec, epsilon, grid=None):
 
     The diffusion term reduces to a coefficient sum by orthonormality.
     The quartic term has band limit 4n, so it is synthesized and
-    integrated on a degree-2n grid (built on demand; the four most
-    recent are cached) unless a sufficiently fine grid is supplied.  The
-    synthesis uses only the orders and degrees <= n of that grid.
+    integrated on the degree-2n colatitudes with the smallest 5-smooth
+    longitude count >= 4n+1 (built on demand; the four most recent are
+    cached) unless a sufficiently fine grid is supplied.  The synthesis
+    uses only the orders and degrees <= n of that grid.
     """
     if not isinstance(u, SphHarmCoeffs):
         raise TypeError(f"u must be SphHarmCoeffs, got {u!r}")

@@ -14,21 +14,30 @@ column 2m-1 holds the sin(m phi) coefficients and column 2m the
 cos(m phi) coefficients of degrees ell = m..n, stored from row 0.  Slots
 below the stored triangle are structurally zero.
 
-The grid couples n+1 Gauss--Legendre colatitudes with 2n+1 equispaced
-longitudes.  Gauss--Legendre exactness in colatitude (degree 2n+1) and
-trapezoid exactness in longitude (frequencies up to 2n) make analysis the
-exact inverse of synthesis for band-limited data, which the tests verify
-to near machine precision.
+The grid couples n+1 Gauss--Legendre colatitudes with L equispaced
+longitudes, L = 2n+1 unless a grid asks for more.  Gauss--Legendre
+exactness in colatitude (degree 2n+1) and trapezoid exactness in
+longitude (frequencies below L) make analysis the exact inverse of
+synthesis for band-limited data, which the tests verify to near machine
+precision.
 
-A transform is two dense stages, O(n^3) work in all.  The longitude stage
-is one matrix product with the (2n+1)-point trigonometric basis.  The
-Legendre stage uses the equatorial symmetry of the grid: the nodes are
-antisymmetric in cos(theta) and Ptilde_ell^m is even or odd with ell - m,
-so tables hold only the northern nodes, and even and odd degrees are
-summed separately and then combined into the two hemispheres.  Orders
-come in blocks of 32, each one batched matrix product over orders and
-fields; ``synthesis`` and ``analysis`` accept a leading axis of k fields,
-which share every table read.
+A transform has two stages.  The longitude stage is a real FFT of length
+L (``numpy.fft.irfft`` / ``rfft``), O(n^2 log n) in all, except when L is
+prime: there the FFT is several times slower than a dense product with
+the L-point DFT matrix, which is used instead.  L alone decides.  Each
+(sin, cos) slot pair of order m is viewed as one complex number s + i c,
+so one per-order factor turns it into the one-sided Fourier coefficient
+and back.
+
+The Legendre stage, O(n^3), uses the equatorial symmetry of the grid: the
+nodes are antisymmetric in cos(theta) and Ptilde_ell^m is even or odd with
+ell - m, so tables hold only the northern nodes, as contiguous even and
+odd rows, and the two parities are summed separately and then combined
+into the two hemispheres.  Orders come in blocks of 32; each block and
+parity is one batched matrix product over the block's orders, whose 2k
+columns are the real and imaginary parts of the k fields.  ``synthesis``
+and ``analysis`` accept that leading axis of k fields, which share every
+table read.
 """
 
 from __future__ import annotations
@@ -56,15 +65,16 @@ __all__ = [
     "write_grid_values",
 ]
 
-#: Grid values are a plain (n+1) x (2n+1) float array: value at
-#: (colat_nodes[i], lon_nodes[j]).
+#: Grid values are a plain (n+1) x L float array, L = 2n+1 by default:
+#: value at (colat_nodes[i], lon_nodes[j]).
 GridValues = np.ndarray
 
 #: Legendre tables are cached on the grid object up to this degree
 #: (memory for all orders together grows like degree^3 / 4 doubles).
 _TABLE_CACHE_MAX_DEGREE = 300
 
-#: Orders per Legendre table block: one batched matrix product per block.
+#: Orders per Legendre table block: one batched matrix product per block
+#: and parity.
 _ORDER_BLOCK = 32
 
 
@@ -149,40 +159,51 @@ class SphHarmCoeffs:
 class SphereGrid:
     """Quadrature grid: Gauss--Legendre colatitudes x equispaced longitudes.
 
-    Legendre tables cover the ``north`` = ceil((n+1)/2) northern
-    colatitudes and come in blocks of up to ``_ORDER_BLOCK`` orders,
-    built on demand.  Up to grid degree ``_TABLE_CACHE_MAX_DEGREE`` they
-    are cached on the grid instance; above it each block is rebuilt per
-    lookup, so a transform holds one block at a time.  The longitude
-    basis matrix is always cached.
+    There are 2n+1 longitudes unless ``longitudes`` asks for more; any
+    count of at least 2n+1 keeps analysis exact.  Legendre tables cover
+    the ``north`` = ceil((n+1)/2) northern colatitudes and come in blocks
+    of up to ``_ORDER_BLOCK`` orders, built on demand.  Up to grid degree
+    ``_TABLE_CACHE_MAX_DEGREE`` they are cached on the grid instance;
+    above it each block is rebuilt per lookup, so a transform holds one
+    block at a time.  A grid with a prime longitude count, whose FFT is
+    slow, runs its longitude stage as a dense product with the DFT matrix
+    instead, and caches that matrix.
     """
 
-    def __init__(self, degree):
+    def __init__(self, degree, longitudes=None):
         if not isinstance(degree, (int, np.integer)) or degree < 0:
             raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
         n = int(degree)
+        count = 2 * n + 1 if longitudes is None else longitudes
+        if not isinstance(count, (int, np.integer)) or count < 2 * n + 1:
+            raise ValueError(
+                f"longitudes must be an integer >= 2n+1 = {2 * n + 1}, got {longitudes!r}"
+            )
         rule = gauss_legendre(n + 1)
         self.degree = n
         # GL nodes descend from +1, so colatitudes ascend from the north pole
         self.colat_cos = rule.nodes
         self.colat_weights = rule.weights
         self.colat_nodes = np.arccos(np.clip(rule.nodes, -1.0, 1.0))
-        self.lon_nodes = 2.0 * np.pi * np.arange(2 * n + 1) / (2 * n + 1)
+        self.lon_nodes = 2.0 * np.pi * np.arange(count) / count
         for arr in (self.colat_nodes, self.lon_nodes):
             arr.setflags(write=False)
         # northern nodes, the equator included when n is even
         self.north = (n + 2) // 2
+        # L alone picks the longitude stage: the FFT, or the dense DFT product
+        self._dense_longitudes = _is_prime(count)
         self._tables = {}
-        self._trig = None
+        self._dft = None
 
     def legendre_table(self, block, degree=None):
         """Block ``block`` of the Legendre table up to ``degree`` (default:
-        the grid degree) at the northern colatitudes.
+        the grid degree) at the northern colatitudes, split by parity.
 
         The block holds orders m = ``_ORDER_BLOCK * block`` onwards, at most
-        ``_ORDER_BLOCK`` of them and none above ``degree``; entry
-        ``[j, i, node]`` is Ptilde_{m_j+i}^{m_j}, zero above ``degree``
-        (see :func:`nlsphere.specfun.assoc_legendre_table`).
+        ``_ORDER_BLOCK`` of them and none above ``degree``.  Returns the
+        pair ``(even, odd)``: entry ``[j, i, node]`` of ``even`` is
+        Ptilde_{m_j+2i}^{m_j} and of ``odd`` Ptilde_{m_j+2i+1}^{m_j}, zero
+        above ``degree`` (see :func:`nlsphere.specfun.assoc_legendre_table`).
         """
         degree = self.degree if degree is None else int(degree)
         first = _ORDER_BLOCK * block
@@ -190,31 +211,36 @@ class SphereGrid:
             raise ValueError(
                 f"no order block {block} of degree {degree} on a degree-{self.degree} grid"
             )
-        table = self._tables.get((block, degree))
-        if table is None:
+        tables = self._tables.get((block, degree))
+        if tables is None:
             orders = np.arange(first, min(first + _ORDER_BLOCK, degree + 1))
-            table = assoc_legendre_table(orders, degree, self.colat_cos[: self.north])
-            table.setflags(write=False)
+            tables = assoc_legendre_table(
+                orders, degree, self.colat_cos[: self.north], parity=True
+            )
+            for table in tables:
+                table.setflags(write=False)
             if self.degree <= _TABLE_CACHE_MAX_DEGREE:
-                self._tables[(block, degree)] = table
-        return table
+                self._tables[(block, degree)] = tables
+        return tables
 
-    def _trig_matrix(self):
-        """Longitude basis, shape (2n+1 angles, 2n+2 columns): column 2m
-        holds sin(m phi) and column 2m+1 cos(m phi), normalized, so column
-        0 (sin 0 phi) is zero and columns 1.. follow the coefficient layout."""
-        if self._trig is None:
-            n = self.degree
-            mphi = np.arange(n + 1)[None, :] * self.lon_nodes[:, None]
-            t = np.empty((2 * n + 1, n + 1, 2))
-            t[:, :, 0] = np.sin(mphi)
-            t[:, :, 1] = np.cos(mphi)
-            t *= 1.0 / math.sqrt(np.pi)
-            t[:, 0] = (0.0, 1.0 / math.sqrt(2.0 * np.pi))
-            t = t.reshape(2 * n + 1, 2 * n + 2)
-            t.setflags(write=False)
-            self._trig = t
-        return self._trig
+    def _dft_bases(self):
+        """Real views of the DFT for the L longitudes and orders m = 0..L//2,
+        the longitude stage of a grid whose L is prime, where the FFT is
+        slow: the forward basis exp(-i m phi_j), shape (L, 2 (L//2+1)),
+        whose columns pair with cos(m phi) and -sin(m phi), and the inverse
+        basis, shape (2 (L//2+1), L), the transposed forward one with each
+        m > 0 counted twice, for m and -m."""
+        if self._dft is None:
+            count = self.lon_nodes.size
+            # m j reduced mod L in integers keeps every angle below 2 pi
+            turns = np.outer(np.arange(count), np.arange(count // 2 + 1)) % count
+            forward = np.exp((-2j * np.pi / count) * turns)
+            twice = np.full(count // 2 + 1, 2.0)
+            twice[0] = 1.0
+            self._dft = (forward.view(float), (forward * twice).view(float).T)
+            for basis in self._dft:
+                basis.setflags(write=False)
+        return self._dft
 
     def __repr__(self):
         return f"SphereGrid(degree={self.degree})"
@@ -227,11 +253,11 @@ def _coeff_data(coeffs):
     return np.asarray(coeffs, dtype=float)
 
 
-def _check_stack(arr, n, what):
-    """A (k, n+1, 2n+1) view of an (n+1, 2n+1) or (k, n+1, 2n+1) array."""
-    if arr.ndim not in (2, 3) or arr.shape[-2:] != (n + 1, 2 * n + 1):
-        raise ValueError(f"{what} shape {arr.shape} does not match grid degree {n}")
-    return arr.reshape(-1, n + 1, 2 * n + 1)
+def _check_stack(arr, rows, cols, what):
+    """A (k, rows, cols) view of a (rows, cols) or (k, rows, cols) array."""
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != (rows, cols):
+        raise ValueError(f"{what} shape {arr.shape} does not match the grid's {(rows, cols)}")
+    return arr.reshape(-1, rows, cols)
 
 
 def _order_blocks(degree):
@@ -239,93 +265,150 @@ def _order_blocks(degree):
     return enumerate(range(0, degree + 1, _ORDER_BLOCK))
 
 
+def _is_prime(count):
+    """Whether a longitude count is prime: its FFT is then slower than
+    the dense DFT product (about 6x at 127 points; a degree-63
+    Brusselator run takes about 1.8x as long with the FFT)."""
+    return count > 1 and all(count % p for p in range(2, math.isqrt(count) + 1))
+
+
+@lru_cache(maxsize=64)
+def _order_factors(degree, count):
+    """Per-order factors of the longitude stage for orders 0..degree on
+    ``count`` longitudes, (synthesis, analysis).
+
+    Order m > 0 keeps its (sin, cos) slot pair as one complex number
+    s + i c.  Synthesis turns it into the one-sided Fourier coefficient
+    (c - i s) / (2 sqrt(pi)) = -i (s + i c) / (2 sqrt(pi)); analysis
+    turns the DFT sum V_m = sum_j v_j exp(-i m phi_j), whose real part
+    is the cos and minus its imaginary part the sin inner product, into
+    s + i c = i V_m, times the trapezoid weight 2 pi / count.  The
+    m = 0 slot is real: its basis function is 1 / sqrt(2 pi).
+    """
+    synth = np.full(degree + 1, -0.5j / math.sqrt(np.pi))
+    synth[0] = 1.0 / math.sqrt(2.0 * np.pi)
+    weight = 2.0 * np.pi / count
+    anal = np.full(degree + 1, 1j * weight / math.sqrt(np.pi))
+    anal[0] = weight / math.sqrt(2.0 * np.pi)
+    for factors in (synth, anal):
+        factors.setflags(write=False)
+    return synth, anal
+
+
+def _irfft(spectra, grid, out):
+    """numpy.fft.irfft(spectra, L, norm="forward", out=out): values at the
+    grid's L longitudes of one-sided spectra along the last axis."""
+    count = grid.lon_nodes.size
+    if not grid._dense_longitudes:
+        return np.fft.irfft(spectra, count, norm="forward", out=out)
+    orders = spectra.shape[-1]
+    pairs = np.ascontiguousarray(spectra).reshape(-1, orders).view(float)
+    np.matmul(pairs, grid._dft_bases()[1][: 2 * orders], out=out.reshape(-1, count))
+    return out
+
+
+def _rfft(values, grid, out):
+    """numpy.fft.rfft(values, out=out) along the last axis, the grid's
+    longitudes."""
+    if not grid._dense_longitudes:
+        return np.fft.rfft(values, out=out)
+    spectra = values.reshape(-1, grid.lon_nodes.size) @ grid._dft_bases()[0]
+    out[...] = spectra.view(complex).reshape(out.shape)
+    return out
+
+
 def _synthesize(data, grid):
     """Values on ``grid`` of a (k, n+1, 2n+1) coefficient stack, n <= grid degree.
 
     Only orders and degrees <= n enter: the Legendre tables are the
-    grid's degree-n blocks and the longitude step uses the first 2n+2
-    basis columns, so a field is evaluated on a finer grid without
-    padding its coefficients.
+    grid's degree-n blocks and the spectra stop at order n, so a field is
+    evaluated on a finer grid without padding its coefficients.
     """
+    data = np.ascontiguousarray(data)
     k, rows, _ = data.shape
-    n, nodes, north = rows - 1, grid.degree + 1, grid.north
-    # (field, row ell - m, order m, sin/cos): the layout shifted by one
-    # column, so that m = 0 gets a zero sin slot like the basis matrix
-    coeffs = np.empty((k, n + 1, n + 1, 2))
-    coeffs[:, :, 0, 0] = 0.0
-    coeffs.reshape(k, n + 1, 2 * n + 2)[:, :, 1:] = data
-    # colatitude profiles (field, order, sin/cos, node); the (order,
-    # field, ...) views give one matrix product per order and field
-    profiles = np.empty((k, n + 1, 2, nodes))
-    by_order = coeffs.transpose(2, 0, 3, 1)
-    north_part = profiles[..., :north].transpose(1, 0, 2, 3)
-    south_part = profiles[..., ::-1][..., :north].transpose(1, 0, 2, 3)
+    n, north, count = rows - 1, grid.north, grid.lon_nodes.size
+    paired = grid.degree + 1 - north
+    # (order, row ell - m, field): s + i c per order, the m = 0 column real
+    coeffs = np.empty((n + 1, n + 1, k), complex)
+    coeffs[0] = data[:, :, 0].T
+    coeffs[1:].transpose(2, 1, 0)[...] = data[:, :, 1:].view(complex)
+    # (order, parity, northern node, field): one GEMM per order block and
+    # parity, the k fields' real and imaginary parts its 2k columns
+    spectra = np.empty((n + 1, 2, north, k), complex)
+    coeffs_r, spectra_r = coeffs.view(float), spectra.view(float)
     for block, first in _order_blocks(n):
-        table = grid.legendre_table(block, n)
-        orders, length = table.shape[:2]
-        table = table[:, None]
-        m = slice(first, first + orders)
-        c = by_order[m, :, :, :length]
-        # rows of even ell - m are symmetric about the equator, odd ones
-        # antisymmetric; the equator node (even grid degree) is written twice
-        even = c[..., 0::2] @ table[:, :, 0::2]
-        odd = c[..., 1::2] @ table[:, :, 1::2]
-        np.subtract(even, odd, out=south_part[m])
-        np.add(even, odd, out=north_part[m])
-    trig = grid._trig_matrix()[:, : 2 * n + 2]
-    return profiles.reshape(k, 2 * n + 2, nodes).transpose(0, 2, 1) @ trig.T
+        even, odd = grid.legendre_table(block, n)
+        m = slice(first, first + even.shape[0])
+        np.matmul(even.transpose(0, 2, 1), coeffs_r[m, 0 : 2 * even.shape[1] : 2],
+                  out=spectra_r[m, 0])
+        np.matmul(odd.transpose(0, 2, 1), coeffs_r[m, 1 : 2 * odd.shape[1] : 2],
+                  out=spectra_r[m, 1])
+    # the tables are real, so the complex factor commutes with them
+    spectra *= _order_factors(n, count)[0][:, None, None, None]
+    parts = _irfft(spectra.transpose(3, 1, 2, 0), grid, np.empty((k, 2, north, count)))
+    even, odd = parts[:, 0], parts[:, 1]
+    # rows of even ell - m are symmetric about the equator, odd ones
+    # antisymmetric; the equator node (even grid degree) is northern
+    values = np.empty((k, grid.degree + 1, count))
+    np.add(even, odd, out=values[:, :north])
+    np.subtract(even[:, :paired], odd[:, :paired], out=values[:, ::-1][:, :paired])
+    return values
 
 
 def _analyze(values, grid):
-    """Coefficients of a (k, n+1, 2n+1) stack of grid values, n = grid degree."""
-    k = values.shape[0]
+    """Coefficients of a (k, n+1, L) stack of grid values, n = grid degree."""
+    k, _, count = values.shape
     n, north = grid.degree, grid.north
     paired = n + 1 - north
-    # longitude inner products (trapezoid rule is exact here), weighted
-    # for the colatitude quadrature
-    lon = values.reshape(k * (n + 1), 2 * n + 1) @ grid._trig_matrix()
-    lon = lon.reshape(k, n + 1, n + 1, 2)
-    lon *= ((2.0 * np.pi / (2 * n + 1)) * grid.colat_weights)[:, None, None]
-    # folded onto the northern nodes: sums meet the symmetric rows,
-    # differences the antisymmetric ones; the equator node is unpaired
-    south = lon[:, ::-1][:, :paired]
-    sums = lon[:, :north].copy()
-    diffs = sums.copy()
-    sums[:, :paired] += south
-    diffs[:, :paired] -= south
-    coeffs = np.zeros((k, n + 1, n + 1, 2))
-    by_order = coeffs.transpose(2, 0, 1, 3)
-    sums, diffs = sums.transpose(2, 0, 1, 3), diffs.transpose(2, 0, 1, 3)
+    # folded onto the northern nodes and weighted for the colatitude
+    # quadrature: sums meet the symmetric rows, differences the
+    # antisymmetric ones; the equator node is unpaired
+    folded = np.empty((k, 2, north, count))
+    south = values[:, ::-1][:, :paired]
+    np.add(values[:, :paired], south, out=folded[:, 0, :paired])
+    np.subtract(values[:, :paired], south, out=folded[:, 1, :paired])
+    folded[:, :, paired:] = values[:, None, paired:north]
+    folded *= grid.colat_weights[:north, None]
+    # (order, parity, northern node, field), as in synthesis
+    spectra = np.empty((count // 2 + 1, 2, north, k), complex)
+    _rfft(folded, grid, spectra.transpose(3, 1, 2, 0))
+    spectra = spectra[: n + 1]
+    spectra *= _order_factors(n, count)[1][:, None, None, None]
+    coeffs = np.zeros((n + 1, n + 1, k), complex)
+    coeffs_r, spectra_r = coeffs.view(float), spectra.view(float)
     for block, first in _order_blocks(n):
-        table = grid.legendre_table(block)
-        orders, length = table.shape[:2]
-        table = table[:, None]
-        m = slice(first, first + orders)
-        np.matmul(table[:, :, 0::2], sums[m], out=by_order[m, :, 0:length:2])
-        np.matmul(table[:, :, 1::2], diffs[m], out=by_order[m, :, 1:length:2])
-    return coeffs.reshape(k, n + 1, 2 * n + 2)[:, :, 1:].copy()
+        even, odd = grid.legendre_table(block)
+        m = slice(first, first + even.shape[0])
+        np.matmul(even, spectra_r[m, 0], out=coeffs_r[m, 0 : 2 * even.shape[1] : 2])
+        np.matmul(odd, spectra_r[m, 1], out=coeffs_r[m, 1 : 2 * odd.shape[1] : 2])
+    data = np.empty((k, n + 1, 2 * n + 1))
+    data[:, :, 0] = coeffs[0].real.T
+    data[:, :, 1:].view(complex)[...] = coeffs[1:].transpose(2, 1, 0)
+    return data
 
 
 def synthesis(coeffs, grid):
     """Evaluate the expansion on the grid.
 
     ``coeffs`` is a SphHarmCoeffs, its plain (n+1) x (2n+1) data array,
-    or a (k, n+1, 2n+1) stack of k fields; returns (n+1) x (2n+1) values,
-    or a (k, n+1, 2n+1) stack of them.
+    or a (k, n+1, 2n+1) stack of k fields; returns (n+1) x L values on
+    the grid's L longitudes, or a (k, n+1, L) stack of them.
     """
+    n = grid.degree
     data = _coeff_data(coeffs)
-    values = _synthesize(_check_stack(data, grid.degree, "coefficient"), grid)
-    return values.reshape(data.shape)
+    values = _synthesize(_check_stack(data, n + 1, 2 * n + 1, "coefficient"), grid)
+    return values.reshape(data.shape[:-1] + values.shape[-1:])
 
 
 def analysis(values, grid):
     """Project grid values onto the basis; exact for band-limited data.
 
-    ``values`` is an (n+1) x (2n+1) array, returning SphHarmCoeffs, or a
-    (k, n+1, 2n+1) stack, returning the (k, n+1, 2n+1) coefficient stack.
+    ``values`` is an (n+1) x L array, returning SphHarmCoeffs, or a
+    (k, n+1, L) stack, returning the (k, n+1, 2n+1) coefficient stack.
     """
     values = np.asarray(values, dtype=float)
-    data = _analyze(_check_stack(values, grid.degree, "values"), grid)
+    stack = _check_stack(values, grid.degree + 1, grid.lon_nodes.size, "values")
+    data = _analyze(stack, grid)
     if values.ndim == 3:
         return data
     out = SphHarmCoeffs.__new__(SphHarmCoeffs)
@@ -383,23 +466,65 @@ def write_coeffs(coeffs, path, comment=None):
 def read_coeffs(path):
     """Read a coefficient file written by :func:`write_coeffs`; raises
     ValueError on a bad header, a non-numeric token, a ragged row or a
-    body whose shape does not match the header's degree."""
+    body whose shape does not match the header's degree, naming the file
+    and its 1-based line."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         match = re.match(r"#\s*sht-coeffs\s+v1\s+degree=(\d+)\s*$", first)
         if not match:
-            raise ValueError(f"{path}: not an sht-coeffs v1 file")
-        with warnings.catch_warnings():
-            # a file without rows fails the shape check instead
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
-    return SphHarmCoeffs(int(match.group(1)), data)
+            raise ValueError(f"{path}, line 1: not an sht-coeffs v1 file")
+        try:
+            with warnings.catch_warnings():
+                # a file without rows fails the shape check instead
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            data = None
+    degree = int(match.group(1))
+    shape = (degree + 1, 2 * degree + 1)
+    if data is None or data.shape != shape:
+        line, problem = _first_bad_line(path, shape)
+        raise ValueError(f"{path}, line {line}: {problem}") from None
+    return SphHarmCoeffs(degree, data)
+
+
+def _first_bad_line(path, shape):
+    """(line number, problem) of the first line of a coefficient file body
+    that numpy.loadtxt rejects or that breaks the (rows, columns) shape."""
+    rows, columns = shape
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    found = 0
+    for number, line in enumerate(lines[1:], start=2):
+        # as numpy.loadtxt: a line is skipped only when nothing precedes
+        # its comment, so a line of spaces is a row with an empty value
+        text = line.split("#", 1)[0]
+        if not text:
+            continue
+        tokens = text.split(",")
+        for column, token in enumerate(tokens, start=1):
+            if not token.strip():
+                return number, f"column {column} is empty"
+            try:
+                bad = np.loadtxt([token]).size != 1
+            except ValueError:
+                bad = True
+            if bad:
+                return number, f"column {column}, {token.strip()!r} is not a number"
+        if len(tokens) != columns:
+            return number, f"{len(tokens)} values, expected {columns} for degree {rows - 1}"
+        found += 1
+        if found > rows:
+            return number, f"more than the {rows} rows of degree {rows - 1}"
+    return len(lines), f"the file ends after {found} rows, expected {rows} for degree {rows - 1}"
 
 
 def write_grid_values(values, grid, path, comment=None):
     """Write grid values as CSV with columns ``theta,phi,value``."""
     values = np.asarray(values, dtype=float)
     n = grid.degree
+    if grid.lon_nodes.size != 2 * n + 1:
+        raise ValueError(f"sht-grid v1 files hold 2n+1 longitudes, not {grid.lon_nodes.size}")
     if values.shape != (n + 1, 2 * n + 1):
         raise ValueError(
             f"values shape {values.shape} does not match grid degree {n}"

@@ -341,7 +341,7 @@ def _m1_over_hav_from_q(ell, q):
 # Fully normalized associated Legendre functions
 # ----------------------------------------------------------------------
 
-def assoc_legendre_table(m, degree, t):
+def assoc_legendre_table(m, degree, t, parity=False):
     """Table of normalized associated Legendre functions.
 
     For one order ``m`` returns an array of shape ``(degree - m + 1,
@@ -352,6 +352,10 @@ def assoc_legendre_table(m, degree, t):
     and is zero where ``m_j + i > degree``; each order's rows equal the
     one-order table bit for bit.  Requires ``0 <= m <= degree``.  No
     Condon-Shortley phase is applied.
+
+    With ``parity=True`` the rows come as two contiguous arrays instead,
+    ``(even, odd)``, holding rows ``0, 2, 4, ...`` and ``1, 3, 5, ...``
+    of that table, each written straight from the recurrence.
     """
     orders = np.asarray(m)
     if (orders.ndim > 1 or orders.size == 0 or orders.dtype.kind not in "iu"
@@ -365,15 +369,22 @@ def assoc_legendre_table(m, degree, t):
         raise ValueError("argument must lie in [-1, 1]")
     ms = np.atleast_1d(orders).astype(np.int64)
     rows = degree - int(ms.min()) + 1
-    out = np.empty((ms.size, rows, t.size))
+    # row i of the table goes to row i // len(parts) of parts[i % len(parts)]
+    if parity:
+        parts = (np.empty((ms.size, (rows + 1) // 2, t.size)),
+                 np.empty((ms.size, rows // 2, t.size)))
+    else:
+        parts = (np.empty((ms.size, rows, t.size)),)
+    step = len(parts)
     # diagonal seeds Ptilde_m^m, built as a running product over k = 1..m
     # so large m cannot overflow before the sin^m factor damps it
     p = np.full(t.shape, 1.0 / math.sqrt(2.0))
-    out[ms == 0, 0] = p
+    seeds = parts[0][:, 0]
+    seeds[ms == 0] = p
     sint = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     for k in range(1, int(ms.max()) + 1):
         p = p * (math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sint)
-        out[ms == k, 0] = p
+        seeds[ms == k] = p
     # three-term recurrence in ell = m + i, all orders at once; column
     # i - 1 of a and b holds the coefficients of row i
     ell = ms[:, None] + np.arange(1, rows)[None, :]
@@ -387,13 +398,16 @@ def assoc_legendre_table(m, degree, t):
         / ((ell - ms[:, None]) * (ell + ms[:, None]))
     )
     b[:, :1] = 0.0
-    p = out[:, 0]
+    p = seeds
     prev = np.zeros_like(p)
     for i in range(1, rows):
         p, prev = a[:, i - 1, None] * t * p - b[:, i - 1, None] * prev, p
-        out[:, i] = p
-    out[np.arange(rows)[None, :] > degree - ms[:, None]] = 0.0
-    return out if orders.ndim else out[0]
+        parts[i % step][:, i // step] = p
+    for first, part in enumerate(parts):
+        part[first + step * np.arange(part.shape[1])[None, :] > degree - ms[:, None]] = 0.0
+    if orders.ndim == 0:
+        parts = tuple(part[0] for part in parts)
+    return parts if parity else parts[0]
 
 
 def assoc_legendre_normalized(ell, m, t):

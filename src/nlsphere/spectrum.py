@@ -146,15 +146,23 @@ def _check_ell(ell):
     return int(ell)
 
 
+def _node_haversine(delta, panels):
+    """q = delta^2 (1 - x_j) / 8 at the Clenshaw--Curtis nodes x_j =
+    cos(j pi / panels), from the node angle: q = (delta^2/4) sin^2(j pi /
+    (2 panels)).  It is sin^2(theta/2) of the geodesic angle the chordal
+    kernel reaches.  Formed from the rounded x_j, 1 - x_j loses its
+    relative accuracy near x = 1, where the integrand is largest."""
+    half = np.sin(0.5 * np.pi * np.arange(panels + 1) / panels)
+    # clip guards the delta = 2 endpoint where roundoff could push q past 1
+    return np.clip(0.25 * delta * delta * half * half, 0.0, 1.0)
+
+
 def _eigenvalue_with_panels(ell, params, method, panels):
     """Quadrature evaluation with an explicit panel count (ell >= 1)."""
     rule = cc_weights(params.alpha, 0.0, panels)
-    x = rule.nodes
     d2 = params.delta * params.delta
-    # q = sin^2(theta/2) of the geodesic angle the chordal kernel reaches;
-    # clip guards the delta = 2 endpoint where roundoff could push q past 1
-    q = np.clip(d2 * (1.0 - x) / 8.0, 0.0, 1.0)
-    g = np.empty_like(x)
+    q = _node_haversine(params.delta, panels)
+    g = np.empty_like(q)
     near = q <= _SERIES_HAV_MAX
     if near.any():
         g[near] = (d2 / 8.0) * _m1_over_hav_from_q(ell, q[near])
@@ -164,7 +172,8 @@ def _eigenvalue_with_panels(ell, params, method, panels):
             p = _szego_from_haversine(ell, q[far])
         else:
             p = legendre_rec(ell, 1.0 - 2.0 * q[far])
-        g[far] = (p - 1.0) / (1.0 - x[far])
+        # 1 - x = 8 q / delta^2, without the rounding of the node x
+        g[far] = (d2 / 8.0) * (p - 1.0) / q[far]
     prefactor = (1.0 + params.alpha) * 2.0 ** (2.0 - params.alpha) / d2
     return prefactor * float(rule.weights @ g)
 
@@ -194,8 +203,9 @@ def spectrum(n, params):
     if not isinstance(params, KernelParams):
         raise TypeError("params must be a KernelParams instance")
     values = np.zeros(n + 1)
-    rule = cc_weights(params.alpha, 0.0, max(n + 1, 8))
-    q = np.clip(params.delta**2 * (1.0 - rule.nodes) / 8.0, 0.0, 1.0)
+    panels = max(n + 1, 8)
+    rule = cc_weights(params.alpha, 0.0, panels)
+    q = _node_haversine(params.delta, panels)
     t = 1.0 - 2.0 * q
     p_prev = p = np.ones_like(t)  # P_0; the first step gives P_1 = t exactly
     for first in range(1, n + 1, _SWEEP_BLOCK):

@@ -123,10 +123,12 @@ def test_criterion_05_quadrature_exactness():
 
 
 def test_criterion_06_sht_roundtrip_parseval():
-    # roundtrip max coefficient error <= 1e-12; Parseval relative <= 1e-11
+    # roundtrip max coefficient error <= 1e-12; Parseval relative <= 1e-11;
+    # 2n+1 = 127 is prime, so n = 63 takes the dense longitude product and
+    # n = 16, 64 the FFT
     t0 = time.monotonic()
     worst_round, worst_pars = 0.0, 0.0
-    for n in (16, 64):
+    for n in (16, 63, 64):
         c = M.random_coeffs(n, n, 1.0, seed=n)
         grid = SphereGrid(n)
         values = synthesis(c, grid)

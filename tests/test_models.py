@@ -15,6 +15,7 @@ import pytest
 from nlsphere import models as M
 from nlsphere.spectrum import KernelParams, Spectrum, local_spectrum
 from nlsphere.sht import SphereGrid, SphHarmCoeffs, analysis, synthesis
+from nlsphere.specfun import assoc_legendre_table
 from nlsphere.timestep import DiagonalOperator, evolve, pseudospectral
 
 GL_QUARTIC_U20 = 2.6842234419179793
@@ -267,6 +268,46 @@ def test_energy_band_n_synthesis_matches_embedding(n):
         want = _energy_by_embedding(u, spec, 0.1, grid or SphereGrid(2 * n))
         got = M.ginzburg_landau_energy(u, spec, 0.1, grid=grid)
         assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def _dense_values(u, grid):
+    """u at the grid nodes from dense products: each order's Legendre table
+    at every colatitude times its sin(m phi), cos(m phi) on the grid's
+    longitudes."""
+    n, phi = u.degree, grid.lon_nodes
+    values = np.zeros((grid.degree + 1, phi.size))
+    for m in range(n + 1):
+        table = assoc_legendre_table(m, n, grid.colat_cos)
+        cos = u.data[: n - m + 1, 2 * m] @ table
+        if m == 0:
+            values += cos[:, None] / math.sqrt(2.0 * math.pi)
+            continue
+        sin = u.data[: n - m + 1, 2 * m - 1] @ table
+        values += (np.outer(sin, np.sin(m * phi)) + np.outer(cos, np.cos(m * phi))) / math.sqrt(math.pi)
+    return values
+
+
+@pytest.mark.parametrize("n", [15, 62, 63, 127])
+def test_energy_matches_a_dense_evaluation_on_the_2n_grid(n):
+    # the observer integrates on the 2n colatitudes with a 5-smooth longitude
+    # count >= 4n+1 (256 for n = 62 and 63, 512 for n = 127); the reference
+    # is the 2n grid itself, 4n+1 longitudes, evaluated without transforms
+    grid = M._refined_grid(2 * n)
+    assert grid.degree == 2 * n and grid.lon_nodes.size == M._fft_length(4 * n + 1)
+    spec = M.build_spectrum(n, KernelParams(-0.5, 1.0))
+    u = M.random_coeffs(n, n, 0.3, seed=n)
+    lam = DiagonalOperator(spec.values).dense()
+    fine = SphereGrid(2 * n)
+    vals = _dense_values(u, fine)
+    quartic = float(fine.colat_weights @ ((vals * vals - 1.0) ** 2).sum(axis=1))
+    want = (-0.5 * 0.1**2 * float(np.sum(lam * u.data * u.data))
+            + 0.25 * quartic * 2.0 * np.pi / (4 * n + 1))
+    assert M.ginzburg_landau_energy(u, spec, 0.1) == pytest.approx(want, rel=5e-15, abs=0)
+
+
+def test_fft_lengths_are_the_smallest_5_smooth_counts():
+    assert [M._fft_length(c) for c in (1, 7, 11, 13, 17, 61, 253, 509, 1021)] == [
+        1, 8, 12, 15, 18, 64, 256, 512, 1024]
 
 
 def test_refined_grid_cache_evicts_oldest_of_five():

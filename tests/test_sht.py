@@ -20,6 +20,7 @@ from nlsphere.sht import (
     _TABLE_CACHE_MAX_DEGREE,
     SphHarmCoeffs,
     SphereGrid,
+    _is_prime,
     _layout,
     analysis,
     mean,
@@ -160,7 +161,9 @@ def test_synthesis_degree_mismatch():
 # analysis
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [4, 16, 64])
+# 2n+1 = 127 (n = 63) is prime, so that size takes the dense longitude
+# product and the others the FFT
+@pytest.mark.parametrize("n", [4, 16, 64, 62, 63, 127, 255])
 def test_roundtrip_identity(n):
     c = random_coeffs(n, seed=n)
     grid = SphereGrid(n)
@@ -227,7 +230,7 @@ def test_mean_matches_grid_quadrature():
     assert mean(c) == pytest.approx(quad, rel=1e-11, abs=1e-11)
 
 
-@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("n", [16, 64, 62, 63, 127, 255])
 def test_parseval(n):
     c = random_coeffs(n, seed=n + 1)
     grid = SphereGrid(n)
@@ -422,22 +425,36 @@ def test_read_coeffs_matches_per_token_float(tmp_path):
     np.testing.assert_array_equal(back.data.view(np.uint64), expected.view(np.uint64))
 
 
-@pytest.mark.parametrize("body", [
-    "",                                    # header only
-    "1,0,0,0,0\n2,0,0,0\n3,0,0,0,0\n",      # ragged row
-    "1,0,0,0,0\n2,x,0,0,0\n3,0,0,0,0\n",    # non-numeric token
-    "1,0,0\n2,0,0\n",                       # a degree-1 body
-    "1_000,0,0,0,0\n2,0,0,0,0\n3,0,0,0,0\n",  # float() reads 1_000, the format does not
-])
-def test_malformed_coeff_files_raise(tmp_path, body):
+#: each malformed body and where its error points: the 1-based file line
+MALFORMED_BODIES = {
+    "": "line 1: the file ends after 0 rows",                          # header only
+    "1,0,0,0,0\n2,0,0,0\n3,0,0,0,0\n": "line 3: 4 values, expected 5",    # ragged row
+    "1,0,0,0,0\n2,x,0,0,0\n3,0,0,0,0\n": "line 3: column 2, 'x'",         # non-numeric token
+    "1,0,0\n2,0,0\n": "line 2: 3 values, expected 5",                   # a degree-1 body
+    # float() reads 1_000, the format does not
+    "1_000,0,0,0,0\n2,0,0,0,0\n3,0,0,0,0\n": "line 2: column 1, '1_000'",
+    "# a comment\n1,0,0,0,0\n2,0,0,0,0\n3,0,0,0,0\n4,0,0,0,0\n": "line 6: more than the 3 rows",
+    "1,0,0,0,0\n2,0,0,0,0\n": "line 3: the file ends after 2 rows",    # a row short
+    # loadtxt skips only lines empty before their comment
+    "1,0,0,0,0\n   \n2,0,0,0,0\n3,0,0,0,0\n": "line 3: column 1 is empty",
+    "1,0,0,0,0\n2,0,,0,0\n3,0,0,0,0\n": "line 3: column 3 is empty",
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES)
+def test_malformed_coeff_files_raise(tmp_path, capsys, body):
     path = tmp_path / "rhs.csv"
     path.write_text("# sht-coeffs v1 degree=2\n" + body, encoding="utf-8")
+    # the message names the file and the 1-based line of the file
+    where = f"{path}, {MALFORMED_BODIES[body]}"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning may escape
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             read_coeffs(path)
+        assert str(info.value).startswith(where), str(info.value)
         assert main(["poisson", "--local", "--degree", "2", "--rhs", str(path),
                      "--output-dir", str(tmp_path / "out")]) == 1
+    assert where in capsys.readouterr().err
 
 
 def test_grid_writer_streams(tmp_path):
@@ -511,21 +528,35 @@ def test_legendre_table_blocks():
     grid = SphereGrid(n)
     north = grid.colat_cos[: grid.north]
     first = grid.legendre_table(1)
-    assert first.shape == (9, n - 32 + 1, grid.north)  # orders 32..40
-    assert not first.flags.writeable
+    even, odd = first
+    # orders 32..40: rows ell - m = 0..8 split into 0, 2, .., 8 and 1, 3, .., 7
+    assert even.shape == (9, 5, grid.north) and odd.shape == (9, 4, grid.north)
+    assert even.flags.c_contiguous and odd.flags.c_contiguous
+    assert not even.flags.writeable and not odd.flags.writeable
     assert grid.legendre_table(1) is first  # cached below the limit
-    sub = grid.legendre_table(0, degree=20)  # orders 0..20, degrees <= 20
-    assert sub.shape == (21, 21, grid.north)
+    sub_even, sub_odd = grid.legendre_table(0, degree=20)  # orders 0..20, degrees <= 20
+    assert sub_even.shape == (21, 11, grid.north) and sub_odd.shape == (21, 10, grid.north)
     for j, m in enumerate(range(32, n + 1)):
         rows = assoc_legendre_table(m, n, north)
-        assert first[j, : n - m + 1].tobytes() == rows.tobytes()
-    np.testing.assert_array_equal(
-        sub[3, : 20 - 3 + 1], assoc_legendre_table(3, 20, north)
-    )
+        assert even[j, : (n - m) // 2 + 1].tobytes() == rows[0::2].tobytes()
+        assert odd[j, : (n - m + 1) // 2].tobytes() == rows[1::2].tobytes()
+        assert not even[j, (n - m) // 2 + 1 :].any() and not odd[j, (n - m + 1) // 2 :].any()
+    rows = assoc_legendre_table(3, 20, north)
+    np.testing.assert_array_equal(sub_even[3, :9], rows[0::2])
+    np.testing.assert_array_equal(sub_odd[3, :9], rows[1::2])
     with pytest.raises(ValueError):
         grid.legendre_table(2)  # first order 64 > 40
     with pytest.raises(ValueError):
         grid.legendre_table(0, degree=n + 1)
+
+
+def test_legendre_tables_are_rebuilt_above_the_cache_limit():
+    grid = SphereGrid(_TABLE_CACHE_MAX_DEGREE + 1)
+    first = grid.legendre_table(9)
+    again = grid.legendre_table(9)
+    assert again is not first and grid._tables == {}
+    for built, rebuilt in zip(first, again):
+        assert built.tobytes() == rebuilt.tobytes()
 
 
 def test_round_trip_above_cache_limit_keeps_no_tables():
@@ -537,3 +568,155 @@ def test_round_trip_above_cache_limit_keeps_no_tables():
     back = analysis(synthesis(data, grid), grid)
     assert np.max(np.abs(back.data - data)) <= 1e-12
     assert grid._tables == {}
+
+
+# ----------------------------------------------------------------------
+# longitude stage: FFT unless the longitude count is prime
+# ----------------------------------------------------------------------
+
+#: 2n+1 = 125 = 5^3, 127 (prime), 129 = 3 * 43, 255 = 3 * 5 * 17, 511 = 7 * 73
+FFT_SIDES = [62, 63, 64, 127, 255]
+
+
+def dense_synthesis(data, grid):
+    """The dense-product transform of the first version of the northern
+    tables: one matmul with the (2n+1)-point trigonometric basis, tables
+    from assoc_legendre_table.  (k, n+1, 2n+1) coefficients of degree n <=
+    grid degree to (k, n+1, 2n+1) grid values; the reference here."""
+    k, rows, _ = data.shape
+    n, nodes, north = rows - 1, grid.degree + 1, grid.north
+    mphi = np.arange(n + 1)[None, :] * grid.lon_nodes[:, None]
+    trig = np.stack([np.sin(mphi), np.cos(mphi)], axis=-1) / math.sqrt(math.pi)
+    trig[:, 0] = (0.0, 1.0 / math.sqrt(2.0 * math.pi))
+    trig = trig.reshape(grid.lon_nodes.size, 2 * n + 2)
+    coeffs = np.zeros((k, n + 1, n + 1, 2))
+    coeffs.reshape(k, n + 1, 2 * n + 2)[:, :, 1:] = data
+    profiles = np.empty((k, n + 1, 2, nodes))
+    by_order = coeffs.transpose(2, 0, 3, 1)
+    north_part = profiles[..., :north].transpose(1, 0, 2, 3)
+    south_part = profiles[..., ::-1][..., :north].transpose(1, 0, 2, 3)
+    for first in range(0, n + 1, 32):
+        orders = np.arange(first, min(first + 32, n + 1))
+        table = assoc_legendre_table(orders, n, grid.colat_cos[:north])[:, None]
+        m = slice(first, first + orders.size)
+        c = by_order[m, :, :, : table.shape[2]]
+        even = c[..., 0::2] @ table[:, :, 0::2]
+        odd = c[..., 1::2] @ table[:, :, 1::2]
+        np.subtract(even, odd, out=south_part[m])
+        np.add(even, odd, out=north_part[m])
+    return profiles.reshape(k, 2 * n + 2, nodes).transpose(0, 2, 1) @ trig.T
+
+
+def dense_analysis(values, grid):
+    """The dense-product analysis matching :func:`dense_synthesis`."""
+    k = values.shape[0]
+    n, north = grid.degree, grid.north
+    paired = n + 1 - north
+    mphi = np.arange(n + 1)[None, :] * grid.lon_nodes[:, None]
+    trig = np.stack([np.sin(mphi), np.cos(mphi)], axis=-1) / math.sqrt(math.pi)
+    trig[:, 0] = (0.0, 1.0 / math.sqrt(2.0 * math.pi))
+    lon = values.reshape(k * (n + 1), -1) @ trig.reshape(-1, 2 * n + 2)
+    lon = lon.reshape(k, n + 1, n + 1, 2)
+    lon *= ((2.0 * np.pi / grid.lon_nodes.size) * grid.colat_weights)[:, None, None]
+    south = lon[:, ::-1][:, :paired]
+    sums, diffs = lon[:, :north].copy(), lon[:, :north].copy()
+    sums[:, :paired] += south
+    diffs[:, :paired] -= south
+    coeffs = np.zeros((k, n + 1, n + 1, 2))
+    by_order = coeffs.transpose(2, 0, 1, 3)
+    sums, diffs = sums.transpose(2, 0, 1, 3), diffs.transpose(2, 0, 1, 3)
+    for first in range(0, n + 1, 32):
+        orders = np.arange(first, min(first + 32, n + 1))
+        table = assoc_legendre_table(orders, n, grid.colat_cos[:north])[:, None]
+        m, length = slice(first, first + orders.size), table.shape[2]
+        by_order[m, :, 0:length:2] = table[:, :, 0::2] @ sums[m]
+        by_order[m, :, 1:length:2] = table[:, :, 1::2] @ diffs[m]
+    return coeffs.reshape(k, n + 1, 2 * n + 2)[:, :, 1:]
+
+
+def random_stack(k, n, seed):
+    data = np.random.default_rng(seed).standard_normal((k, n + 1, 2 * n + 1))
+    data[:, ~_layout(n)[1]] = 0.0
+    return data
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", FFT_SIDES)
+def test_transforms_match_the_dense_product(n, k):
+    grid = SphereGrid(n)
+    data = random_stack(k, n, seed=10 * n + k)
+    values = synthesis(data, grid)
+    want = dense_synthesis(data, grid)
+    # the reference's own error grows like n * eps: its basis evaluates
+    # sin(m phi) at angles up to 2 pi n (3.9e-16 n measured, FFT or not)
+    tol = 2e-15 * n
+    assert np.max(np.abs(values - want)) <= tol * np.max(np.abs(want))
+    back = analysis(values, grid)
+    assert np.max(np.abs(back - dense_analysis(values, grid))) <= tol * np.max(np.abs(data))
+    assert np.max(np.abs(back - data)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", FFT_SIDES)
+def test_stacked_transforms_match_one_field_transforms(n, k):
+    grid = SphereGrid(n)
+    data = random_stack(k, n, seed=20 * n + k)
+    values = synthesis(data, grid)
+    coeffs = analysis(values, grid)
+    # roundoff: the GEMMs and DFT products have other shapes for k fields
+    for field in range(k):
+        single = synthesis(data[field], grid)
+        assert np.max(np.abs(values[field] - single)) <= 1e-14 * np.max(np.abs(values))
+        assert np.max(np.abs(coeffs[field] - analysis(single, grid).data)) <= 1e-14 * np.max(
+            np.abs(data))
+
+
+def test_prime_rule_follows_the_longitude_count():
+    assert [L for L in range(1, 40) if _is_prime(L)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert _is_prime(127) and _is_prime(509) and not _is_prime(255) and not _is_prime(512)
+    # a grid decides once, from its longitude count alone
+    assert SphereGrid(63)._dense_longitudes and not SphereGrid(64)._dense_longitudes
+    assert not SphereGrid(63, longitudes=128)._dense_longitudes
+
+
+@pytest.mark.parametrize("n", [62, 63, 64])
+def test_only_composite_longitude_counts_use_the_fft(monkeypatch, n):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+
+    monkeypatch.setattr(np.fft, "rfft", no_fft)
+    monkeypatch.setattr(np.fft, "irfft", no_fft)
+    grid = SphereGrid(n)
+    c = random_coeffs(n, seed=n)
+    if grid._dense_longitudes:
+        assert np.max(np.abs(analysis(synthesis(c, grid), grid).data - c.data)) <= 1e-13
+    else:
+        with pytest.raises(AssertionError, match="numpy.fft"):
+            synthesis(c, grid)
+        with pytest.raises(AssertionError, match="numpy.fft"):
+            analysis(np.zeros((n + 1, 2 * n + 1)), grid)
+
+
+@pytest.mark.parametrize("longitudes", [18, 19, 20, 24, 25])
+def test_grids_with_more_longitudes_stay_exact(longitudes):
+    # 17 is the default for n = 8; 19 is prime and takes the dense product
+    n = 8
+    grid = SphereGrid(n, longitudes=longitudes)
+    assert grid.lon_nodes.size == longitudes
+    c = random_coeffs(n, seed=longitudes)
+    values = synthesis(c, grid)
+    assert values.shape == (n + 1, longitudes)
+    assert np.max(np.abs(values - dense_synthesis(c.data[None], grid)[0])) <= 1e-13
+    assert np.max(np.abs(analysis(values, grid).data - c.data)) <= 1e-13
+    with pytest.raises(ValueError):
+        write_grid_values(values, grid, "unused.csv")
+
+
+def test_grid_longitude_count_checked():
+    with pytest.raises(ValueError):
+        SphereGrid(8, longitudes=16)
+    with pytest.raises(ValueError):
+        SphereGrid(8, longitudes=17.0)
+    with pytest.raises(ValueError):
+        analysis(np.zeros((9, 17)), SphereGrid(8, longitudes=18))

@@ -374,6 +374,20 @@ def test_assoc_legendre_table_order_array_matches_one_order_rows(n):
             assert np.all(full[m, n - m + 1 :] == 0.0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+def test_assoc_legendre_table_parity_halves_are_the_table_rows(n):
+    t = np.concatenate([np.polynomial.legendre.leggauss(n + 1)[0], [-1.0, 0.0, 1.0]])
+    for orders in (np.arange(n + 1), np.arange(n // 2, n + 1)):
+        full = assoc_legendre_table(orders, n, t)
+        even, odd = assoc_legendre_table(orders, n, t, parity=True)
+        assert even.flags.c_contiguous and odd.flags.c_contiguous
+        # bit for bit, the zeros above the degree included
+        assert even.tobytes() == np.ascontiguousarray(full[:, 0::2]).tobytes()
+        assert odd.tobytes() == np.ascontiguousarray(full[:, 1::2]).tobytes()
+    even, odd = assoc_legendre_table(n, n, t, parity=True)  # one order
+    assert even.shape == (1, t.size) and odd.shape == (0, t.size)
+
+
 def test_assoc_legendre_table_order_array_validation():
     with pytest.raises(ValueError):
         assoc_legendre_table(np.array([0, 4]), 3, 0.5)

@@ -83,6 +83,19 @@ def test_minus_two_ell_kernel():
         assert eigenvalue(ell, params) == pytest.approx(-2.0 * ell, rel=1e-12)
 
 
+def test_minus_two_ell_kernel_through_degree_2000():
+    # the haversine q from the node angle, not from the rounded node x,
+    # keeps the spectrum's error at 2.4e-13 through ell = 2000 (it was
+    # 9.6e-12); an isolated eigenvalue has its own (ell+1)-panel rule and
+    # reaches 6.2e-13 at ell = 1999 (it was 1.1e-12 there, 9.6e-12 at 2000)
+    params = KernelParams(-0.5, 2.0)
+    ells = np.arange(1, 2001)
+    values = spectrum(2000, params).values
+    np.testing.assert_allclose(values[1:], -2.0 * ells, rtol=5e-13, atol=0)
+    for ell in (1000, 1500, 1973, 1999, 2000):
+        assert eigenvalue(ell, params) == pytest.approx(-2.0 * ell, rel=1e-12)
+
+
 def test_spectrum_low_degrees_minus_two_ell():
     sp = spectrum(3, KernelParams(-0.5, 2.0))
     assert sp.values[0] == 0.0
@@ -274,14 +287,14 @@ def _mpmath_eigenvalue(ell, alpha, delta):
 @pytest.mark.parametrize("alpha,delta,n,rtol", [
     (-0.5, 2.0, 383, 2e-13), (-0.9, 0.01, 383, 2e-13), (0.9, 0.01, 300, 2e-13),
     (0.9, 1.0, 383, 2e-13), (-0.9, 2.0, 311, 2e-13), (0.9, 2.0, 383, 2e-13),
-    (0.3, 1.5, 340, 2e-13), (-0.5, 2.0, 1000, 6e-12), (-0.9, 2.0, 1000, 6e-12),
-    (-0.5, 1.0, 1000, 6e-12), (0.9, 0.01, 1000, 6e-12), (0.3, 1.5, 1000, 6e-12),
+    (0.3, 1.5, 340, 2e-13), (-0.5, 2.0, 1000, 2e-13), (-0.9, 2.0, 1000, 2e-13),
+    (-0.5, 1.0, 1000, 2e-13), (0.9, 0.01, 1000, 2e-13), (0.3, 1.5, 1000, 2e-13),
 ])
 def test_spectrum_against_mpmath(alpha, delta, n, rtol):
-    # rtol: about twice the worst error of eigenvalue(ell) with the default
-    # method on these kernels, 1.15e-13 at alpha = 0.3, delta = 1.5, ell = 51
-    # for n <= 383; it grows about like ell * eps at large horizons on both
-    # routes, to 2.9e-12 at alpha = -0.5, delta = 2, ell = 1000
+    # rtol: about twice the worst error on these kernels, 1.15e-13 at
+    # alpha = 0.3, delta = 1.5, ell = 51 for n <= 383 and 9.9e-14 at
+    # alpha = -0.5, delta = 2, ell = 1000; with q from the rounded node
+    # x instead of its angle the latter was 2.9e-12
     values = spectrum(n, KernelParams(alpha, delta)).values
     for ell in (1, 2, 7, 50, 51, 100, 200, 300, 383, 500, 700, n):
         if ell <= n:
