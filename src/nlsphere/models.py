@@ -263,8 +263,9 @@ def ginzburg_landau_energy(u, spec, epsilon, grid=None):
     The quartic term has band limit 4n, so it is synthesized and
     integrated on the degree-2n colatitudes with the smallest 5-smooth
     longitude count >= 4n+1 (built on demand; the four most recent are
-    cached) unless a sufficiently fine grid is supplied.  The synthesis
-    uses only the orders and degrees <= n of that grid.
+    cached) unless a grid is supplied; a supplied grid needs degree >= 2n
+    for the quadrature to be exact, and a coarser one raises ValueError.
+    The synthesis uses only the orders and degrees <= n of that grid.
     """
     if not isinstance(u, SphHarmCoeffs):
         raise TypeError(f"u must be SphHarmCoeffs, got {u!r}")
@@ -275,8 +276,9 @@ def ginzburg_landau_energy(u, spec, epsilon, grid=None):
     linear = -0.5 * epsilon**2 * float(np.sum(lam * u.data * u.data))
     if grid is None:
         grid = _refined_grid(2 * n)
-    elif grid.degree < n:
-        raise ValueError(f"grid degree {grid.degree} is below the field degree {n}")
+    elif grid.degree < 2 * n:
+        raise ValueError(f"grid degree {grid.degree} is below 2n = {2 * n}, the least that "
+                         f"integrates the quartic of a degree-{n} field exactly")
     vals = _synthesize(u.data[None], grid)[0]
     quartic = (vals * vals - 1.0) ** 2
     return linear + 0.25 * integrate_grid(quartic, grid)

@@ -109,7 +109,7 @@ def jacobi_moments(alpha, beta, count):
     return mu
 
 
-def cc_weights(alpha, beta, n, method="dct"):
+def cc_weights(alpha, beta, n):
     """Modified Clenshaw--Curtis rule with n+1 nodes for the Jacobi weight.
 
     ``n`` is the number of Chebyshev panels; the rule consists of the
@@ -119,28 +119,18 @@ def cc_weights(alpha, beta, n, method="dct"):
                          + 2 sum_{k=1}^{n-1} mu_k cos(pi j k / n)),
 
     where c_j = 1/2 at the two endpoints and 1 elsewhere.  The bracket is
-    a type-I discrete cosine transform of the moment sequence; ``method``
-    selects between the O(n log n) FFT evaluation (``"dct"``) and the
-    literal O(n^2) sum (``"direct"``).  Both produce the same rule to
-    roundoff, which the test suite checks, since they are genuinely
-    different code paths over the same moments.
+    a type-I discrete cosine transform of the moment sequence, evaluated
+    by the FFT in O(n log n); the test suite checks it against the
+    literal O(n^2) sum.
     """
-    if method not in ("dct", "direct"):
-        raise ValueError(f"method must be 'dct' or 'direct', got {method!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"panel count must be a positive integer, got {n!r}")
     n = int(n)
     mu = jacobi_moments(alpha, beta, n + 1)
-    if method == "dct":
-        # DCT-I via an even extension of length 2n; rfft of a real even
-        # sequence is real up to roundoff
-        ext = np.concatenate([mu, mu[-2:0:-1]])
-        bracket = np.fft.rfft(ext).real[: n + 1]
-    else:
-        j = np.arange(n + 1)
-        k = np.arange(1, n)
-        cosmat = np.cos(np.pi * np.outer(j, k) / n)
-        bracket = mu[0] + ((-1.0) ** j) * mu[n] + 2.0 * (cosmat @ mu[1:n])
+    # DCT-I via an even extension of length 2n; rfft of a real even
+    # sequence is real up to roundoff
+    ext = np.concatenate([mu, mu[-2:0:-1]])
+    bracket = np.fft.rfft(ext).real[: n + 1]
     w = bracket / n
     w[0] *= 0.5
     w[n] *= 0.5

@@ -33,9 +33,12 @@ The Legendre stage, O(n^3), uses the equatorial symmetry of the grid: the
 nodes are antisymmetric in cos(theta) and Ptilde_ell^m is even or odd with
 ell - m, so tables hold only the northern nodes, as contiguous even and
 odd rows, and the two parities are summed separately and then combined
-into the two hemispheres.  Orders come in blocks of 32; each block and
-parity is one batched matrix product over the block's orders, whose 2k
-columns are the real and imaginary parts of the k fields.  ``synthesis``
+into the two hemispheres.  Each table piece and parity is one batched
+matrix product over the piece's orders, whose 2k columns are the real and
+imaginary parts of the k fields.  Up to grid degree 300 the pieces are
+blocks of 32 orders with all their rows, cached on the grid; above it
+they are 16 rows of every order at once, streamed from the Legendre
+recurrence as the products consume them and never stored.  ``synthesis``
 and ``analysis`` accept that leading axis of k fields, which share every
 table read.
 """
@@ -50,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import gauss_legendre
-from .specfun import assoc_legendre_table
+from .specfun import _legendre_rows, assoc_legendre_table
 
 __all__ = [
     "GridValues",
@@ -70,7 +73,8 @@ __all__ = [
 GridValues = np.ndarray
 
 #: Legendre tables are cached on the grid object up to this degree
-#: (memory for all orders together grows like degree^3 / 4 doubles).
+#: (memory for all orders together grows like degree^3 / 4 doubles, 123 MB
+#: at degree 383); above it the transforms stream the table rows.
 _TABLE_CACHE_MAX_DEGREE = 300
 
 #: Orders per Legendre table block: one batched matrix product per block
@@ -163,11 +167,12 @@ class SphereGrid:
     count of at least 2n+1 keeps analysis exact.  Legendre tables cover
     the ``north`` = ceil((n+1)/2) northern colatitudes and come in blocks
     of up to ``_ORDER_BLOCK`` orders, built on demand.  Up to grid degree
-    ``_TABLE_CACHE_MAX_DEGREE`` they are cached on the grid instance;
-    above it each block is rebuilt per lookup, so a transform holds one
-    block at a time.  A grid with a prime longitude count, whose FFT is
-    slow, runs its longitude stage as a dense product with the DFT matrix
-    instead, and caches that matrix.
+    ``_TABLE_CACHE_MAX_DEGREE`` they are cached on the grid instance and
+    the transforms read them.  Above it the transforms read no table:
+    they stream the recurrence rows of all orders a few rows at a time,
+    and a lookup here builds its block afresh.  A grid with a prime
+    longitude count, whose FFT is slow, runs its longitude stage as a
+    dense product with the DFT matrix instead, and caches that matrix.
     """
 
     def __init__(self, degree, longitudes=None):
@@ -260,9 +265,28 @@ def _check_stack(arr, rows, cols, what):
     return arr.reshape(-1, rows, cols)
 
 
-def _order_blocks(degree):
-    """(block index, first order) of the order blocks up to ``degree``."""
-    return enumerate(range(0, degree + 1, _ORDER_BLOCK))
+def _legendre_tables(grid, degree):
+    """The grid's Legendre tables up to ``degree`` as ``(orders, first,
+    (even, odd))``: for the j-th order m of the slice ``orders``,
+    ``even[j, r]`` holds row ell - m = first + 2 r and ``odd[j, r]`` row
+    first + 2 r + 1 at the northern nodes, zero above ``degree``.
+
+    Up to grid degree ``_TABLE_CACHE_MAX_DEGREE`` these are the grid's
+    cached order blocks, all rows of 32 orders at a time.  Above it the
+    row recurrence streams ``_ROW_CHUNK`` rows of every order still
+    active at a time, so no table outlives its step.
+    """
+    if grid.degree <= _TABLE_CACHE_MAX_DEGREE:
+        for block, first in enumerate(range(0, degree + 1, _ORDER_BLOCK)):
+            even, odd = grid.legendre_table(block, degree)
+            yield slice(first, first + even.shape[0]), 0, (even, odd)
+        return
+    orders = np.arange(degree + 1)
+    for first, rows in _legendre_rows(orders, degree, grid.colat_cos[: grid.north]):
+        # (row, order, node) to (order, row, node) views, each parity's
+        # rows a stride apart
+        tables = (rows[0::2].transpose(1, 0, 2), rows[1::2].transpose(1, 0, 2))
+        yield slice(0, rows.shape[1]), first, tables
 
 
 def _is_prime(count):
@@ -320,8 +344,8 @@ def _rfft(values, grid, out):
 def _synthesize(data, grid):
     """Values on ``grid`` of a (k, n+1, 2n+1) coefficient stack, n <= grid degree.
 
-    Only orders and degrees <= n enter: the Legendre tables are the
-    grid's degree-n blocks and the spectra stop at order n, so a field is
+    Only orders and degrees <= n enter: the Legendre tables stop at
+    degree n and the spectra at order n, so a field is
     evaluated on a finer grid without padding its coefficients.
     """
     data = np.ascontiguousarray(data)
@@ -336,13 +360,13 @@ def _synthesize(data, grid):
     # parity, the k fields' real and imaginary parts its 2k columns
     spectra = np.empty((n + 1, 2, north, k), complex)
     coeffs_r, spectra_r = coeffs.view(float), spectra.view(float)
-    for block, first in _order_blocks(n):
-        even, odd = grid.legendre_table(block, n)
-        m = slice(first, first + even.shape[0])
-        np.matmul(even.transpose(0, 2, 1), coeffs_r[m, 0 : 2 * even.shape[1] : 2],
-                  out=spectra_r[m, 0])
-        np.matmul(odd.transpose(0, 2, 1), coeffs_r[m, 1 : 2 * odd.shape[1] : 2],
-                  out=spectra_r[m, 1])
+    for m, first, tables in _legendre_tables(grid, n):
+        for parity, table in enumerate(tables):
+            product = np.matmul(table.transpose(0, 2, 1),
+                                coeffs_r[m, first + parity : first + 2 * table.shape[1] : 2],
+                                out=spectra_r[m, parity] if first == 0 else None)
+            if first:
+                spectra_r[m, parity] += product
     # the tables are real, so the complex factor commutes with them
     spectra *= _order_factors(n, count)[0][:, None, None, None]
     parts = _irfft(spectra.transpose(3, 1, 2, 0), grid, np.empty((k, 2, north, count)))
@@ -376,11 +400,10 @@ def _analyze(values, grid):
     spectra *= _order_factors(n, count)[1][:, None, None, None]
     coeffs = np.zeros((n + 1, n + 1, k), complex)
     coeffs_r, spectra_r = coeffs.view(float), spectra.view(float)
-    for block, first in _order_blocks(n):
-        even, odd = grid.legendre_table(block)
-        m = slice(first, first + even.shape[0])
-        np.matmul(even, spectra_r[m, 0], out=coeffs_r[m, 0 : 2 * even.shape[1] : 2])
-        np.matmul(odd, spectra_r[m, 1], out=coeffs_r[m, 1 : 2 * odd.shape[1] : 2])
+    for m, first, tables in _legendre_tables(grid, n):
+        for parity, table in enumerate(tables):
+            np.matmul(table, spectra_r[m, parity],
+                      out=coeffs_r[m, first + parity : first + 2 * table.shape[1] : 2])
     data = np.empty((k, n + 1, 2 * n + 1))
     data[:, :, 0] = coeffs[0].real.T
     data[:, :, 1:].view(complex)[...] = coeffs[1:].transpose(2, 1, 0)

@@ -61,6 +61,11 @@ _SERIES_OSC_MAX = 4.0
 #: evaluation of (P_ell - 1) / q; the eigenvalue integrands share it.
 _SERIES_HAV_MAX = 1e-2
 
+#: Rows of the Legendre table per step of the row recurrence, even so that
+#: every step starts on an even row.  16 rows of all 384 orders at 192
+#: points, a degree-383 transform's, take 9.4 MB.
+_ROW_CHUNK = 16
+
 
 class AccuracyWarning(UserWarning):
     """An evaluation was requested outside a method's accurate range."""
@@ -341,6 +346,59 @@ def _m1_over_hav_from_q(ell, q):
 # Fully normalized associated Legendre functions
 # ----------------------------------------------------------------------
 
+def _legendre_rows(ms, degree, t):
+    """Rows i = ell - m of the normalized associated Legendre table of the
+    ascending orders ``ms`` at the points ``t``, ``_ROW_CHUNK`` rows at a
+    time: one three-term recurrence in i, run for every order still
+    active (m <= degree - i) at once.
+
+    Yields ``(first, rows)`` for first = 0, chunk, 2 chunk, ..., up to
+    row degree - ms[0]: ``rows[r, j]`` holds Ptilde_{m_j+first+r}^{m_j}(t)
+    for the orders active at row ``first``, and zero where
+    m_j + first + r > degree.  ``rows`` views a ring buffer of ``chunk``
+    rows, (row, order, point) row-major, that the next step overwrites.
+    """
+    chunk = _ROW_CHUNK
+    total = degree - int(ms[0]) + 1
+    # orders active at row i: ms <= degree - i, a prefix of the ascending ms
+    active = np.searchsorted(ms, degree - np.arange(total), side="right")
+    # diagonal seeds Ptilde_m^m, a running product over k = 1..m so that
+    # large m cannot overflow before the sin^m factor damps it
+    k = np.arange(1, int(ms[-1]) + 1)
+    factors = np.empty((k.size + 1, t.size))
+    factors[0] = 1.0 / math.sqrt(2.0)
+    sint = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    np.multiply(np.sqrt((2.0 * k + 1.0) / (2.0 * k))[:, None], sint, out=factors[1:])
+    # row i - 1 of a and b holds the coefficients of row i, every order
+    ell = np.arange(1, total)[:, None] + ms
+    a = np.sqrt((2.0 * ell - 1.0) * (2.0 * ell + 1.0) / ((ell - ms) * (ell + ms)))
+    b = np.sqrt(
+        (2.0 * ell + 1.0)
+        / (2.0 * ell - 3.0)
+        * ((ell - 1.0 - ms) * (ell - 1.0 + ms))
+        / ((ell - ms) * (ell + ms))
+    )
+    ring = np.empty((chunk, ms.size, t.size))
+    ring[0] = np.multiply.accumulate(factors, axis=0)[ms]
+    scratch = np.empty((ms.size, t.size))
+    for first in range(0, total, chunk):
+        top = active[first]
+        for i in range(max(first, 1), min(first + chunk, total)):
+            live = active[i]
+            p, cur = ring[(i - 1) % chunk, :live], ring[i % chunk, :live]
+            # Ptilde_ell = a t Ptilde_{ell-1} - b Ptilde_{ell-2}, rounded
+            # step by step as the one-order recurrence is, bit for bit
+            if i > 1:
+                prev = ring[(i - 2) % chunk, :live]
+                np.multiply(b[i - 1, :live, None], prev, out=scratch[:live])
+            np.multiply(a[i - 1, :live, None], t, out=cur)
+            cur *= p
+            if i > 1:
+                cur -= scratch[:live]
+            ring[i % chunk, live:top] = 0.0
+        yield first, ring[: min(chunk, total - first), :top]
+
+
 def assoc_legendre_table(m, degree, t, parity=False):
     """Table of normalized associated Legendre functions.
 
@@ -355,7 +413,7 @@ def assoc_legendre_table(m, degree, t, parity=False):
 
     With ``parity=True`` the rows come as two contiguous arrays instead,
     ``(even, odd)``, holding rows ``0, 2, 4, ...`` and ``1, 3, 5, ...``
-    of that table, each written straight from the recurrence.
+    of that table.
     """
     orders = np.asarray(m)
     if (orders.ndim > 1 or orders.size == 0 or orders.dtype.kind not in "iu"
@@ -368,43 +426,22 @@ def assoc_legendre_table(m, degree, t, parity=False):
     if np.any(np.abs(t) > 1.0 + 4.0 * _EPS):
         raise ValueError("argument must lie in [-1, 1]")
     ms = np.atleast_1d(orders).astype(np.int64)
+    sort = np.argsort(ms, kind="stable")
     rows = degree - int(ms.min()) + 1
     # row i of the table goes to row i // len(parts) of parts[i % len(parts)]
     if parity:
-        parts = (np.empty((ms.size, (rows + 1) // 2, t.size)),
-                 np.empty((ms.size, rows // 2, t.size)))
+        parts = (np.zeros((ms.size, (rows + 1) // 2, t.size)),
+                 np.zeros((ms.size, rows // 2, t.size)))
     else:
-        parts = (np.empty((ms.size, rows, t.size)),)
+        parts = (np.zeros((ms.size, rows, t.size)),)
     step = len(parts)
-    # diagonal seeds Ptilde_m^m, built as a running product over k = 1..m
-    # so large m cannot overflow before the sin^m factor damps it
-    p = np.full(t.shape, 1.0 / math.sqrt(2.0))
-    seeds = parts[0][:, 0]
-    seeds[ms == 0] = p
-    sint = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    for k in range(1, int(ms.max()) + 1):
-        p = p * (math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sint)
-        seeds[ms == k] = p
-    # three-term recurrence in ell = m + i, all orders at once; column
-    # i - 1 of a and b holds the coefficients of row i
-    ell = ms[:, None] + np.arange(1, rows)[None, :]
-    a = np.sqrt(
-        (2.0 * ell - 1.0) * (2.0 * ell + 1.0) / ((ell - ms[:, None]) * (ell + ms[:, None]))
-    )
-    b = np.sqrt(
-        (2.0 * ell + 1.0)
-        / (2.0 * ell - 3.0)
-        * ((ell - 1.0 - ms[:, None]) * (ell - 1.0 + ms[:, None]))
-        / ((ell - ms[:, None]) * (ell + ms[:, None]))
-    )
-    b[:, :1] = 0.0
-    p = seeds
-    prev = np.zeros_like(p)
-    for i in range(1, rows):
-        p, prev = a[:, i - 1, None] * t * p - b[:, i - 1, None] * prev, p
-        parts[i % step][:, i // step] = p
-    for first, part in enumerate(parts):
-        part[first + step * np.arange(part.shape[1])[None, :] > degree - ms[:, None]] = 0.0
+    for first, chunk in _legendre_rows(ms[sort], degree, t):
+        for offset, part in enumerate(parts):
+            block = chunk[offset::step].transpose(1, 0, 2)
+            start = (first + offset) // step
+            part[: block.shape[0], start : start + block.shape[1]] = block
+    if np.any(sort[1:] < sort[:-1]):
+        parts = tuple(part[np.argsort(sort)] for part in parts)
     if orders.ndim == 0:
         parts = tuple(part[0] for part in parts)
     return parts if parity else parts[0]

@@ -252,6 +252,22 @@ def test_energy_validation():
         M.ginzburg_landau_energy(np.zeros((5, 9)), spec, 0.1)
 
 
+def test_energy_refuses_grids_below_twice_the_field_degree():
+    # the quartic has band limit 4n, exact on degree >= 2n colatitudes;
+    # here degree n and 2n - 1 grids were off by 1.8e-2 and 1.2e-6
+    n = 16
+    spec = M.build_spectrum(n, KernelParams(-0.5, 1.0))
+    u = M.random_coeffs(n, n, 0.3, seed=n)
+    for degree in (n, 2 * n - 1):
+        grid = SphereGrid(degree)
+        with pytest.raises(ValueError, match=f"grid degree {degree} is below 2n = {2 * n}"):
+            M.ginzburg_landau_energy(u, spec, 0.1, grid=grid)
+        with pytest.raises(ValueError, match=f"grid degree {degree} is below 2n = {2 * n}"):
+            M.EnergyRecorder(spec, 0.1, grid)(0, 0.0, u.data[None])
+    exact = M.ginzburg_landau_energy(u, spec, 0.1, grid=SphereGrid(2 * n))
+    assert exact == pytest.approx(M.ginzburg_landau_energy(u, spec, 0.1), rel=1e-13, abs=0)
+
+
 def _energy_by_embedding(u, spec, epsilon, grid):
     # the zero-padded route: degree-2n coefficients and degree-2n tables
     lam = DiagonalOperator(spec.values).dense()

@@ -22,6 +22,7 @@ from nlsphere.sht import (
     SphereGrid,
     _is_prime,
     _layout,
+    _synthesize,
     analysis,
     mean,
     read_coeffs,
@@ -568,6 +569,58 @@ def test_round_trip_above_cache_limit_keeps_no_tables():
     back = analysis(synthesis(data, grid), grid)
     assert np.max(np.abs(back.data - data)) <= 1e-12
     assert grid._tables == {}
+
+
+@pytest.mark.parametrize("degree,field_degree", [(301, 200), (302, 151), (383, 191)])
+def test_streamed_rows_match_the_cached_tables(monkeypatch, degree, field_degree):
+    # above the cache limit the transforms stream the row recurrence of all
+    # orders and look up no table; the reference is the cached-table path
+    streamed = SphereGrid(degree)
+
+    def no_lookup(*args, **kwargs):
+        raise AssertionError("table lookup above the cache limit")
+
+    monkeypatch.setattr(SphereGrid, "legendre_table", no_lookup)
+    runs = {}
+    for k in (1, 2, 3):
+        full = random_stack(k, degree, seed=degree + k)
+        part = random_stack(k, field_degree, seed=field_degree + k)
+        values = synthesis(full, streamed)
+        runs[k] = (full, part, values, _synthesize(part, streamed), analysis(values, streamed))
+        # 1.2e-12 absolute at degree 383, k = 2, as on the cached path
+        assert np.max(np.abs(runs[k][4] - full)) <= 1e-12 * np.max(np.abs(full))
+    assert streamed._tables == {}
+    monkeypatch.undo()
+    monkeypatch.setattr("nlsphere.sht._TABLE_CACHE_MAX_DEGREE", degree)
+    cached = SphereGrid(degree)
+    tol = 2e-15 * degree
+    for full, part, values, part_values, coeffs in runs.values():
+        for got, want in ((values, synthesis(full, cached)),
+                          (part_values, _synthesize(part, cached)),
+                          (coeffs, analysis(values, cached))):
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+    assert cached._tables
+
+
+@pytest.mark.parametrize("transform", ["synthesis", "analysis"])
+def test_streamed_transform_memory(transform):
+    # 16 rows of the table of all orders at a time; 32-order blocks rebuilt
+    # per lookup peaked at 40 and 42 MiB, and a cached table set is 123 MB
+    n = 383
+    assert n > _TABLE_CACHE_MAX_DEGREE
+    grid = SphereGrid(n)
+    data = random_stack(1, n, seed=n)[0]
+    values = synthesis(data, grid)
+    tracemalloc.start()
+    try:
+        if transform == "synthesis":
+            synthesis(data, grid)
+        else:
+            analysis(values, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 # ----------------------------------------------------------------------

@@ -354,7 +354,7 @@ def _one_order_rows(m, degree, t):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 127])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 127, 383])
 def test_assoc_legendre_table_order_array_matches_one_order_rows(n):
     t = np.polynomial.legendre.leggauss(n + 1)[0]
     t = np.concatenate([t, [-1.0, 0.0, 1.0]])
