@@ -28,7 +28,6 @@ _EXPORTS = {
     # spectrum (the batch constructor shares the submodule's name; reach it
     # as nlsphere.spectrum.spectrum to avoid shadowing the module attribute)
     "KernelParams": "spectrum",
-    "EvalMethod": "spectrum",
     "Spectrum": "spectrum",
     "eigenvalue": "spectrum",
     "local_eigenvalue": "spectrum",

@@ -93,6 +93,10 @@ class RunConfig:
                 math.isfinite(self.t_final) and self.t_final > 0
             ):
                 raise CliError(f"evolve requires a positive --t-final, got {self.t_final!r}")
+            if not math.isfinite(self.t_final / self.dt):
+                raise CliError(
+                    f"--t-final {self.t_final!r} / --dt {self.dt!r} overflows the step count"
+                )
             if not (math.isfinite(self.epsilon) and self.epsilon > 0):
                 raise CliError(f"epsilon must be positive, got {self.epsilon}")
             if self.model == "brusselator":

@@ -85,8 +85,10 @@ def jacobi_moments(alpha, beta, count):
 
     seeded with mu_0 = 2^(alpha+beta+1) B(alpha+1, beta+1) and
     mu_1 = (beta-alpha) mu_0 / (alpha+beta+2).  The recurrence is mildly
-    forward-stable here: relative errors stay within a few hundred
-    epsilons through k = 511 for the exponent ranges this package uses.
+    forward-stable here: against the same recurrence in 40-digit arithmetic
+    (beta = 0, alpha in {-0.9, -0.5, 0.3, 0.9}) the relative error grows
+    about like 0.3 k eps, worst at alpha = -0.5 with 151 / 607 / 1516 eps
+    through k = 511 / 2000 / 5000 (3.4e-13 at k = 5000).
     """
     alpha = _check_exponent("alpha", alpha)
     beta = _check_exponent("beta", beta)

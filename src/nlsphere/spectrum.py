@@ -6,8 +6,10 @@ algebraic weight (1-x)^alpha on [-1, 1], where t(x) interpolates between
 1 and 1 - delta^2/2.  A modified Clenshaw--Curtis rule absorbs the
 singular factor and a cancellation-free ratio series evaluates the
 near-zero region.  ``spectrum(n)`` serves all degrees through n with one
-rule and one three-term recurrence; ``eigenvalue(ell)`` has its own rule
-and the recurrence or Bessel-series asymptotics (for isolated large ell).
+rule and one three-term recurrence.  ``eigenvalue(ell)`` has its own rule;
+the degree alone picks how it evaluates P_ell at the nodes away from the
+singular end: the recurrence below degree 550 (``_ASYMPTOTIC_MIN_DEGREE``),
+the Bessel-series asymptotics, O(1) per node, from there on.
 """
 
 from __future__ import annotations
@@ -22,21 +24,15 @@ from .sht import _write_csv
 from .specfun import (
     _SERIES_HAV_MAX,
     _in_series_region,
-    _m1_over_hav_from_q,
     _m1_series_from_hav,
     _szego_from_haversine,
     legendre_rec,
 )
 
 __all__ = [
-    "ASYMPTOTIC",
-    "DEFAULT_METHOD",
-    "EvalMethod",
     "KernelParams",
-    "RECURRENCE",
     "Spectrum",
     "eigenvalue",
-    "hybrid",
     "local_eigenvalue",
     "local_spectrum",
     "spectrum",
@@ -45,6 +41,15 @@ __all__ = [
 
 #: Degrees per block of Legendre rows in ``spectrum``; keeps its memory O(n).
 _SWEEP_BLOCK = 64
+
+#: First degree at which an isolated eigenvalue takes P_ell at the nodes
+#: with haversine above ``_SERIES_HAV_MAX`` from the Bessel-series
+#: asymptotics instead of the recurrence.  Measured (in-process medians, one
+#: thread, delta in [0.5, 2]): the asymptotics are up to 6 % slower at degree
+#: 450, 0-13 % faster at 550 and 5-16 % faster at 600.  They agree with the
+#: recurrence to a few ulps from degree 130 on, but are up to 1e-13 less
+#: accurate at 50-60.
+_ASYMPTOTIC_MIN_DEGREE = 550
 
 
 @dataclass(frozen=True)
@@ -72,48 +77,6 @@ class KernelParams:
     @property
     def d(self) -> float:
         return 1.0 - 0.5 * self.delta * self.delta
-
-
-@dataclass(frozen=True)
-class EvalMethod:
-    """How Legendre values inside the eigenvalue integrand are computed.
-
-    ``recurrence`` is exact-degree but O(ell) per node; ``asymptotic``
-    uses the Bessel-series expansion, accurate at large degree at O(1)
-    per node; ``hybrid`` switches from the former to the latter above
-    ``switch_degree``.  Use the module constants ``RECURRENCE`` and
-    ``ASYMPTOTIC`` or the ``hybrid()`` factory.
-    """
-
-    kind: str
-    switch_degree: int = 50
-
-    def __post_init__(self):
-        if self.kind not in ("recurrence", "asymptotic", "hybrid"):
-            raise ValueError(f"unknown evaluation method {self.kind!r}")
-        if not isinstance(self.switch_degree, (int, np.integer)) or self.switch_degree < 0:
-            raise ValueError(
-                f"switch_degree must be a non-negative integer, got {self.switch_degree!r}"
-            )
-
-    def uses_asymptotics(self, ell: int) -> bool:
-        return self.kind == "asymptotic" or (
-            self.kind == "hybrid" and ell > self.switch_degree
-        )
-
-
-RECURRENCE = EvalMethod("recurrence")
-ASYMPTOTIC = EvalMethod("asymptotic")
-
-
-def hybrid(switch_degree: int = 50) -> EvalMethod:
-    """Recurrence up to ``switch_degree``, asymptotics above it."""
-    return EvalMethod("hybrid", switch_degree)
-
-
-#: Recurrence through degree 50, asymptotics beyond: the crossover where
-#: the Bessel-series accuracy overtakes the cost of the exact recurrence.
-DEFAULT_METHOD = hybrid(50)
 
 
 @dataclass(frozen=True)
@@ -157,44 +120,43 @@ def _node_haversine(delta, panels):
     return np.clip(0.25 * delta * delta * half * half, 0.0, 1.0)
 
 
-def _eigenvalue_with_panels(ell, params, method, panels):
+def _eigenvalue_with_panels(ell, params, panels):
     """Quadrature evaluation with an explicit panel count (ell >= 1)."""
     rule = cc_weights(params.alpha, 0.0, panels)
-    d2 = params.delta * params.delta
     q = _node_haversine(params.delta, panels)
+    # g = (P - 1)/q as in spectrum; one recurrence call serves every node
+    # that neither the ratio series nor the asymptotics take
     g = np.empty_like(q)
-    near = q <= _SERIES_HAV_MAX
-    if near.any():
-        g[near] = (d2 / 8.0) * _m1_over_hav_from_q(ell, q[near])
-    far = ~near
-    if far.any():
-        if method.uses_asymptotics(ell):
-            p = _szego_from_haversine(ell, q[far])
-        else:
-            p = legendre_rec(ell, 1.0 - 2.0 * q[far])
-        # 1 - x = 8 q / delta^2, without the rounding of the node x
-        g[far] = (d2 / 8.0) * (p - 1.0) / q[far]
-    prefactor = (1.0 + params.alpha) * 2.0 ** (2.0 - params.alpha) / d2
-    return prefactor * float(rule.weights @ g)
+    series = _in_series_region(ell, q)
+    g[series] = _m1_series_from_hav(ell, q[series])
+    rest = ~series
+    far = q > _SERIES_HAV_MAX
+    if ell >= _ASYMPTOTIC_MIN_DEGREE and far.any():
+        g[far] = (_szego_from_haversine(ell, q[far]) - 1.0) / q[far]
+        rest &= ~far
+    if rest.any():
+        g[rest] = (legendre_rec(ell, 1.0 - 2.0 * q[rest]) - 1.0) / q[rest]
+    # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the prefactor
+    return (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha) * float(rule.weights @ g)
 
 
-def eigenvalue(ell, params, method=DEFAULT_METHOD):
+def eigenvalue(ell, params):
     """Eigenvalue lambda(ell) of the nonlocal operator.
 
     Degree zero returns exactly 0.0 without quadrature -- constants are
     invariant and downstream solvers rely on the mean mode being exact.
     For ell >= 1 the integral uses a modified Clenshaw--Curtis rule with
     max(ell+1, 8) panels, which integrates the polynomial part of the
-    integrand exactly under recurrence evaluation.
+    integrand exactly.  The nodes with haversine above ``_SERIES_HAV_MAX``
+    take P_ell from the recurrence below degree ``_ASYMPTOTIC_MIN_DEGREE``
+    (550) and from the Bessel-series asymptotics from there on.
     """
     ell = _check_ell(ell)
     if not isinstance(params, KernelParams):
         raise TypeError("params must be a KernelParams instance")
-    if not isinstance(method, EvalMethod):
-        raise TypeError("method must be an EvalMethod instance")
     if ell == 0:
         return 0.0
-    return _eigenvalue_with_panels(ell, params, method, max(ell + 1, 8))
+    return _eigenvalue_with_panels(ell, params, max(ell + 1, 8))
 
 
 def spectrum(n, params):

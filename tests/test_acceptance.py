@@ -20,12 +20,7 @@ from nlsphere.sht import (
     relative_error_2norm,
     synthesis,
 )
-from nlsphere.spectrum import (
-    ASYMPTOTIC,
-    RECURRENCE,
-    KernelParams,
-    spectrum,
-)
+from nlsphere.spectrum import KernelParams, eigenvalue, spectrum
 from nlsphere.timestep import evolve, pseudospectral
 
 
@@ -82,14 +77,16 @@ def test_criterion_03_spectrum_bounds():
 
 
 def test_criterion_04_hybrid_consistency():
-    # recurrence vs asymptotic to relative 1e-8 for ell in [60, 1000], < 60 s
+    # isolated eigenvalue(ell) -- the recurrence below degree 550, the
+    # Bessel-series asymptotics from 550 on -- vs the recurrence of one
+    # spectrum(1000), relative 1e-8 for ell in [60, 1000], < 60 s
     t0 = time.monotonic()
     kernel = KernelParams(-0.5, 1.0)
     worst, worst_ell = 0.0, None
-    from nlsphere.spectrum import eigenvalue
+    reference = spectrum(1000, kernel).values
     for ell in range(60, 1001):
-        r = eigenvalue(ell, kernel, RECURRENCE)
-        a = eigenvalue(ell, kernel, ASYMPTOTIC)
+        r = reference[ell]
+        a = eigenvalue(ell, kernel)
         rel = abs(a - r) / abs(r)
         if rel > worst:
             worst, worst_ell = rel, ell

@@ -235,6 +235,8 @@ def test_evolve_blow_up_exits_2(tmp_path):
      "--t-final", "1", "--ic", "random:9:1"],
     ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "-0.1",
      "--t-final", "1"],
+    ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "1e-300",
+     "--t-final", "1e300"],
 ])
 def test_validation_failures_exit_1(tmp_path, args):
     assert main(args + ["--output-dir", str(tmp_path)]) == 1

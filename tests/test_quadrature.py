@@ -69,6 +69,25 @@ def test_moment_zero_is_beta_function():
         assert mu0 == pytest.approx(ref, rel=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.3, 0.9])
+def test_moments_recurrence_in_floats_through_k_5000(alpha):
+    # the same forward recurrence in 40-digit arithmetic, seeded from
+    # mp.beta; the float error grows about like 0.3 k eps at alpha = -0.5,
+    # whose worst is 151 / 607 / 1516 eps through k = 511 / 2000 / 5000
+    mpmath = pytest.importorskip("mpmath")
+    count = 5001
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        mu0 = 2 ** (a + 1) * mpmath.beta(a + 1, 1)
+        ref = [mu0, -a / (a + 2) * mu0]
+        for k in range(1, count - 1):
+            ref.append(-(2 * a * ref[k] + (a - k + 2) * ref[k - 1]) / (a + k + 2))
+        ref = np.array([float(v) for v in ref])
+    mu = jacobi_moments(alpha, 0.0, count)
+    rel = np.abs(mu - ref) / np.abs(ref)
+    assert rel.max() <= 2000 * np.finfo(float).eps, (int(rel.argmax()), rel.max())
+
+
 def test_moments_reject_nonintegrable_exponents():
     with pytest.raises(ValueError):
         jacobi_moments(-1.0, 0.0, 3)

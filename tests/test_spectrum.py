@@ -20,17 +20,13 @@ import numpy as np
 import pytest
 
 from nlsphere.quadrature import cc_weights
-from nlsphere.specfun import legendre_rec
+from nlsphere.specfun import _SERIES_HAV_MAX, legendre_rec
 from nlsphere.spectrum import (
-    ASYMPTOTIC,
-    DEFAULT_METHOD,
-    EvalMethod,
+    _ASYMPTOTIC_MIN_DEGREE,
     KernelParams,
-    RECURRENCE,
     Spectrum,
     _eigenvalue_with_panels,
     eigenvalue,
-    hybrid,
     local_eigenvalue,
     local_spectrum,
     spectrum,
@@ -54,25 +50,9 @@ def test_kernel_params_frozen():
         kp.alpha = 0.5
 
 
-def test_eval_method_validation():
-    assert RECURRENCE.kind == "recurrence"
-    assert ASYMPTOTIC.uses_asymptotics(1)
-    assert not RECURRENCE.uses_asymptotics(10**6)
-    m = hybrid(50)
-    assert not m.uses_asymptotics(50)
-    assert m.uses_asymptotics(51)
-    # hybrid with switch 0 behaves as pure asymptotics for ell >= 1
-    assert hybrid(0).uses_asymptotics(1)
-    with pytest.raises(ValueError):
-        EvalMethod("magic")
-    with pytest.raises(ValueError):
-        hybrid(-1)
-
-
 def test_degree_zero_is_exactly_zero():
     for params in [KernelParams(-0.5, 2.0), KernelParams(0.9, 0.01)]:
-        for method in (RECURRENCE, ASYMPTOTIC, DEFAULT_METHOD):
-            assert eigenvalue(0, params, method) == 0.0
+        assert eigenvalue(0, params) == 0.0
 
 
 def test_minus_two_ell_kernel():
@@ -115,19 +95,41 @@ def test_local_limit_small_horizon():
                 assert abs(lam + ell * (ell + 1)) <= bound * (1.0 + 1e-8) + 1e-12
 
 
-@pytest.mark.parametrize("ell", [30, 60, 150])
+@pytest.mark.parametrize("ell", [
+    _ASYMPTOTIC_MIN_DEGREE - 1, _ASYMPTOTIC_MIN_DEGREE, 2 * _ASYMPTOTIC_MIN_DEGREE, 1000,
+])
 def test_recurrence_and_asymptotics_agree(ell):
+    # an isolated eigenvalue on either side of the switch against the
+    # one-pass spectrum, which runs the recurrence at every degree
     params = KernelParams(-0.5, 1.0)
-    a = eigenvalue(ell, params, RECURRENCE)
-    b = eigenvalue(ell, params, hybrid(0))
-    assert b == pytest.approx(a, rel=1e-8)
+    assert eigenvalue(ell, params) == pytest.approx(
+        spectrum(max(ell, 1000), params).values[ell], rel=1e-8
+    )
 
 
-def test_hybrid_switch_matches_constituents():
-    params = KernelParams(0.3, 0.7)
-    m = hybrid(40)
-    assert eigenvalue(20, params, m) == eigenvalue(20, params, RECURRENCE)
-    assert eigenvalue(80, params, m) == eigenvalue(80, params, ASYMPTOTIC)
+@pytest.mark.parametrize("alpha,delta", [(-0.5, 2.0), (0.3, 0.7)])
+def test_eigenvalue_route_follows_the_degree(monkeypatch, alpha, delta):
+    # below the switch no node reaches the asymptotics; from it on the
+    # recurrence keeps only the nodes at haversine <= _SERIES_HAV_MAX
+    params = KernelParams(alpha, delta)
+    c = _ASYMPTOTIC_MIN_DEGREE
+    expected = spectrum(2 * c, params).values
+
+    def no_asymptotics(ell, q):
+        raise AssertionError(f"asymptotics at degree {ell}")
+
+    def near_nodes_only(ell, t):
+        assert np.all(t >= 1.0 - 2.0 * _SERIES_HAV_MAX), f"far-node recurrence at degree {ell}"
+        return legendre_rec(ell, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("nlsphere.spectrum._szego_from_haversine", no_asymptotics)
+        for ell in (1, c - 1):
+            assert eigenvalue(ell, params) == pytest.approx(expected[ell], rel=1e-13)
+    with monkeypatch.context() as patch:
+        patch.setattr("nlsphere.spectrum.legendre_rec", near_nodes_only)
+        for ell in (c, 2 * c):
+            assert eigenvalue(ell, params) == pytest.approx(expected[ell], rel=1e-13)
 
 
 def test_compensated_summation_reference():
@@ -144,18 +146,19 @@ def test_compensated_summation_reference():
                 g = (legendre_rec(ell, 1.0 - 2.0 * q) - 1.0) / (1.0 - xj)
             terms.append(wj * g)
         ref = (1.0 + alpha) * 2.0 ** (2.0 - alpha) / d2 * math.fsum(terms)
-        mine = eigenvalue(ell, KernelParams(alpha, delta), RECURRENCE)
+        mine = eigenvalue(ell, KernelParams(alpha, delta))
         assert mine == pytest.approx(ref, rel=5e-13)
 
 
 @pytest.mark.parametrize("ell", [1, 5, 30, 101])
 def test_node_count_independence_under_recurrence(ell):
+    assert ell < _ASYMPTOTIC_MIN_DEGREE
     # the integrand is a degree ell-1 polynomial: doubling the panel count
     # must not change the integral beyond roundoff
     params = KernelParams(0.3, 0.7)
     base = max(ell + 1, 8)
-    a = _eigenvalue_with_panels(ell, params, RECURRENCE, base)
-    b = _eigenvalue_with_panels(ell, params, RECURRENCE, 2 * base)
+    a = _eigenvalue_with_panels(ell, params, base)
+    b = _eigenvalue_with_panels(ell, params, 2 * base)
     assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -200,7 +203,7 @@ def test_spectrum_matches_per_degree_recurrence(alpha, delta):
     # the one-pass sweep against eigenvalue(ell) on its own rule, degree by
     # degree, across the panel floor of 8 and through degree 200
     params = KernelParams(alpha, delta)
-    ref = np.array([eigenvalue(ell, params, RECURRENCE) for ell in range(201)])
+    ref = np.array([eigenvalue(ell, params) for ell in range(201)])
     for n in (0, 1, 6, 7, 8, 63, 200):
         values = spectrum(n, params).values
         assert values.shape == (n + 1,) and values[0] == 0.0  # exactly, at n = 0 too
