@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import _legendre_pair
+
 __all__ = [
     "CCRule",
     "GLRule",
@@ -138,15 +140,6 @@ def cc_weights(alpha, beta, n):
     w[n] *= 0.5
     nodes = np.cos(np.pi * np.arange(n + 1) / n)
     return CCRule(alpha=float(alpha), beta=float(beta), nodes=nodes, weights=w)
-
-
-def _legendre_pair(n, x):
-    """P_n(x) and P_{n-1}(x) by the three-term recurrence (n >= 1)."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(1, n):
-        p, p_prev = ((2.0 * k + 1.0) * x * p - k * p_prev) / (k + 1.0), p
-    return p, p_prev
 
 
 def gauss_legendre(n):

@@ -4,12 +4,13 @@ The operator acts on spherical harmonics diagonally; its eigenvalue at
 degree ell is a weighted integral of (P_ell(t(x)) - 1)/(1-x) against the
 algebraic weight (1-x)^alpha on [-1, 1], where t(x) interpolates between
 1 and 1 - delta^2/2.  A modified Clenshaw--Curtis rule absorbs the
-singular factor and a cancellation-free ratio series evaluates the
-near-zero region.  ``spectrum(n)`` serves all degrees through n with one
-rule and one three-term recurrence.  ``eigenvalue(ell)`` has its own rule;
-the degree alone picks how it evaluates P_ell at the nodes away from the
-singular end: the recurrence below degree 550 (``_ASYMPTOTIC_MIN_DEGREE``),
-the Bessel-series asymptotics, O(1) per node, from there on.
+singular factor; ``specfun._m1_over_hav_from_q`` evaluates the integrand
+at its nodes, with the cancellation-free ratio series near the singular
+end.  ``spectrum(n)`` serves all degrees through n with one rule and one
+three-term recurrence whose rows it hands to that integrand.
+``eigenvalue(ell)`` has its own rule and lets the integrand evaluate
+P_ell too: by the recurrence below degree 550, and from there on by the
+Bessel-series asymptotics, O(1) per node, away from the singular end.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ import numpy as np
 
 from .quadrature import cc_weights
 from .sht import _write_csv
-from .specfun import (
-    _SERIES_HAV_MAX,
-    _in_series_region,
-    _m1_series_from_hav,
-    _szego_from_haversine,
-    legendre_rec,
-)
+from .specfun import _m1_over_hav_from_q
 
 __all__ = [
     "KernelParams",
@@ -41,15 +36,6 @@ __all__ = [
 
 #: Degrees per block of Legendre rows in ``spectrum``; keeps its memory O(n).
 _SWEEP_BLOCK = 64
-
-#: First degree at which an isolated eigenvalue takes P_ell at the nodes
-#: with haversine above ``_SERIES_HAV_MAX`` from the Bessel-series
-#: asymptotics instead of the recurrence.  Measured (in-process medians, one
-#: thread, delta in [0.5, 2]): the asymptotics are up to 6 % slower at degree
-#: 450, 0-13 % faster at 550 and 5-16 % faster at 600.  They agree with the
-#: recurrence to a few ulps from degree 130 on, but are up to 1e-13 less
-#: accurate at 50-60.
-_ASYMPTOTIC_MIN_DEGREE = 550
 
 
 @dataclass(frozen=True)
@@ -123,19 +109,7 @@ def _node_haversine(delta, panels):
 def _eigenvalue_with_panels(ell, params, panels):
     """Quadrature evaluation with an explicit panel count (ell >= 1)."""
     rule = cc_weights(params.alpha, 0.0, panels)
-    q = _node_haversine(params.delta, panels)
-    # g = (P - 1)/q as in spectrum; one recurrence call serves every node
-    # that neither the ratio series nor the asymptotics take
-    g = np.empty_like(q)
-    series = _in_series_region(ell, q)
-    g[series] = _m1_series_from_hav(ell, q[series])
-    rest = ~series
-    far = q > _SERIES_HAV_MAX
-    if ell >= _ASYMPTOTIC_MIN_DEGREE and far.any():
-        g[far] = (_szego_from_haversine(ell, q[far]) - 1.0) / q[far]
-        rest &= ~far
-    if rest.any():
-        g[rest] = (legendre_rec(ell, 1.0 - 2.0 * q[rest]) - 1.0) / q[rest]
+    g = _m1_over_hav_from_q(ell, _node_haversine(params.delta, panels))
     # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the prefactor
     return (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha) * float(rule.weights @ g)
 
@@ -147,9 +121,11 @@ def eigenvalue(ell, params):
     invariant and downstream solvers rely on the mean mode being exact.
     For ell >= 1 the integral uses a modified Clenshaw--Curtis rule with
     max(ell+1, 8) panels, which integrates the polynomial part of the
-    integrand exactly.  The nodes with haversine above ``_SERIES_HAV_MAX``
-    take P_ell from the recurrence below degree ``_ASYMPTOTIC_MIN_DEGREE``
-    (550) and from the Bessel-series asymptotics from there on.
+    integrand exactly.  The integrand is the one ``spectrum`` and
+    ``specfun.legendre_m1_over_hav`` share: the ratio series near the
+    singular end, and elsewhere P_ell from the recurrence, or from degree
+    550 on from the four-term Bessel-series asymptotics at the nodes with
+    haversine above 1e-2.
     """
     ell = _check_ell(ell)
     if not isinstance(params, KernelParams):
@@ -172,14 +148,11 @@ def spectrum(n, params):
     p_prev = p = np.ones_like(t)  # P_0; the first step gives P_1 = t exactly
     for first in range(1, n + 1, _SWEEP_BLOCK):
         ells = np.arange(first, min(first + _SWEEP_BLOCK, n + 1), dtype=float)
-        g = np.empty((ells.size, t.size))
-        for row, ell in zip(g, ells):
-            p_prev, p = p, ((2.0 * ell - 1.0) * t * p - (ell - 1.0) * p_prev) / ell
-            np.subtract(p, 1.0, out=row)
-        ells, qs = np.broadcast_arrays(ells[:, None], q)
-        series = _in_series_region(ells, qs)
-        np.divide(g, qs, out=g, where=~series)
-        g[series] = _m1_series_from_hav(ells[series], qs[series])
+        rows = np.empty((ells.size, t.size))
+        for row, ell in zip(rows, ells):
+            np.divide((2.0 * ell - 1.0) * t * p - (ell - 1.0) * p_prev, ell, out=row)
+            p_prev, p = p, row
+        g = _m1_over_hav_from_q(ells[:, None], q, rows)
         # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the prefactor
         values[first : first + g.shape[0]] = g @ rule.weights
     values[1:] *= (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha)

@@ -20,9 +20,8 @@ import numpy as np
 import pytest
 
 from nlsphere.quadrature import cc_weights
-from nlsphere.specfun import _SERIES_HAV_MAX, legendre_rec
+from nlsphere.specfun import _ASYMPTOTIC_MIN_DEGREE, _SERIES_HAV_MAX, legendre_rec
 from nlsphere.spectrum import (
-    _ASYMPTOTIC_MIN_DEGREE,
     KernelParams,
     Spectrum,
     _eigenvalue_with_panels,
@@ -123,11 +122,11 @@ def test_eigenvalue_route_follows_the_degree(monkeypatch, alpha, delta):
         return legendre_rec(ell, t)
 
     with monkeypatch.context() as patch:
-        patch.setattr("nlsphere.spectrum._szego_from_haversine", no_asymptotics)
+        patch.setattr("nlsphere.specfun._szego_from_haversine", no_asymptotics)
         for ell in (1, c - 1):
             assert eigenvalue(ell, params) == pytest.approx(expected[ell], rel=1e-13)
     with monkeypatch.context() as patch:
-        patch.setattr("nlsphere.spectrum.legendre_rec", near_nodes_only)
+        patch.setattr("nlsphere.specfun.legendre_rec", near_nodes_only)
         for ell in (c, 2 * c):
             assert eigenvalue(ell, params) == pytest.approx(expected[ell], rel=1e-13)
 
