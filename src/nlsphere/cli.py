@@ -4,6 +4,12 @@ Heavy numerical imports happen inside `run`, after the optional
 NLSPHERE_THREADS cap has been exported to the BLAS thread-count
 environment variables; importing this module alone stays cheap.
 
+`run` takes the parsed command line.  It first builds every input (the
+kernel, a `--rhs` file, the model config, the initial condition), each
+checked by the object that owns it, and only then creates the output
+directory, the spectrum and the grid: a refused command line exits 1 and
+writes nothing.
+
 All outputs are UTF-8 CSV files with `#`-prefixed header lines, written
 deterministically: re-running a command with identical flags (including
 the seed) produces byte-identical files.
@@ -13,7 +19,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -23,7 +28,6 @@ _THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-_COMMANDS = ("spectrum", "poisson", "evolve")
 _MODELS = ("allen-cahn", "brusselator")
 
 
@@ -45,71 +49,6 @@ def _apply_thread_cap():
         raise CliError(f"NLSPHERE_THREADS must be positive, got {value}")
     for name in _THREAD_ENV_VARS:
         os.environ.setdefault(name, str(value))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, re-validated independently of the parser."""
-
-    command: str
-    model: str | None = None
-    alpha: float = -0.5
-    delta: float = 1.0
-    epsilon: float = 0.1
-    E: float = 4.0
-    tau: float = 7.8125
-    f: float = 0.8
-    degree: int = 0
-    dt: float | None = None
-    t_final: float | None = None
-    cesaro_kappa: int = 0
-    seed: int = 0
-    output_dir: str = "."
-    snapshot_stride: int = 0
-    rhs: str = "death-star"
-    ic: str = "cos10xy"
-    local: bool = False
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise CliError(f"unknown command {self.command!r}")
-        if not self.local:
-            if not (-1.0 < self.alpha < 1.0):
-                raise CliError(f"alpha must lie in (-1, 1), got {self.alpha}")
-            if not (0.0 < self.delta <= 2.0):
-                raise CliError(f"delta must lie in (0, 2], got {self.delta}")
-        if not (isinstance(self.degree, int) and self.degree >= 0):
-            raise CliError(f"degree must be a non-negative integer, got {self.degree!r}")
-        if self.cesaro_kappa < 0:
-            raise CliError(f"cesaro-kappa must be non-negative, got {self.cesaro_kappa}")
-        if self.snapshot_stride < 0:
-            raise CliError(f"snapshot-stride must be non-negative, got {self.snapshot_stride}")
-        if self.command == "evolve":
-            if self.model not in _MODELS:
-                raise CliError(f"evolve requires --model from {_MODELS}, got {self.model!r}")
-            if self.dt is None or not (math.isfinite(self.dt) and self.dt > 0):
-                raise CliError(f"evolve requires a positive --dt, got {self.dt!r}")
-            if self.t_final is None or not (
-                math.isfinite(self.t_final) and self.t_final > 0
-            ):
-                raise CliError(f"evolve requires a positive --t-final, got {self.t_final!r}")
-            if not math.isfinite(self.t_final / self.dt):
-                raise CliError(
-                    f"--t-final {self.t_final!r} / --dt {self.dt!r} overflows the step count"
-                )
-            if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-                raise CliError(f"epsilon must be positive, got {self.epsilon}")
-            if self.model == "brusselator":
-                if not (0.0 < self.f < 1.0):
-                    raise CliError(f"f must lie in (0, 1), got {self.f}")
-                for name in ("E", "tau"):
-                    v = getattr(self, name)
-                    if not (math.isfinite(v) and v > 0):
-                        raise CliError(f"{name} must be positive, got {v}")
-
-    def steps(self):
-        count = round(self.t_final / self.dt)
-        return max(count, 1)
 
 
 def _parse_ic(spec_string):
@@ -134,8 +73,9 @@ def _parse_ic(spec_string):
     )
 
 
-def run(config):
-    """Execute one command; returns the list of files written."""
+def run(args):
+    """Execute one parsed command line (see `build_parser`); returns the
+    list of files written.  Inputs are all checked before any output."""
     _apply_thread_cap()
     # deferred so the thread cap above precedes the first numpy import
     from . import models as M
@@ -150,37 +90,75 @@ def run(config):
     )
     from .timestep import evolve, pseudospectral
 
-    kernel = None if config.local else KernelParams(config.alpha, config.delta)
+    n = args.degree
+    kernel = None if args.local else KernelParams(args.alpha, args.delta)
+    if args.command == "poisson" and args.rhs != "death-star":
+        rhs = read_coeffs(args.rhs)
+        if rhs.degree != n:
+            raise CliError(f"RHS file degree {rhs.degree} does not match --degree {n}")
+    elif args.command == "evolve":
+        for flag, value in (("cesaro-kappa", args.cesaro_kappa),
+                            ("snapshot-stride", args.snapshot_stride)):
+            if value < 0:
+                raise CliError(f"{flag} must be non-negative, got {value}")
+        h = args.dt
+        for flag, value in (("--dt", h), ("--t-final", args.t_final)):
+            if not (math.isfinite(value) and value > 0):
+                raise CliError(f"evolve requires a positive {flag}, got {value!r}")
+        if not math.isfinite(args.t_final / h):
+            raise CliError(
+                f"--t-final {args.t_final!r} / --dt {h!r} overflows the step count"
+            )
+        steps = max(round(args.t_final / h), 1)
+        kind, cap, scale = _parse_ic(args.ic)
+        if args.model == "allen-cahn":
+            cfg = M.AllenCahnConfig(
+                epsilon=args.epsilon, kernel=kernel, degree=n, h=h, steps=steps
+            )
+            if kind == "equilibrium":
+                raise CliError("--ic equilibrium applies only to the brusselator model")
+            tags = ("u",)
+            state = None  # cos10xy is sampled on the grid the compute phase builds
+            if kind == "random":
+                state = [M.random_coeffs(cap, n, scale, args.seed).data]
+        else:
+            cfg = M.BrusselatorConfig(
+                E=args.E, epsilon=args.epsilon, tau=args.tau, f=args.f,
+                kernel=kernel, degree=n, h=h, steps=steps,
+            )
+            if kind == "cos10xy":
+                raise CliError(
+                    "--ic for the brusselator model must be equilibrium or random:<cap>:<scale>"
+                )
+            tags = ("u", "v")
+            state = []
+            for offset, mean in enumerate(cfg.equilibrium()):
+                c = M.SphHarmCoeffs(n)
+                c.set(0, 0, mean * math.sqrt(4.0 * math.pi))
+                if kind == "random":
+                    # successive seeds keep the two species' streams independent
+                    c.data += M.random_coeffs(cap, n, scale, args.seed + offset).data
+                state.append(c.data)
+    spec = M.build_spectrum(n, kernel)
 
-    os.makedirs(config.output_dir, exist_ok=True)
-    out = lambda name: os.path.join(config.output_dir, name)
+    os.makedirs(args.output_dir, exist_ok=True)
+    out = lambda name: os.path.join(args.output_dir, name)
     written = []
 
-    spec = M.build_spectrum(config.degree, kernel)
-
-    if config.command == "spectrum":
+    if args.command == "spectrum":
         kernel_desc = (
-            "local" if config.local
-            else f"alpha={config.alpha:.17g} delta={config.delta:.17g}"
+            "local" if args.local
+            else f"alpha={args.alpha:.17g} delta={args.delta:.17g}"
         )
-        write_spectrum(
-            spec, out("spectrum.csv"),
-            comment=f"{kernel_desc} degree={config.degree}",
-        )
+        write_spectrum(spec, out("spectrum.csv"), comment=f"{kernel_desc} degree={n}")
         written.append(out("spectrum.csv"))
         return written
 
-    grid = SphereGrid(config.degree)
+    grid = SphereGrid(n)
 
-    if config.command == "poisson":
-        if config.rhs == "death-star":
+    if args.command == "poisson":
+        if args.rhs == "death-star":
             rhs = analysis(M.death_star_rhs(grid), grid)
-        else:
-            rhs = read_coeffs(config.rhs)
-            if rhs.degree != config.degree:
-                raise CliError(
-                    f"RHS file degree {rhs.degree} does not match --degree {config.degree}"
-                )
         solution = M.solve_poisson(M.PoissonProblem(rhs, spec))
         write_coeffs(solution, out("solution_coeffs.csv"))
         write_grid_values(synthesis(solution, grid), grid, out("solution_grid.csv"))
@@ -188,70 +166,35 @@ def run(config):
         return written
 
     # evolve
-    n = config.degree
-    h = config.dt
-    steps = config.steps()
-    kind, cap, scale = _parse_ic(config.ic)
     observers = []
-
-    if config.model == "allen-cahn":
-        cfg = M.AllenCahnConfig(
-            epsilon=config.epsilon, kernel=kernel, degree=n, h=h, steps=steps
-        )
-        if kind == "cos10xy":
-            u0 = analysis(M.cos10xy(grid), grid)
-        elif kind == "random":
-            u0 = M.random_coeffs(cap, n, scale, config.seed)
-        else:
-            raise CliError("--ic equilibrium applies only to the brusselator model")
-        tags = ("u",)
-        state = [u0.data]
+    if args.model == "allen-cahn":
+        if state is None:
+            state = [analysis(M.cos10xy(grid), grid).data]
         operators = [M.allen_cahn_operator(cfg, spec)]
         nonlinearity = pseudospectral(M.allen_cahn_nonlinearity, grid)
         recorder = M.EnergyRecorder(spec, cfg.epsilon)
         observers.append(recorder)
     else:
-        cfg = M.BrusselatorConfig(
-            E=config.E, epsilon=config.epsilon, tau=config.tau, f=config.f,
-            kernel=kernel, degree=n, h=h, steps=steps,
-        )
-        u_e, v_e = cfg.equilibrium()
-        u0 = M.SphHarmCoeffs(n)
-        v0 = M.SphHarmCoeffs(n)
-        u0.set(0, 0, u_e * math.sqrt(4.0 * math.pi))
-        v0.set(0, 0, v_e * math.sqrt(4.0 * math.pi))
-        if kind == "random":
-            # perturb both species; successive seeds keep the streams independent
-            du = M.random_coeffs(cap, n, scale, config.seed)
-            dv = M.random_coeffs(cap, n, scale, config.seed + 1)
-            u0 = M.SphHarmCoeffs(n, u0.data + du.data)
-            v0 = M.SphHarmCoeffs(n, v0.data + dv.data)
-        elif kind != "equilibrium":
-            raise CliError(
-                "--ic for the brusselator model must be equilibrium or random:<cap>:<scale>"
-            )
-        tags = ("u", "v")
-        state = [u0.data, v0.data]
         operators = M.brusselator_operators(cfg, spec)
         nonlinearity = pseudospectral(
             lambda u, v: M.brusselator_nonlinearities(u, v, cfg), grid
         )
 
     def snapshot_observer(step, t, state):
-        if step % config.snapshot_stride:
+        if step % args.snapshot_stride:
             return
         for tag, data in zip(tags, state):
             c = M.SphHarmCoeffs(n, data)
-            if config.cesaro_kappa >= 1:
-                c = M.cesaro_apply(c, config.cesaro_kappa)
+            if args.cesaro_kappa >= 1:
+                c = M.cesaro_apply(c, args.cesaro_kappa)
             path = out(f"snapshot_{tag}_{step:06d}.csv")
             write_coeffs(c, path, comment=f"t={t:.17g}")
             written.append(path)
 
-    if config.snapshot_stride >= 1:
+    if args.snapshot_stride >= 1:
         observers.append(snapshot_observer)
     final = evolve(state, operators, nonlinearity, h, steps, observers=observers)
-    if config.model == "allen-cahn":
+    if args.model == "allen-cahn":
         recorder.write(out("energy.csv"))
         written.append(out("energy.csv"))
 
@@ -316,9 +259,7 @@ def build_parser():
 def main(argv=None):
     try:
         _apply_thread_cap()
-        namespace = build_parser().parse_args(argv)
-        config = RunConfig(**vars(namespace))
-        run(config)
+        run(build_parser().parse_args(argv))
     except (CliError, ValueError, OSError) as err:
         print(f"nlsphere: error: {err}", file=sys.stderr)
         return 1

@@ -364,6 +364,8 @@ def random_coeffs(degree_cap, degree, scale, seed):
     scale = float(scale)
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     cap = int(degree_cap)
     rng = np.random.Generator(np.random.Philox(int(seed)))
     draws = rng.standard_normal((cap + 1) ** 2)

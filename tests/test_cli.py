@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nlsphere import models as M
-from nlsphere.cli import CliError, RunConfig, _apply_thread_cap, build_parser, main, run
+from nlsphere.cli import CliError, _apply_thread_cap, build_parser, main, run
 from nlsphere.sht import SphereGrid, SphHarmCoeffs, analysis, read_coeffs, write_coeffs
 from nlsphere.spectrum import KernelParams
 from nlsphere.timestep import StabilityWarning  # noqa: F401  (re-export check)
@@ -157,7 +157,7 @@ def test_evolve_brusselator_snapshots(tmp_path):
             "--dt", "0.05", "--t-final", "0.25", "--ic", "random:4:0.01",
             "--seed", str(seed), "--snapshot-stride", "2", "--cesaro-kappa", "2",
             "--output-dir", str(tmp_path)]
-    written = run(RunConfig(**vars(build_parser().parse_args(args))))
+    written = run(build_parser().parse_args(args))
     snapshots = [os.path.basename(p) for p in written
                  if os.path.basename(p).startswith("snapshot_")]
     assert snapshots == [
@@ -191,6 +191,15 @@ def test_evolve_random_ic_reproducible(tmp_path):
     assert (a / "final_u_coeffs.csv").read_bytes() != (c / "final_u_coeffs.csv").read_bytes()
 
 
+@pytest.mark.parametrize("t_final, steps", [("0.5", 5), ("0.04", 1)])
+def test_evolve_step_count_rounds_and_is_at_least_one(tmp_path, t_final, steps):
+    rc = main(["evolve", "--model", "allen-cahn", "--local", "--degree", "4",
+               "--dt", "0.1", "--t-final", t_final, "--output-dir", str(tmp_path)])
+    assert rc == 0
+    head = (tmp_path / "final_u_coeffs.csv").read_text(encoding="utf-8").splitlines()
+    assert head[1] == f"# t={steps * 0.1:.17g}"
+
+
 def test_evolve_brusselator_random_ic_perturbs_both(tmp_path):
     rc = main(["evolve", "--model", "brusselator", "--local", "--degree", "6",
                "--dt", "0.05", "--t-final", "0.1", "--ic", "random:3:0.001",
@@ -219,51 +228,71 @@ def test_evolve_blow_up_exits_2(tmp_path):
 # validation and exit codes
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("args", [
+AC_ARGS = ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "0.1",
+           "--t-final", "1"]
+
+VALIDATION_FAILURES = [
     ["spectrum", "--alpha", "2", "--delta", "1", "--degree", "4"],
     ["spectrum", "--alpha", "0", "--delta", "0", "--degree", "4"],
     ["spectrum", "--alpha", "0", "--delta", "2.5", "--degree", "4"],
     ["evolve", "--model", "brusselator", "--f", "1.5", "--degree", "4",
      "--dt", "0.1", "--t-final", "1", "--ic", "equilibrium"],
-    ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "0.1",
-     "--t-final", "1", "--ic", "equilibrium"],
-    ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "0.1",
-     "--t-final", "1", "--ic", "random:zz:1"],
-    ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "0.1",
-     "--t-final", "1", "--ic", "mystery"],
-    ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "0.1",
-     "--t-final", "1", "--ic", "random:9:1"],
+    AC_ARGS + ["--ic", "equilibrium"],
+    AC_ARGS + ["--ic", "random:zz:1"],
+    AC_ARGS + ["--ic", "mystery"],
+    AC_ARGS + ["--ic", "random:9:1"],
     ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "-0.1",
      "--t-final", "1"],
     ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "1e-300",
      "--t-final", "1e300"],
-])
+    ["spectrum", "--alpha", "1", "--delta", "1", "--degree", "4"],
+]
+
+
+@pytest.mark.parametrize("args", VALIDATION_FAILURES)
 def test_validation_failures_exit_1(tmp_path, args):
     assert main(args + ["--output-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("args", VALIDATION_FAILURES + [
+    ["poisson", "--local", "--degree", "4", "--rhs", "missing.csv"],
+    ["poisson", "--local", "--degree", "6", "--rhs", "rhs4.csv"],
+    ["evolve", "--model", "brusselator", "--degree", "4", "--dt", "0.1",
+     "--t-final", "1", "--ic", "cos10xy"],
+    AC_ARGS + ["--ic", "random:-1:1"],
+    AC_ARGS + ["--ic", "random:3:nan"],
+    AC_ARGS + ["--ic", "random:3:1", "--seed", "-1"],
+])
+def test_refused_command_line_leaves_nothing_behind(tmp_path, monkeypatch, args):
+    write_coeffs(SphHarmCoeffs(4), tmp_path / "rhs4.csv")
+    monkeypatch.chdir(tmp_path)
+
+    def build_spectrum(*_):
+        raise AssertionError("spectrum built for a refused command line")
+
+    monkeypatch.setattr(M, "build_spectrum", build_spectrum)
+    out = tmp_path / "out"
+    assert main(args + ["--output-dir", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_negative_seed_error_names_the_seed(tmp_path, capsys):
+    rc = main(AC_ARGS + ["--ic", "random:3:1", "--seed", "-1",
+                         "--output-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "nlsphere: error: seed must be a non-negative integer, got -1\n"
+    )
+
+
 def test_usage_errors_exit_1():
     for args in ([], ["unknown-command"], ["evolve", "--degree", "4"],
-                 ["spectrum", "--method", "rec", "--degree", "4"]):
+                 ["spectrum", "--method", "rec", "--degree", "4"],
+                 ["evolve", "--model", "allen-cahn", "--degree", "4",
+                  "--t-final", "1"]):
         with pytest.raises(SystemExit) as err:
             main(args)
         assert err.value.code == 1
-
-
-def test_runconfig_direct_validation():
-    RunConfig(command="spectrum", degree=4)
-    with pytest.raises(CliError):
-        RunConfig(command="orbit", degree=4)
-    with pytest.raises(CliError):
-        RunConfig(command="spectrum", degree=4, alpha=1.0)
-    with pytest.raises(CliError):
-        RunConfig(command="evolve", model="allen-cahn", degree=4, t_final=1.0)
-    cfg = RunConfig(command="evolve", model="allen-cahn", degree=4,
-                    dt=0.1, t_final=0.5)
-    assert cfg.steps() == 5
-    tiny = RunConfig(command="evolve", model="allen-cahn", degree=4,
-                     dt=0.1, t_final=0.04)
-    assert tiny.steps() == 1
 
 
 # ----------------------------------------------------------------------

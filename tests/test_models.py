@@ -454,6 +454,8 @@ def test_random_coeffs_zero_scale_and_cap():
         M.random_coeffs(10, 9, 1.0, 7)
     with pytest.raises(ValueError):
         M.random_coeffs(-1, 9, 1.0, 7)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        M.random_coeffs(3, 9, 1.0, -1)
 
 
 def test_random_coeffs_variance():
