@@ -39,12 +39,12 @@ _EXPORTS = {
     "gauss_legendre": "quadrature",
     "jacobi_moments": "quadrature",
     # sht
-    "SphHarmCoeffs": "sht",
     "SphereGrid": "sht",
     "analysis": "sht",
     "synthesis": "sht",
     "mean": "sht",
     "relative_error_2norm": "sht",
+    "slot": "sht",
     # timestep
     "DiagonalOperator": "timestep",
     "ETDRK4Tables": "timestep",
@@ -55,7 +55,6 @@ _EXPORTS = {
     "evolve": "timestep",
     "pseudospectral": "timestep",
     # models
-    "PoissonProblem": "models",
     "AllenCahnConfig": "models",
     "BrusselatorConfig": "models",
     "EnergyRecorder": "models",

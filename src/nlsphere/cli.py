@@ -78,6 +78,8 @@ def run(args):
     list of files written.  Inputs are all checked before any output."""
     _apply_thread_cap()
     # deferred so the thread cap above precedes the first numpy import
+    import numpy as np
+
     from . import models as M
     from .spectrum import KernelParams, write_spectrum
     from .sht import (
@@ -94,8 +96,8 @@ def run(args):
     kernel = None if args.local else KernelParams(args.alpha, args.delta)
     if args.command == "poisson" and args.rhs != "death-star":
         rhs = read_coeffs(args.rhs)
-        if rhs.degree != n:
-            raise CliError(f"RHS file degree {rhs.degree} does not match --degree {n}")
+        if len(rhs) != n + 1:
+            raise CliError(f"RHS file degree {len(rhs) - 1} does not match --degree {n}")
     elif args.command == "evolve":
         for flag, value in (("cesaro-kappa", args.cesaro_kappa),
                             ("snapshot-stride", args.snapshot_stride)):
@@ -120,7 +122,7 @@ def run(args):
             tags = ("u",)
             state = None  # cos10xy is sampled on the grid the compute phase builds
             if kind == "random":
-                state = [M.random_coeffs(cap, n, scale, args.seed).data]
+                state = [M.random_coeffs(cap, n, scale, args.seed)]
         else:
             cfg = M.BrusselatorConfig(
                 E=args.E, epsilon=args.epsilon, tau=args.tau, f=args.f,
@@ -133,12 +135,11 @@ def run(args):
             tags = ("u", "v")
             state = []
             for offset, mean in enumerate(cfg.equilibrium()):
-                c = M.SphHarmCoeffs(n)
-                c.set(0, 0, mean * math.sqrt(4.0 * math.pi))
-                if kind == "random":
-                    # successive seeds keep the two species' streams independent
-                    c.data += M.random_coeffs(cap, n, scale, args.seed + offset).data
-                state.append(c.data)
+                # successive seeds keep the two species' streams independent
+                c = (M.random_coeffs(cap, n, scale, args.seed + offset) if kind == "random"
+                     else np.zeros((n + 1, 2 * n + 1)))
+                c[0, 0] += mean * math.sqrt(4.0 * math.pi)
+                state.append(c)
     spec = M.build_spectrum(n, kernel)
 
     os.makedirs(args.output_dir, exist_ok=True)
@@ -159,7 +160,7 @@ def run(args):
     if args.command == "poisson":
         if args.rhs == "death-star":
             rhs = analysis(M.death_star_rhs(grid), grid)
-        solution = M.solve_poisson(M.PoissonProblem(rhs, spec))
+        solution = M.solve_poisson(rhs, spec)
         write_coeffs(solution, out("solution_coeffs.csv"))
         write_grid_values(synthesis(solution, grid), grid, out("solution_grid.csv"))
         written += [out("solution_coeffs.csv"), out("solution_grid.csv")]
@@ -169,7 +170,7 @@ def run(args):
     observers = []
     if args.model == "allen-cahn":
         if state is None:
-            state = [analysis(M.cos10xy(grid), grid).data]
+            state = [analysis(M.cos10xy(grid), grid)]
         operators = [M.allen_cahn_operator(cfg, spec)]
         nonlinearity = pseudospectral(M.allen_cahn_nonlinearity, grid)
         recorder = M.EnergyRecorder(spec, cfg.epsilon)
@@ -183,12 +184,11 @@ def run(args):
     def snapshot_observer(step, t, state):
         if step % args.snapshot_stride:
             return
-        for tag, data in zip(tags, state):
-            c = M.SphHarmCoeffs(n, data)
+        for tag, coeffs in zip(tags, state):
             if args.cesaro_kappa >= 1:
-                c = M.cesaro_apply(c, args.cesaro_kappa)
+                coeffs = M.cesaro_apply(coeffs, args.cesaro_kappa)
             path = out(f"snapshot_{tag}_{step:06d}.csv")
-            write_coeffs(c, path, comment=f"t={t:.17g}")
+            write_coeffs(coeffs, path, comment=f"t={t:.17g}")
             written.append(path)
 
     if args.snapshot_stride >= 1:
@@ -198,10 +198,10 @@ def run(args):
         recorder.write(out("energy.csv"))
         written.append(out("energy.csv"))
 
-    for tag, data in zip(tags, final):
+    for tag, coeffs in zip(tags, final):
         cpath, gpath = out(f"final_{tag}_coeffs.csv"), out(f"final_{tag}_grid.csv")
-        write_coeffs(M.SphHarmCoeffs(n, data), cpath, comment=f"t={steps * h:.17g}")
-        write_grid_values(synthesis(data, grid), grid, gpath)
+        write_coeffs(coeffs, cpath, comment=f"t={steps * h:.17g}")
+        write_grid_values(synthesis(coeffs, grid), grid, gpath)
         written += [cpath, gpath]
     return written
 

@@ -14,11 +14,10 @@ import numpy as np
 
 from .spectrum import KernelParams, Spectrum, local_spectrum
 from .spectrum import spectrum as _spectrum
-from .sht import SphereGrid, SphHarmCoeffs, _layout, _synthesize, _write_csv
+from .sht import SphereGrid, _degree, _layout, _synthesize, _write_csv, slot
 from .timestep import DiagonalOperator
 
 __all__ = [
-    "PoissonProblem",
     "solve_poisson",
     "AllenCahnConfig",
     "BrusselatorConfig",
@@ -51,15 +50,14 @@ def build_spectrum(degree, kernel=None):
 
 
 def embed(coeffs, degree):
-    """Zero-pad a coefficient set into a layout of higher degree."""
-    n = coeffs.degree
+    """Zero-pad an (n+1, 2n+1) coefficient array into the layout of a
+    degree >= n; returns a new array."""
+    n = _degree(coeffs)
     if degree < n:
         raise ValueError(f"target degree {degree} is below the input degree {n}")
-    if degree == n:
-        return coeffs.copy()
-    out = SphHarmCoeffs(degree)
+    out = np.zeros((degree + 1, 2 * degree + 1))
     # the slot of (ell, m) does not depend on the layout degree
-    out.data[: n + 1, : 2 * n + 1] = coeffs.data
+    out[: n + 1, : 2 * n + 1] = coeffs
     return out
 
 
@@ -84,49 +82,34 @@ def integrate_grid(values, grid):
 # Poisson with mean condition
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoissonProblem:
-    """Right-hand side and operator eigenvalues of one Poisson solve."""
-
-    rhs: SphHarmCoeffs
-    spectrum: Spectrum
-
-    def __post_init__(self):
-        if not isinstance(self.rhs, SphHarmCoeffs):
-            raise TypeError(f"rhs must be SphHarmCoeffs, got {self.rhs!r}")
-        if not isinstance(self.spectrum, Spectrum):
-            raise TypeError(f"spectrum must be Spectrum, got {self.spectrum!r}")
-        if self.rhs.degree != self.spectrum.degree:
-            raise ValueError(
-                f"degree mismatch: rhs {self.rhs.degree}, "
-                f"spectrum {self.spectrum.degree}"
-            )
-
-
-def solve_poisson(problem):
-    """Modewise division by the eigenvalues, with the mean pinned.
+def solve_poisson(rhs, spectrum):
+    """Modewise division of the (n+1, 2n+1) right-hand side by the
+    degree-n ``spectrum``, with the mean pinned.
 
     The operator annihilates constants, so the mean slot is replaced by a
     unit entry: the solution inherits the mean of the right-hand side and
     is otherwise u_l^m = f_l^m / lambda(l).
     """
-    spec = problem.spectrum
-    if spec.values[0] != 0.0:
+    if not isinstance(spectrum, Spectrum):
+        raise TypeError(f"spectrum must be Spectrum, got {spectrum!r}")
+    n = _degree(rhs)
+    if n != spectrum.degree:
+        raise ValueError(f"degree mismatch: rhs {n}, spectrum {spectrum.degree}")
+    if spectrum.values[0] != 0.0:
         raise ValueError(
-            f"spectrum must annihilate constants, got lambda(0) = {spec.values[0]}"
+            f"spectrum must annihilate constants, got lambda(0) = {spectrum.values[0]}"
         )
-    if np.any(spec.values[1:] == 0.0):
-        bad = 1 + int(np.flatnonzero(spec.values[1:] == 0.0)[0])
+    if np.any(spectrum.values[1:] == 0.0):
+        bad = 1 + int(np.flatnonzero(spectrum.values[1:] == 0.0)[0])
         raise ZeroDivisionError(
             f"eigenvalue at degree {bad} is zero; the kernel is degenerate and "
             "the Poisson problem is singular beyond the mean mode"
         )
-    n = spec.degree
-    denom = DiagonalOperator(spec.values).dense().copy()
+    denom = DiagonalOperator(spectrum.values).dense().copy()
     denom[0, 0] = 1.0
     _, valid = _layout(n)
     denom[~valid] = 1.0  # keep structural zeros as 0/1
-    return SphHarmCoeffs(n, problem.rhs.data / denom)
+    return rhs / denom
 
 
 # ----------------------------------------------------------------------
@@ -266,20 +249,20 @@ def ginzburg_landau_energy(u, spec, epsilon, grid=None):
     cached) unless a grid is supplied; a supplied grid needs degree >= 2n
     for the quadrature to be exact, and a coarser one raises ValueError.
     The synthesis uses only the orders and degrees <= n of that grid.
+    ``u`` is one field's (n+1, 2n+1) coefficient array.
     """
-    if not isinstance(u, SphHarmCoeffs):
-        raise TypeError(f"u must be SphHarmCoeffs, got {u!r}")
-    if spec.degree != u.degree:
-        raise ValueError(f"degree mismatch: coefficients {u.degree}, spectrum {spec.degree}")
-    n = u.degree
+    n = _degree(u)
+    if spec.degree != n:
+        raise ValueError(f"degree mismatch: coefficients {n}, spectrum {spec.degree}")
+    u = np.asarray(u, dtype=float)
     lam = DiagonalOperator(spec.values).dense()
-    linear = -0.5 * epsilon**2 * float(np.sum(lam * u.data * u.data))
+    linear = -0.5 * epsilon**2 * float(np.sum(lam * u * u))
     if grid is None:
         grid = _refined_grid(2 * n)
     elif grid.degree < 2 * n:
         raise ValueError(f"grid degree {grid.degree} is below 2n = {2 * n}, the least that "
                          f"integrates the quartic of a degree-{n} field exactly")
-    vals = _synthesize(u.data[None], grid)[0]
+    vals = _synthesize(u[None], grid)[0]
     quartic = (vals * vals - 1.0) ** 2
     return linear + 0.25 * integrate_grid(quartic, grid)
 
@@ -296,9 +279,9 @@ class EnergyRecorder:
         self.energies = []
 
     def __call__(self, step, t, state):
-        u = SphHarmCoeffs(self.spec.degree, state[0])
         self.times.append(t)
-        self.energies.append(ginzburg_landau_energy(u, self.spec, self.epsilon, self.grid))
+        self.energies.append(
+            ginzburg_landau_energy(state[0], self.spec, self.epsilon, self.grid))
 
     def write(self, path):
         rows = ("%.17g,%.17g\n" % row for row in zip(self.times, self.energies))
@@ -336,12 +319,11 @@ def cesaro_weights(degree, kappa):
 
 
 def cesaro_apply(coeffs, kappa):
-    """Scale degree-l coefficients by A_{n-l}^kappa / A_n^kappa; kappa=0 is identity."""
-    w = cesaro_weights(coeffs.degree, kappa)
-    if w.kappa == 0:
-        return coeffs.copy()
-    deg, _ = _layout(coeffs.degree)
-    return SphHarmCoeffs(coeffs.degree, coeffs.data * w.factors[deg])
+    """Scale the degree-l coefficients of an (n+1, 2n+1) array by
+    A_{n-l}^kappa / A_n^kappa into a new array; kappa = 0 copies it."""
+    n = _degree(coeffs)
+    deg, _ = _layout(n)
+    return coeffs * cesaro_weights(n, kappa).factors[deg]
 
 
 # ----------------------------------------------------------------------
@@ -369,9 +351,8 @@ def random_coeffs(degree_cap, degree, scale, seed):
     cap = int(degree_cap)
     rng = np.random.Generator(np.random.Philox(int(seed)))
     draws = rng.standard_normal((cap + 1) ** 2)
-    small = SphHarmCoeffs(cap)
-    _, valid = _layout(cap)
-    small.data[valid] = scale * draws
+    small = np.zeros((cap + 1, 2 * cap + 1))
+    small[_layout(cap)[1]] = scale * draws
     return embed(small, int(degree))
 
 
@@ -415,12 +396,10 @@ def north_south_step(degree):
     exhibit the classical overshoot near the equator, which Cesaro
     smoothing removes.
     """
-    c = SphHarmCoeffs(degree)
+    c = np.zeros((degree + 1, 2 * degree + 1))
     for ell in range(1, degree + 1, 2):
         half_int = (_legendre_at_zero(ell - 1) - _legendre_at_zero(ell + 1)) / (
             2 * ell + 1
         )
-        c.set(
-            ell, 0, 2.0 * half_int * math.sqrt(2.0 * math.pi * (2 * ell + 1) / 2.0)
-        )
+        c[slot(degree, ell, 0)] = 2.0 * half_int * math.sqrt(2.0 * math.pi * (2 * ell + 1) / 2.0)
     return c

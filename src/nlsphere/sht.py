@@ -8,11 +8,14 @@ real-valued orthonormal basis
              Ptilde_ell^m(cos theta) cos(m phi) / sqrt(pi),
 
 with Ptilde the fully normalized associated Legendre functions.  The
-coefficients of a degree-n expansion live in an (n+1) x (2n+1) matrix:
-column 0 holds the m = 0 coefficients indexed by ell; for m = 1..n,
-column 2m-1 holds the sin(m phi) coefficients and column 2m the
-cos(m phi) coefficients of degrees ell = m..n, stored from row 0.  Slots
-below the stored triangle are structurally zero.
+coefficients of a degree-n expansion are a plain float array of shape
+(n+1, 2n+1), and k fields stack to (k, n+1, 2n+1); there is no other
+coefficient type.  Column 0 holds the m = 0 coefficients indexed by ell;
+for m = 1..n, column 2m-1 holds the sin(m phi) coefficients and column
+2m the cos(m phi) coefficients of degrees ell = m..n, stored from row 0
+(``slot`` maps (ell, m) to its row and column).  Slots below the stored
+triangle are structurally zero: the transforms keep them so, and
+``read_coeffs`` refuses a file that breaks them.
 
 The grid couples n+1 Gauss--Legendre colatitudes with L equispaced
 longitudes, L = 2n+1 unless a grid asks for more.  Gauss--Legendre
@@ -57,12 +60,12 @@ from .specfun import _legendre_rows, assoc_legendre_table
 
 __all__ = [
     "GridValues",
-    "SphHarmCoeffs",
     "SphereGrid",
     "analysis",
     "mean",
     "read_coeffs",
     "relative_error_2norm",
+    "slot",
     "synthesis",
     "write_coeffs",
     "write_grid_values",
@@ -97,8 +100,9 @@ def _layout(degree):
     return deg, valid
 
 
-def _slot(degree, ell, m):
-    """(row, column) of coefficient (ell, m); raises if out of range."""
+def slot(degree, ell, m):
+    """(row, column) of coefficient (ell, m) in the degree-``degree`` layout;
+    raises ValueError outside it."""
     if not 0 <= abs(m) <= ell <= degree:
         raise ValueError(
             f"coefficient (ell={ell}, m={m}) outside degree-{degree} layout"
@@ -109,55 +113,13 @@ def _slot(degree, ell, m):
     return ell - abs(m), col
 
 
-class SphHarmCoeffs:
-    """Coefficients of a real spherical harmonic expansion of one field."""
-
-    __slots__ = ("degree", "data")
-
-    def __init__(self, degree, data=None):
-        if not isinstance(degree, (int, np.integer)) or degree < 0:
-            raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
-        degree = int(degree)
-        shape = (degree + 1, 2 * degree + 1)
-        if data is None:
-            data = np.zeros(shape)
-        else:
-            data = np.array(data, dtype=float)
-            if data.shape != shape:
-                raise ValueError(
-                    f"data shape {data.shape} does not match degree {degree} "
-                    f"layout {shape}"
-                )
-            _, valid = _layout(degree)
-            if np.any(data[~valid] != 0.0):
-                raise ValueError("structural zeros of the layout are violated")
-        self.degree = degree
-        self.data = data
-
-    @classmethod
-    def zeros(cls, degree):
-        return cls(degree)
-
-    def copy(self):
-        out = SphHarmCoeffs.__new__(SphHarmCoeffs)
-        out.degree = self.degree
-        out.data = self.data.copy()
-        return out
-
-    def get(self, ell, m):
-        i, j = _slot(self.degree, ell, m)
-        return float(self.data[i, j])
-
-    def set(self, ell, m, value):
-        i, j = _slot(self.degree, ell, m)
-        self.data[i, j] = value
-
-    def norm2(self):
-        """Coefficient 2-norm; equals the field's L2 norm by Parseval."""
-        return float(np.sqrt(np.sum(self.data * self.data)))
-
-    def __repr__(self):
-        return f"SphHarmCoeffs(degree={self.degree})"
+def _degree(coeffs):
+    """Degree n of one field's (n+1, 2n+1) coefficient array; raises
+    ValueError on any other shape."""
+    shape = np.shape(coeffs)
+    if len(shape) != 2 or shape[1] != 2 * shape[0] - 1:
+        raise ValueError(f"coefficient shape {shape} is not (n+1, 2n+1) for any degree n")
+    return shape[0] - 1
 
 
 class SphereGrid:
@@ -249,13 +211,6 @@ class SphereGrid:
 
     def __repr__(self):
         return f"SphereGrid(degree={self.degree})"
-
-
-def _coeff_data(coeffs):
-    """The coefficient matrix of a SphHarmCoeffs, or a plain array as floats."""
-    if isinstance(coeffs, SphHarmCoeffs):
-        return coeffs.data
-    return np.asarray(coeffs, dtype=float)
 
 
 def _check_stack(arr, rows, cols, what):
@@ -413,12 +368,12 @@ def _analyze(values, grid):
 def synthesis(coeffs, grid):
     """Evaluate the expansion on the grid.
 
-    ``coeffs`` is a SphHarmCoeffs, its plain (n+1) x (2n+1) data array,
-    or a (k, n+1, 2n+1) stack of k fields; returns (n+1) x L values on
-    the grid's L longitudes, or a (k, n+1, L) stack of them.
+    ``coeffs`` is one field's (n+1, 2n+1) coefficient array or a
+    (k, n+1, 2n+1) stack of k fields; returns (n+1, L) values on the
+    grid's L longitudes, or a (k, n+1, L) stack of them.
     """
     n = grid.degree
-    data = _coeff_data(coeffs)
+    data = np.asarray(coeffs, dtype=float)
     values = _synthesize(_check_stack(data, n + 1, 2 * n + 1, "coefficient"), grid)
     return values.reshape(data.shape[:-1] + values.shape[-1:])
 
@@ -426,39 +381,35 @@ def synthesis(coeffs, grid):
 def analysis(values, grid):
     """Project grid values onto the basis; exact for band-limited data.
 
-    ``values`` is an (n+1) x L array, returning SphHarmCoeffs, or a
-    (k, n+1, L) stack, returning the (k, n+1, 2n+1) coefficient stack.
+    ``values`` is one field's (n+1, L) array or a (k, n+1, L) stack;
+    returns the (n+1, 2n+1) coefficient array or the (k, n+1, 2n+1) stack.
     """
     values = np.asarray(values, dtype=float)
     stack = _check_stack(values, grid.degree + 1, grid.lon_nodes.size, "values")
     data = _analyze(stack, grid)
-    if values.ndim == 3:
-        return data
-    out = SphHarmCoeffs.__new__(SphHarmCoeffs)
-    out.degree = grid.degree
-    out.data = data[0]
-    return out
+    return data.reshape(values.shape[:-1] + data.shape[-1:])
 
 
 def mean(coeffs):
     """Integral of the field over the sphere: u_0^0 * sqrt(4 pi)."""
-    return coeffs.data[0, 0] * math.sqrt(4.0 * np.pi)
+    _degree(coeffs)
+    return coeffs[0, 0] * math.sqrt(4.0 * np.pi)
 
 
 def relative_error_2norm(a, b):
-    """|| a - b ||_2 / || b ||_2 over coefficient arrays.
+    """|| a - b ||_2 / || b ||_2 over coefficient arrays of equal shape.
 
     By Parseval this equals the relative L2 error of the corresponding
-    fields.  Accepts SphHarmCoeffs or plain arrays of equal shape.
+    fields.
     """
-    a_data = _coeff_data(a)
-    b_data = _coeff_data(b)
-    if a_data.shape != b_data.shape:
-        raise ValueError(f"shape mismatch: {a_data.shape} vs {b_data.shape}")
-    denom = np.linalg.norm(b_data)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    denom = np.linalg.norm(b)
     if denom == 0.0:
         raise ValueError("reference has zero norm")
-    return float(np.linalg.norm(a_data - b_data) / denom)
+    return float(np.linalg.norm(a - b) / denom)
 
 
 # ----------------------------------------------------------------------
@@ -476,21 +427,23 @@ def _write_csv(path, head, rows):
 
 
 def write_coeffs(coeffs, path, comment=None):
-    """Write coefficients as CSV rows of the layout matrix.
+    """Write one field's (n+1, 2n+1) coefficient array as CSV rows.
 
     The first line is the format header ``# sht-coeffs v1 degree=<n>``;
     an optional extra ``#`` comment line follows.  Deterministic output.
     """
-    head = [f"# sht-coeffs v1 degree={coeffs.degree}", comment and f"# {comment}"]
-    fmt = ",".join(["%.17g"] * coeffs.data.shape[1]) + "\n"
-    _write_csv(path, head, (fmt % tuple(row.tolist()) for row in coeffs.data))
+    coeffs = np.asarray(coeffs, dtype=float)
+    head = [f"# sht-coeffs v1 degree={_degree(coeffs)}", comment and f"# {comment}"]
+    fmt = ",".join(["%.17g"] * coeffs.shape[1]) + "\n"
+    _write_csv(path, head, (fmt % tuple(row.tolist()) for row in coeffs))
 
 
 def read_coeffs(path):
-    """Read a coefficient file written by :func:`write_coeffs`; raises
-    ValueError on a bad header, a non-numeric token, a ragged row or a
-    body whose shape does not match the header's degree, naming the file
-    and its 1-based line."""
+    """Read a coefficient file written by :func:`write_coeffs` into an
+    (n+1, 2n+1) array; raises ValueError on a bad header, a non-numeric
+    token, a ragged row, a body whose shape does not match the header's
+    degree or a nonzero structural zero, naming the file and its 1-based
+    line."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         match = re.match(r"#\s*sht-coeffs\s+v1\s+degree=(\d+)\s*$", first)
@@ -508,20 +461,31 @@ def read_coeffs(path):
     if data is None or data.shape != shape:
         line, problem = _first_bad_line(path, shape)
         raise ValueError(f"{path}, line {line}: {problem}") from None
-    return SphHarmCoeffs(degree, data)
+    rows, cols = np.nonzero((data != 0.0) & ~_layout(degree)[1])
+    if rows.size:
+        line = [number for number, text in _body_lines(path) if text][rows[0]]
+        raise ValueError(f"{path}, line {line}: column {cols[0] + 1} is a structural zero "
+                         f"of the layout, got {data[rows[0], cols[0]]:.17g}")
+    return data
+
+
+def _body_lines(path):
+    """(1-based line number, text before any "#") of each line of a
+    coefficient file after its header.  As for numpy.loadtxt, a line is a
+    row unless that text is empty, so a line of spaces is a row with an
+    empty value."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for number, line in enumerate(lines[1:], start=2):
+        yield number, line.split("#", 1)[0]
 
 
 def _first_bad_line(path, shape):
     """(line number, problem) of the first line of a coefficient file body
     that numpy.loadtxt rejects or that breaks the (rows, columns) shape."""
     rows, columns = shape
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    found = 0
-    for number, line in enumerate(lines[1:], start=2):
-        # as numpy.loadtxt: a line is skipped only when nothing precedes
-        # its comment, so a line of spaces is a row with an empty value
-        text = line.split("#", 1)[0]
+    found, number = 0, 1
+    for number, text in _body_lines(path):
         if not text:
             continue
         tokens = text.split(",")
@@ -539,7 +503,7 @@ def _first_bad_line(path, shape):
         found += 1
         if found > rows:
             return number, f"more than the {rows} rows of degree {rows - 1}"
-    return len(lines), f"the file ends after {found} rows, expected {rows} for degree {rows - 1}"
+    return number, f"the file ends after {found} rows, expected {rows} for degree {rows - 1}"
 
 
 def write_grid_values(values, grid, path, comment=None):

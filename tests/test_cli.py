@@ -14,7 +14,7 @@ import pytest
 
 from nlsphere import models as M
 from nlsphere.cli import CliError, _apply_thread_cap, build_parser, main, run
-from nlsphere.sht import SphereGrid, SphHarmCoeffs, analysis, read_coeffs, write_coeffs
+from nlsphere.sht import SphereGrid, _layout, analysis, read_coeffs, slot, write_coeffs
 from nlsphere.spectrum import KernelParams
 from nlsphere.timestep import StabilityWarning  # noqa: F401  (re-export check)
 
@@ -72,37 +72,35 @@ def test_poisson_death_star_residual(tmp_path):
                "--output-dir", str(tmp_path)])
     assert rc == 0
     u = read_coeffs(tmp_path / "solution_coeffs.csv")
-    assert u.degree == n
+    assert u.shape == (n + 1, 2 * n + 1)
     grid = SphereGrid(n)
     rhs = analysis(M.death_star_rhs(grid), grid)
     spec = M.build_spectrum(n, KernelParams(0.0, 1.5))
-    assert u.get(0, 0) == pytest.approx(rhs.get(0, 0), rel=1e-15)
+    assert u[slot(n, 0, 0)] == pytest.approx(rhs[slot(n, 0, 0)], rel=1e-15)
     # rebuild the per-slot eigenvalue layout and check the residual
-    from nlsphere.sht import _layout
     deg, valid = _layout(n)
     lam = spec.values[deg].copy()
     lam[0, 0] = 1.0
-    res = np.linalg.norm((lam * u.data - rhs.data)[valid])
-    assert res / np.linalg.norm(rhs.data) < 1e-12
+    res = np.linalg.norm((lam * u - rhs)[valid])
+    assert res / np.linalg.norm(rhs) < 1e-12
 
 
 def test_poisson_rhs_from_file(tmp_path):
     n = 5
-    f = SphHarmCoeffs(n)
-    f.set(3, 1, 1.0)
+    f = np.zeros((n + 1, 2 * n + 1))
+    f[slot(n, 3, 1)] = 1.0
     rhs_path = tmp_path / "rhs.csv"
     write_coeffs(f, rhs_path)
     rc = main(["poisson", "--local", "--degree", str(n), "--rhs", str(rhs_path),
                "--output-dir", str(tmp_path)])
     assert rc == 0
     u = read_coeffs(tmp_path / "solution_coeffs.csv")
-    assert u.get(3, 1) == pytest.approx(-1.0 / 12.0, rel=1e-15)
+    assert u[slot(n, 3, 1)] == pytest.approx(-1.0 / 12.0, rel=1e-15)
 
 
 def test_poisson_rhs_degree_mismatch_exits_1(tmp_path):
-    f = SphHarmCoeffs(4)
     rhs_path = tmp_path / "rhs.csv"
-    write_coeffs(f, rhs_path)
+    write_coeffs(np.zeros((5, 9)), rhs_path)
     rc = main(["poisson", "--local", "--degree", "6", "--rhs", str(rhs_path),
                "--output-dir", str(tmp_path)])
     assert rc == 1
@@ -134,7 +132,7 @@ def test_evolve_allen_cahn_outputs(tmp_path):
     grid = SphereGrid(n)
     u0 = M.cesaro_apply(analysis(M.cos10xy(grid), grid), 2)
     snap = read_coeffs(tmp_path / "snapshot_u_000000.csv")
-    np.testing.assert_array_equal(snap.data, u0.data)
+    np.testing.assert_array_equal(snap, u0)
 
 
 def test_evolve_brusselator_equilibrium_fixed_point(tmp_path):
@@ -170,12 +168,12 @@ def test_evolve_brusselator_snapshots(tmp_path):
     # step-0 v snapshot is the Cesaro-smoothed v initial condition
     cfg = M.BrusselatorConfig(E=4.0, epsilon=0.1, tau=7.8125, f=0.8, kernel=None,
                               degree=n, h=0.05, steps=5)
-    v0 = SphHarmCoeffs(n)
-    v0.set(0, 0, cfg.equilibrium()[1] * math.sqrt(4.0 * math.pi))
-    v0 = SphHarmCoeffs(n, v0.data + M.random_coeffs(4, n, 0.01, seed + 1).data)
+    v0 = np.zeros((n + 1, 2 * n + 1))
+    v0[slot(n, 0, 0)] = cfg.equilibrium()[1] * math.sqrt(4.0 * math.pi)
+    v0 = v0 + M.random_coeffs(4, n, 0.01, seed + 1)
     snap = read_coeffs(tmp_path / "snapshot_v_000000.csv")
-    np.testing.assert_array_equal(snap.data, M.cesaro_apply(v0, 2).data)
-    assert not np.array_equal(snap.data, v0.data)
+    np.testing.assert_array_equal(snap, M.cesaro_apply(v0, 2))
+    assert not np.array_equal(snap, v0)
 
 
 def test_evolve_random_ic_reproducible(tmp_path):
@@ -208,9 +206,9 @@ def test_evolve_brusselator_random_ic_perturbs_both(tmp_path):
     u = read_coeffs(tmp_path / "final_u_coeffs.csv")
     v = read_coeffs(tmp_path / "final_v_coeffs.csv")
     # perturbations seeded independently leave distinct non-mean modes
-    assert u.get(2, 1) != 0.0
-    assert v.get(2, 1) != 0.0
-    assert u.get(2, 1) != v.get(2, 1)
+    assert u[slot(6, 2, 1)] != 0.0
+    assert v[slot(6, 2, 1)] != 0.0
+    assert u[slot(6, 2, 1)] != v[slot(6, 2, 1)]
 
 
 def test_evolve_blow_up_exits_2(tmp_path):
@@ -262,9 +260,13 @@ def test_validation_failures_exit_1(tmp_path, args):
     AC_ARGS + ["--ic", "random:-1:1"],
     AC_ARGS + ["--ic", "random:3:nan"],
     AC_ARGS + ["--ic", "random:3:1", "--seed", "-1"],
+    ["poisson", "--local", "--degree", "1", "--rhs", "zero1.csv"],
 ])
 def test_refused_command_line_leaves_nothing_behind(tmp_path, monkeypatch, args):
-    write_coeffs(SphHarmCoeffs(4), tmp_path / "rhs4.csv")
+    write_coeffs(np.zeros((5, 9)), tmp_path / "rhs4.csv")
+    # a nonzero below the stored triangle: degree 2 in the m = 1 columns
+    (tmp_path / "zero1.csv").write_text("# sht-coeffs v1 degree=1\n1,0,0\n2,0,3\n",
+                                         encoding="utf-8")
     monkeypatch.chdir(tmp_path)
 
     def build_spectrum(*_):

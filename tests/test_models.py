@@ -14,7 +14,7 @@ import pytest
 
 from nlsphere import models as M
 from nlsphere.spectrum import KernelParams, Spectrum, local_spectrum
-from nlsphere.sht import SphereGrid, SphHarmCoeffs, analysis, synthesis
+from nlsphere.sht import SphereGrid, analysis, slot, synthesis
 from nlsphere.specfun import assoc_legendre_table
 from nlsphere.timestep import DiagonalOperator, evolve, pseudospectral
 
@@ -30,41 +30,39 @@ def random_field(degree, seed):
 # ----------------------------------------------------------------------
 
 def test_poisson_problem_validation():
-    f = SphHarmCoeffs(3)
-    with pytest.raises(ValueError):
-        M.PoissonProblem(f, local_spectrum(4))
+    f = np.zeros((4, 7))
+    with pytest.raises(ValueError, match="degree mismatch: rhs 3, spectrum 4"):
+        M.solve_poisson(f, local_spectrum(4))
     with pytest.raises(TypeError):
-        M.PoissonProblem(np.zeros((4, 7)), local_spectrum(3))
-    with pytest.raises(TypeError):
-        M.PoissonProblem(f, np.array([0.0, -2.0]))
+        M.solve_poisson(f, np.array([0.0, -2.0]))
 
 
 def test_poisson_single_mode_local():
-    f = SphHarmCoeffs(5)
-    f.set(3, 1, 1.0)
-    u = M.solve_poisson(M.PoissonProblem(f, local_spectrum(5)))
-    assert u.get(3, 1) == -1.0 / 12.0
+    f = np.zeros((6, 11))
+    f[slot(5, 3, 1)] = 1.0
+    u = M.solve_poisson(f, local_spectrum(5))
+    assert u[slot(5, 3, 1)] == -1.0 / 12.0
     # everything else untouched
-    u.set(3, 1, 0.0)
-    assert np.all(u.data == 0.0)
+    u[slot(5, 3, 1)] = 0.0
+    assert np.all(u == 0.0)
 
 
 def test_poisson_mean_condition():
-    f = SphHarmCoeffs(2)
-    f.set(0, 0, 7.0)
-    u = M.solve_poisson(M.PoissonProblem(f, local_spectrum(2)))
-    assert u.get(0, 0) == 7.0
+    f = np.zeros((3, 5))
+    f[slot(2, 0, 0)] = 7.0
+    u = M.solve_poisson(f, local_spectrum(2))
+    assert u[slot(2, 0, 0)] == 7.0
 
 
 def test_poisson_degenerate_kernel_raises():
-    f = SphHarmCoeffs(2)
-    f.set(1, 0, 1.0)
+    f = np.zeros((3, 5))
+    f[slot(2, 1, 0)] = 1.0
     degenerate = Spectrum(None, np.array([0.0, 0.0, -4.0]))
     with pytest.raises(ZeroDivisionError):
-        M.solve_poisson(M.PoissonProblem(f, degenerate))
+        M.solve_poisson(f, degenerate)
     shifted = Spectrum(None, np.array([0.5, -2.0, -4.0]))
     with pytest.raises(ValueError):
-        M.solve_poisson(M.PoissonProblem(f, shifted))
+        M.solve_poisson(f, shifted)
 
 
 @pytest.mark.parametrize("kernel", [None, KernelParams(0.3, 1.2)])
@@ -74,15 +72,13 @@ def test_poisson_residual(kernel):
     n = 24
     spec = M.build_spectrum(n, kernel)
     rhs = random_field(n, seed=11)
-    u = M.solve_poisson(M.PoissonProblem(rhs, spec))
+    u = M.solve_poisson(rhs, spec)
     lam = np.zeros((n + 1, 2 * n + 1))
     for ell in range(n + 1):
         for m in range(-ell, ell + 1):
-            r = SphHarmCoeffs(n)
-            r.set(ell, m, 1.0)
-            lam += spec.values[ell] * r.data
+            lam[slot(n, ell, m)] = spec.values[ell]
     lam[0, 0] = 1.0
-    res = np.linalg.norm(lam * u.data - rhs.data) / np.linalg.norm(rhs.data)
+    res = np.linalg.norm(lam * u - rhs) / np.linalg.norm(rhs)
     assert res < 1e-12
 
 
@@ -200,14 +196,13 @@ def test_brusselator_equilibrium_is_fixed_point(decay_in_linear):
     grid = SphereGrid(cfg.degree)
     nl = pseudospectral(lambda u, v: M.brusselator_nonlinearities(u, v, cfg), grid)
     u_e, v_e = cfg.equilibrium()
-    u0 = SphHarmCoeffs(cfg.degree)
-    v0 = SphHarmCoeffs(cfg.degree)
-    u0.set(0, 0, u_e * math.sqrt(4.0 * math.pi))
-    v0.set(0, 0, v_e * math.sqrt(4.0 * math.pi))
-    fu, fv = (SphHarmCoeffs(cfg.degree, d)
-              for d in evolve(np.stack([u0.data, v0.data]), ops, nl, cfg.h, cfg.steps))
-    assert np.abs(fu.data - u0.data).max() <= 1e-12
-    assert np.abs(fv.data - v0.data).max() <= 1e-12
+    u0 = np.zeros((cfg.degree + 1, 2 * cfg.degree + 1))
+    v0 = np.zeros((cfg.degree + 1, 2 * cfg.degree + 1))
+    u0[slot(cfg.degree, 0, 0)] = u_e * math.sqrt(4.0 * math.pi)
+    v0[slot(cfg.degree, 0, 0)] = v_e * math.sqrt(4.0 * math.pi)
+    fu, fv = evolve(np.stack([u0, v0]), ops, nl, cfg.h, cfg.steps)
+    assert np.abs(fu - u0).max() <= 1e-12
+    assert np.abs(fv - v0).max() <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -216,14 +211,14 @@ def test_brusselator_equilibrium_is_fixed_point(decay_in_linear):
 
 def test_energy_constant_one_is_zero():
     spec = local_spectrum(4)
-    c = SphHarmCoeffs(4)
-    c.set(0, 0, math.sqrt(4.0 * math.pi))
+    c = np.zeros((5, 9))
+    c[slot(4, 0, 0)] = math.sqrt(4.0 * math.pi)
     assert M.ginzburg_landau_energy(c, spec, 0.1) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_energy_zero_field_is_pi():
     spec = local_spectrum(4)
-    c = SphHarmCoeffs(4)
+    c = np.zeros((5, 9))
     assert M.ginzburg_landau_energy(c, spec, 0.1) == pytest.approx(
         math.pi, rel=1e-15
     )
@@ -231,8 +226,8 @@ def test_energy_zero_field_is_pi():
 
 def test_energy_single_mode_example():
     spec = local_spectrum(4)
-    c = SphHarmCoeffs(4)
-    c.set(2, 0, 1.0)
+    c = np.zeros((5, 9))
+    c[slot(4, 2, 0)] = 1.0
     want = 0.03 + GL_QUARTIC_U20
     got = M.ginzburg_landau_energy(c, spec, 0.1)
     assert got == pytest.approx(want, rel=1e-13)
@@ -243,13 +238,11 @@ def test_energy_single_mode_example():
 
 def test_energy_validation():
     spec = local_spectrum(4)
-    c = SphHarmCoeffs(4)
+    c = np.zeros((5, 9))
     with pytest.raises(ValueError):
         M.ginzburg_landau_energy(c, local_spectrum(5), 0.1)
     with pytest.raises(ValueError):
         M.ginzburg_landau_energy(c, spec, 0.1, grid=SphereGrid(3))
-    with pytest.raises(TypeError):
-        M.ginzburg_landau_energy(np.zeros((5, 9)), spec, 0.1)
 
 
 def test_energy_refuses_grids_below_twice_the_field_degree():
@@ -263,7 +256,7 @@ def test_energy_refuses_grids_below_twice_the_field_degree():
         with pytest.raises(ValueError, match=f"grid degree {degree} is below 2n = {2 * n}"):
             M.ginzburg_landau_energy(u, spec, 0.1, grid=grid)
         with pytest.raises(ValueError, match=f"grid degree {degree} is below 2n = {2 * n}"):
-            M.EnergyRecorder(spec, 0.1, grid)(0, 0.0, u.data[None])
+            M.EnergyRecorder(spec, 0.1, grid)(0, 0.0, u[None])
     exact = M.ginzburg_landau_energy(u, spec, 0.1, grid=SphereGrid(2 * n))
     assert exact == pytest.approx(M.ginzburg_landau_energy(u, spec, 0.1), rel=1e-13, abs=0)
 
@@ -271,7 +264,7 @@ def test_energy_refuses_grids_below_twice_the_field_degree():
 def _energy_by_embedding(u, spec, epsilon, grid):
     # the zero-padded route: degree-2n coefficients and degree-2n tables
     lam = DiagonalOperator(spec.values).dense()
-    linear = -0.5 * epsilon**2 * float(np.sum(lam * u.data * u.data))
+    linear = -0.5 * epsilon**2 * float(np.sum(lam * u * u))
     vals = synthesis(M.embed(u, grid.degree), grid)
     return linear + 0.25 * M.integrate_grid((vals * vals - 1.0) ** 2, grid)
 
@@ -290,15 +283,15 @@ def _dense_values(u, grid):
     """u at the grid nodes from dense products: each order's Legendre table
     at every colatitude times its sin(m phi), cos(m phi) on the grid's
     longitudes."""
-    n, phi = u.degree, grid.lon_nodes
+    n, phi = len(u) - 1, grid.lon_nodes
     values = np.zeros((grid.degree + 1, phi.size))
     for m in range(n + 1):
         table = assoc_legendre_table(m, n, grid.colat_cos)
-        cos = u.data[: n - m + 1, 2 * m] @ table
+        cos = u[: n - m + 1, 2 * m] @ table
         if m == 0:
             values += cos[:, None] / math.sqrt(2.0 * math.pi)
             continue
-        sin = u.data[: n - m + 1, 2 * m - 1] @ table
+        sin = u[: n - m + 1, 2 * m - 1] @ table
         values += (np.outer(sin, np.sin(m * phi)) + np.outer(cos, np.cos(m * phi))) / math.sqrt(math.pi)
     return values
 
@@ -316,7 +309,7 @@ def test_energy_matches_a_dense_evaluation_on_the_2n_grid(n):
     fine = SphereGrid(2 * n)
     vals = _dense_values(u, fine)
     quartic = float(fine.colat_weights @ ((vals * vals - 1.0) ** 2).sum(axis=1))
-    want = (-0.5 * 0.1**2 * float(np.sum(lam * u.data * u.data))
+    want = (-0.5 * 0.1**2 * float(np.sum(lam * u * u))
             + 0.25 * quartic * 2.0 * np.pi / (4 * n + 1))
     assert M.ginzburg_landau_energy(u, spec, 0.1) == pytest.approx(want, rel=5e-15, abs=0)
 
@@ -344,7 +337,7 @@ def test_energy_decreases_along_allen_cahn_flow(kernel):
     grid = SphereGrid(cfg.degree)
     u0 = analysis(M.cos10xy(grid), grid)
     rec = M.EnergyRecorder(spec, cfg.epsilon)
-    evolve(u0.data[None], [M.allen_cahn_operator(cfg, spec)],
+    evolve(u0[None], [M.allen_cahn_operator(cfg, spec)],
            pseudospectral(M.allen_cahn_nonlinearity, grid),
            cfg.h, cfg.steps, observers=[rec], observer_stride=1)
     e = np.array(rec.energies)
@@ -385,21 +378,21 @@ def test_cesaro_apply_identity_and_constant():
     c = random_field(6, seed=3)
     out = M.cesaro_apply(c, 0)
     assert out is not c
-    np.testing.assert_array_equal(out.data, c.data)
-    const = SphHarmCoeffs(6)
-    const.set(0, 0, 2.5)
+    np.testing.assert_array_equal(out, c)
+    const = np.zeros((7, 13))
+    const[slot(6, 0, 0)] = 2.5
     for kappa in (1, 2, 5):
-        assert M.cesaro_apply(const, kappa).get(0, 0) == 2.5
+        assert M.cesaro_apply(const, kappa)[slot(6, 0, 0)] == 2.5
 
 
 def test_cesaro_apply_scales_by_degree():
-    c = SphHarmCoeffs(5)
-    c.set(3, -2, 2.0)
-    c.set(5, 0, 1.0)
+    c = np.zeros((6, 11))
+    c[slot(5, 3, -2)] = 2.0
+    c[slot(5, 5, 0)] = 1.0
     out = M.cesaro_apply(c, 2)
     w = M.cesaro_weights(5, 2)
-    assert out.get(3, -2) == pytest.approx(2.0 * w.factors[3], rel=1e-15)
-    assert out.get(5, 0) == pytest.approx(w.factors[5], rel=1e-15)
+    assert out[slot(5, 3, -2)] == pytest.approx(2.0 * w.factors[3], rel=1e-15)
+    assert out[slot(5, 5, 0)] == pytest.approx(w.factors[5], rel=1e-15)
     with pytest.raises(ValueError):
         M.cesaro_apply(c, -1)
 
@@ -420,11 +413,11 @@ def test_gibbs_overshoot_removed_by_cesaro():
 def test_north_south_step_coefficients():
     c = M.north_south_step(7)
     # u_1^0 = sqrt(2 pi) * sqrt(3/2): classical 3/2 * P_1 leading term
-    assert c.get(1, 0) == pytest.approx(math.sqrt(2 * math.pi * 1.5), rel=1e-14)
+    assert c[slot(7, 1, 0)] == pytest.approx(math.sqrt(2 * math.pi * 1.5), rel=1e-14)
     # even and off-zonal slots vanish
-    assert c.get(2, 0) == 0.0
-    assert c.get(4, 0) == 0.0
-    assert c.get(3, 1) == 0.0
+    assert c[slot(7, 2, 0)] == 0.0
+    assert c[slot(7, 4, 0)] == 0.0
+    assert c[slot(7, 3, 1)] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -434,21 +427,21 @@ def test_north_south_step_coefficients():
 def test_random_coeffs_deterministic_and_scaled():
     a = M.random_coeffs(10, 20, 1.0, 42)
     b = M.random_coeffs(10, 20, 1.0, 42)
-    np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(a, b)
     c = M.random_coeffs(10, 20, 0.5, 42)
-    np.testing.assert_allclose(c.data, 0.5 * a.data, rtol=0, atol=0)
+    np.testing.assert_allclose(c, 0.5 * a, rtol=0, atol=0)
     d = M.random_coeffs(10, 20, 1.0, 43)
-    assert not np.array_equal(d.data, a.data)
+    assert not np.array_equal(d, a)
 
 
 def test_random_coeffs_zero_scale_and_cap():
     z = M.random_coeffs(5, 9, 0.0, 7)
-    assert np.all(z.data == 0.0)
+    assert np.all(z == 0.0)
     r = M.random_coeffs(3, 9, 1.0, 7)
     for ell in range(4, 10):
         for m in range(-ell, ell + 1):
-            assert r.get(ell, m) == 0.0
-    filled = [r.get(ell, m) for ell in range(4) for m in range(-ell, ell + 1)]
+            assert r[slot(9, ell, m)] == 0.0
+    filled = [r[slot(9, ell, m)] for ell in range(4) for m in range(-ell, ell + 1)]
     assert all(v != 0.0 for v in filled)
     with pytest.raises(ValueError):
         M.random_coeffs(10, 9, 1.0, 7)
@@ -461,8 +454,8 @@ def test_random_coeffs_zero_scale_and_cap():
 def test_random_coeffs_variance():
     big = M.random_coeffs(315, 315, 1.0, 0)
     vals = np.concatenate(
-        [big.data[:, 0]]
-        + [big.data[: 315 - m + 1, col] for m in range(1, 316)
+        [big[:, 0]]
+        + [big[: 315 - m + 1, col] for m in range(1, 316)
            for col in (2 * m - 1, 2 * m)]
     )
     assert vals.size == 316**2
@@ -474,8 +467,8 @@ def test_embed_preserves_modes():
     big = M.embed(c, 9)
     for ell in range(5):
         for m in range(-ell, ell + 1):
-            assert big.get(ell, m) == c.get(ell, m)
-    assert big.get(7, 3) == 0.0
+            assert big[slot(9, ell, m)] == c[slot(4, ell, m)]
+    assert big[slot(9, 7, 3)] == 0.0
     with pytest.raises(ValueError):
         M.embed(big, 4)
 

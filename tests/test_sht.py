@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 import scipy.special
 
+from nlsphere import models as M
 from nlsphere.cli import main
 from nlsphere.specfun import assoc_legendre_table
+from nlsphere.spectrum import local_spectrum
 from nlsphere.sht import (
     _TABLE_CACHE_MAX_DEGREE,
-    SphHarmCoeffs,
     SphereGrid,
     _is_prime,
     _layout,
@@ -27,6 +28,7 @@ from nlsphere.sht import (
     mean,
     read_coeffs,
     relative_error_2norm,
+    slot,
     synthesis,
     write_coeffs,
     write_grid_values,
@@ -37,7 +39,7 @@ def random_coeffs(n, seed):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n + 1, 2 * n + 1))
     data[~_layout(n)[1]] = 0.0
-    return SphHarmCoeffs(n, data)
+    return data
 
 
 def naive_basis(ell, m, theta, phi):
@@ -63,41 +65,61 @@ def naive_basis(ell, m, theta, phi):
 # ----------------------------------------------------------------------
 
 def test_slot_addressing_roundtrip():
-    c = SphHarmCoeffs(5)
-    c.set(3, -2, 1.5)
-    c.set(3, 2, -0.5)
-    c.set(4, 0, 2.0)
-    assert c.get(3, -2) == 1.5
-    assert c.get(3, 2) == -0.5
-    assert c.get(4, 0) == 2.0
+    c = np.zeros((6, 11))
+    c[slot(5, 3, -2)] = 1.5
+    c[slot(5, 3, 2)] = -0.5
+    c[slot(5, 4, 0)] = 2.0
+    assert c[slot(5, 3, -2)] == 1.5
+    assert c[slot(5, 3, 2)] == -0.5
+    assert c[slot(5, 4, 0)] == 2.0
     # layout positions per the storage convention
-    assert c.data[3 - 2, 2 * 2 - 1] == 1.5
-    assert c.data[3 - 2, 2 * 2] == -0.5
-    assert c.data[4, 0] == 2.0
+    assert c[3 - 2, 2 * 2 - 1] == 1.5
+    assert c[3 - 2, 2 * 2] == -0.5
+    assert c[4, 0] == 2.0
+    # the slot of (ell, m) does not depend on the layout degree
+    assert slot(9, 3, -2) == slot(5, 3, -2) == (1, 3)
 
 
 def test_slot_bounds_checked():
-    c = SphHarmCoeffs(4)
     with pytest.raises(ValueError):
-        c.get(5, 0)
+        slot(4, 5, 0)
     with pytest.raises(ValueError):
-        c.get(3, 4)
+        slot(4, 3, 4)
     with pytest.raises(ValueError):
-        c.set(2, -3, 1.0)
+        slot(4, 2, -3)
 
 
-def test_structural_zeros_enforced_on_construction():
-    n = 3
-    data = np.zeros((4, 7))
-    data[3, 5] = 1.0  # would be degree 3+... beyond the m=3 triangle
-    ok = SphHarmCoeffs(n, np.zeros((4, 7)))
-    assert ok.degree == 3
+def test_structural_zeros_enforced_on_construction(tmp_path):
+    # a file comes from outside the program, so reading one checks the
+    # slots below the stored triangle and names the file and line
+    path = tmp_path / "c.csv"
+    write_coeffs(np.zeros((4, 7)), path, comment="a comment")
+    assert read_coeffs(path).shape == (4, 7)
     data = np.zeros((4, 7))
     data[2, 5] = 1.0  # m=3 column admits only row 0 (ell=3)
-    with pytest.raises(ValueError):
-        SphHarmCoeffs(n, data)
-    with pytest.raises(ValueError):
-        SphHarmCoeffs(3, np.zeros((4, 6)))
+    write_coeffs(data, path, comment="a comment")
+    # the header and the comment take lines 1 and 2, so row 2 is line 5
+    with pytest.raises(ValueError) as info:
+        read_coeffs(path)
+    assert str(info.value) == f"{path}, line 5: column 6 is a structural zero of the layout, got 1"
+
+
+SHAPE_CHECKED = {
+    "write_coeffs": lambda c: write_coeffs(c, "unused.csv"),
+    "embed": lambda c: M.embed(c, 5),
+    "cesaro_apply": lambda c: M.cesaro_apply(c, 2),
+    "mean": mean,
+    "ginzburg_landau_energy": lambda c: M.ginzburg_landau_energy(c, local_spectrum(3), 0.1),
+    "solve_poisson": lambda c: M.solve_poisson(c, local_spectrum(3)),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_CHECKED)
+def test_one_field_functions_check_the_coefficient_shape(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    SHAPE_CHECKED[name](np.zeros((4, 7)))
+    with pytest.raises(ValueError, match=r"shape \(4, 6\) is not \(n\+1, 2n\+1\)"):
+        SHAPE_CHECKED[name](np.zeros((4, 6)))
 
 
 def test_grid_geometry():
@@ -117,16 +139,16 @@ def test_grid_geometry():
 
 def test_synthesis_constant_field():
     n = 6
-    c = SphHarmCoeffs(n)
-    c.set(0, 0, math.sqrt(4.0 * math.pi))
+    c = np.zeros((n + 1, 2 * n + 1))
+    c[slot(n, 0, 0)] = math.sqrt(4.0 * math.pi)
     vals = synthesis(c, SphereGrid(n))
     np.testing.assert_allclose(vals, 1.0, rtol=1e-14)
 
 
 def test_synthesis_cos_theta_mode():
     n = 5
-    c = SphHarmCoeffs(n)
-    c.set(1, 0, 1.0)
+    c = np.zeros((n + 1, 2 * n + 1))
+    c[slot(n, 1, 0)] = 1.0
     grid = SphereGrid(n)
     vals = synthesis(c, grid)
     expected = math.sqrt(3.0 / (4.0 * math.pi)) * np.cos(grid.colat_nodes)
@@ -149,13 +171,13 @@ def test_synthesis_matches_naive_evaluator():
             total = 0.0
             for ell in range(n + 1):
                 for m in range(-ell, ell + 1):
-                    total += c.get(ell, m) * naive_basis(ell, m, theta, phi)
+                    total += c[slot(n, ell, m)] * naive_basis(ell, m, theta, phi)
             assert abs(vals[i, j] - total) <= 1e-12
 
 
 def test_synthesis_degree_mismatch():
     with pytest.raises(ValueError):
-        synthesis(SphHarmCoeffs(4), SphereGrid(5))
+        synthesis(np.zeros((5, 9)), SphereGrid(5))
 
 
 # ----------------------------------------------------------------------
@@ -169,15 +191,15 @@ def test_roundtrip_identity(n):
     c = random_coeffs(n, seed=n)
     grid = SphereGrid(n)
     back = analysis(synthesis(c, grid), grid)
-    assert np.max(np.abs(back.data - c.data)) <= 1e-12
+    assert np.max(np.abs(back - c)) <= 1e-12
 
 
 def test_analysis_constant_field():
     n = 8
     grid = SphereGrid(n)
     c = analysis(np.ones((n + 1, 2 * n + 1)), grid)
-    assert c.get(0, 0) == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-14)
-    rest = c.data.copy()
+    assert c[slot(n, 0, 0)] == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-14)
+    rest = c.copy()
     rest[0, 0] = 0.0
     assert np.max(np.abs(rest)) <= 1e-13
 
@@ -187,8 +209,8 @@ def test_analysis_cos_theta_field():
     grid = SphereGrid(n)
     vals = np.cos(grid.colat_nodes)[:, None] * np.ones((1, 2 * n + 1))
     c = analysis(vals, grid)
-    assert c.get(1, 0) == pytest.approx(math.sqrt(4.0 * math.pi / 3.0), rel=1e-14)
-    rest = c.data.copy()
+    assert c[slot(n, 1, 0)] == pytest.approx(math.sqrt(4.0 * math.pi / 3.0), rel=1e-14)
+    rest = c.copy()
     rest[1, 0] = 0.0
     assert np.max(np.abs(rest)) <= 1e-14
 
@@ -204,7 +226,7 @@ def test_structural_zeros_preserved_by_transforms():
     grid = SphereGrid(n)
     back = analysis(synthesis(c, grid), grid)
     _, valid = _layout(n)
-    assert np.all(back.data[~valid] == 0.0)
+    assert np.all(back[~valid] == 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -212,11 +234,11 @@ def test_structural_zeros_preserved_by_transforms():
 # ----------------------------------------------------------------------
 
 def test_mean_examples():
-    c = SphHarmCoeffs(5)
-    c.set(0, 0, math.sqrt(4.0 * math.pi))
+    c = np.zeros((6, 11))
+    c[slot(5, 0, 0)] = math.sqrt(4.0 * math.pi)
     assert mean(c) == pytest.approx(4.0 * math.pi, rel=1e-15)
-    c = SphHarmCoeffs(5)
-    c.set(5, 3, 2.0)
+    c = np.zeros((6, 11))
+    c[slot(5, 5, 3)] = 2.0
     assert mean(c) == 0.0
 
 
@@ -239,20 +261,20 @@ def test_parseval(n):
     quad = float(
         (grid.colat_weights @ (vals * vals)).sum() * (2.0 * np.pi / (2 * n + 1))
     )
-    coeff_sum = float(np.sum(c.data * c.data))
+    coeff_sum = float(np.sum(c * c))
     assert quad == pytest.approx(coeff_sum, rel=1e-11)
 
 
 def test_relative_error_2norm_definition():
     a = random_coeffs(6, seed=1)
     b = random_coeffs(6, seed=2)
-    expect = np.linalg.norm(a.data - b.data) / np.linalg.norm(b.data)
+    expect = np.linalg.norm(a - b) / np.linalg.norm(b)
     assert relative_error_2norm(a, b) == pytest.approx(expect, rel=1e-15)
     assert relative_error_2norm(a, a) == 0.0
     with pytest.raises(ValueError):
-        relative_error_2norm(a, SphHarmCoeffs(5))
+        relative_error_2norm(a, np.zeros((6, 11)))
     with pytest.raises(ValueError):
-        relative_error_2norm(a, SphHarmCoeffs(6))  # zero reference
+        relative_error_2norm(a, np.zeros((7, 13)))  # zero reference
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +288,8 @@ def test_coeff_file_roundtrip(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == "# sht-coeffs v1 degree=9"
     back = read_coeffs(path)
-    assert back.degree == 9
-    np.testing.assert_array_equal(back.data, c.data)
+    assert back.shape == (10, 19)
+    np.testing.assert_array_equal(back, c)
     # deterministic bytes
     path2 = tmp_path / "c2.csv"
     write_coeffs(c, path2, comment="test field")
@@ -284,8 +306,8 @@ def test_read_coeffs_rejects_other_files(tmp_path):
 def test_grid_values_file(tmp_path):
     n = 3
     grid = SphereGrid(n)
-    c = SphHarmCoeffs(n)
-    c.set(0, 0, math.sqrt(4.0 * math.pi))
+    c = np.zeros((n + 1, 2 * n + 1))
+    c[slot(n, 0, 0)] = math.sqrt(4.0 * math.pi)
     vals = synthesis(c, grid)
     path = tmp_path / "g.csv"
     write_grid_values(vals, grid, path)
@@ -300,10 +322,10 @@ def test_grid_values_file(tmp_path):
 
 def _old_write_coeffs(coeffs, path, comment=None):
     # per-value formatting of the first file-format version
-    lines = [f"# sht-coeffs v1 degree={coeffs.degree}"]
+    lines = [f"# sht-coeffs v1 degree={len(coeffs) - 1}"]
     if comment:
         lines.append(f"# {comment}")
-    for row in coeffs.data:
+    for row in coeffs:
         lines.append(",".join(f"{v:.17g}" for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -351,7 +373,7 @@ def test_writers_match_per_value_formatting(tmp_path, n):
     vals = synthesis(c, grid)
     # special values in valid slots of the layout and at grid points
     slots = np.flatnonzero(_layout(n)[1])[: len(SPECIAL_VALUES)]
-    c.data.flat[slots] = SPECIAL_VALUES[: len(slots)]
+    c.flat[slots] = SPECIAL_VALUES[: len(slots)]
     vals.flat[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: vals.size]
     for comment in (None, "a comment"):
         write_coeffs(c, tmp_path / "new_c.csv", comment=comment)
@@ -411,7 +433,7 @@ def test_cli_outputs_match_per_value_formatting(tmp_path):
 def test_read_coeffs_matches_per_token_float(tmp_path):
     n = 3
     c = random_coeffs(n, seed=3)
-    rows = [[f"{v:.17g}" for v in row] for row in c.data.tolist()]
+    rows = [[f"{v:.17g}" for v in row] for row in c.tolist()]
     # every special value, and other spellings float() reads, in valid slots
     tokens = [f"{v:.17g}" for v in SPECIAL_VALUES] + ["-nan", "Infinity", "+1", "1e400", "1E-400"]
     slots = np.flatnonzero(_layout(n)[1])
@@ -423,7 +445,7 @@ def test_read_coeffs_matches_per_token_float(tmp_path):
                     + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
     expected = np.array([[float(tok) for tok in row] for row in rows])
     back = read_coeffs(path)
-    np.testing.assert_array_equal(back.data.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(back.view(np.uint64), expected.view(np.uint64))
 
 
 #: each malformed body and where its error points: the 1-based file line
@@ -439,6 +461,8 @@ MALFORMED_BODIES = {
     # loadtxt skips only lines empty before their comment
     "1,0,0,0,0\n   \n2,0,0,0,0\n3,0,0,0,0\n": "line 3: column 1 is empty",
     "1,0,0,0,0\n2,0,,0,0\n3,0,0,0,0\n": "line 3: column 3 is empty",
+    # row 2 holds m = 2 only at degree 4, beyond the layout
+    "1,0,0,0,0\n2,0,0,0,0\n3,0,0,0,5\n": "line 4: column 5 is a structural zero",
 }
 
 
@@ -478,13 +502,13 @@ def test_grid_writer_streams(tmp_path):
 
 def naive_synthesis(c, grid):
     """Every mode evaluated at every grid point through scipy."""
-    n = c.degree
+    n = len(c) - 1
     theta = grid.colat_nodes[:, None]
     phi = grid.lon_nodes[None, :]
     out = np.zeros((n + 1, 2 * n + 1))
     for ell in range(n + 1):
         for m in range(-ell, ell + 1):
-            out += c.get(ell, m) * np.vectorize(naive_basis)(ell, m, theta, phi)
+            out += c[slot(n, ell, m)] * np.vectorize(naive_basis)(ell, m, theta, phi)
     return out
 
 
@@ -499,21 +523,21 @@ def test_parity_fold_matches_naive_evaluator_and_round_trips(n):
     vals = synthesis(c, grid)
     assert np.max(np.abs(vals - naive_synthesis(c, grid))) <= 1e-12
     back = analysis(vals, grid)
-    assert np.max(np.abs(back.data - c.data)) <= 1e-12
+    assert np.max(np.abs(back - c)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [5, 40])
 def test_stacked_fields_match_single_fields(n):
     grid = SphereGrid(n)
     a, b = random_coeffs(n, seed=1), random_coeffs(n, seed=2)
-    stacked = synthesis(np.stack([a.data, b.data]), grid)
+    stacked = synthesis(np.stack([a, b]), grid)
     assert stacked.shape == (2, n + 1, 2 * n + 1)
     for field, single in zip(stacked, (a, b)):
         np.testing.assert_allclose(field, synthesis(single, grid), rtol=0, atol=1e-14)
     back = analysis(stacked, grid)
     assert isinstance(back, np.ndarray) and back.shape == (2, n + 1, 2 * n + 1)
     for field, values in zip(back, stacked):
-        np.testing.assert_allclose(field, analysis(values, grid).data, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(field, analysis(values, grid), rtol=0, atol=1e-14)
 
 
 def test_stack_shape_checked():
@@ -567,7 +591,7 @@ def test_round_trip_above_cache_limit_keeps_no_tables():
     data[~_layout(n)[1]] = 0.0
     grid = SphereGrid(n)
     back = analysis(synthesis(data, grid), grid)
-    assert np.max(np.abs(back.data - data)) <= 1e-12
+    assert np.max(np.abs(back - data)) <= 1e-12
     assert grid._tables == {}
 
 
@@ -720,7 +744,7 @@ def test_stacked_transforms_match_one_field_transforms(n, k):
     for field in range(k):
         single = synthesis(data[field], grid)
         assert np.max(np.abs(values[field] - single)) <= 1e-14 * np.max(np.abs(values))
-        assert np.max(np.abs(coeffs[field] - analysis(single, grid).data)) <= 1e-14 * np.max(
+        assert np.max(np.abs(coeffs[field] - analysis(single, grid))) <= 1e-14 * np.max(
             np.abs(data))
 
 
@@ -743,7 +767,7 @@ def test_only_composite_longitude_counts_use_the_fft(monkeypatch, n):
     grid = SphereGrid(n)
     c = random_coeffs(n, seed=n)
     if grid._dense_longitudes:
-        assert np.max(np.abs(analysis(synthesis(c, grid), grid).data - c.data)) <= 1e-13
+        assert np.max(np.abs(analysis(synthesis(c, grid), grid) - c)) <= 1e-13
     else:
         with pytest.raises(AssertionError, match="numpy.fft"):
             synthesis(c, grid)
@@ -760,8 +784,8 @@ def test_grids_with_more_longitudes_stay_exact(longitudes):
     c = random_coeffs(n, seed=longitudes)
     values = synthesis(c, grid)
     assert values.shape == (n + 1, longitudes)
-    assert np.max(np.abs(values - dense_synthesis(c.data[None], grid)[0])) <= 1e-13
-    assert np.max(np.abs(analysis(values, grid).data - c.data)) <= 1e-13
+    assert np.max(np.abs(values - dense_synthesis(c[None], grid)[0])) <= 1e-13
+    assert np.max(np.abs(analysis(values, grid) - c)) <= 1e-13
     with pytest.raises(ValueError):
         write_grid_values(values, grid, "unused.csv")
 

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nlsphere.sht import SphHarmCoeffs, SphereGrid, analysis, synthesis
+from nlsphere.sht import SphereGrid, analysis, slot, synthesis
 from nlsphere.spectrum import local_spectrum
 from nlsphere.timestep import (
     BlowUpError,
@@ -31,18 +31,17 @@ from nlsphere.timestep import (
 
 
 def scalar_state(value):
-    c = SphHarmCoeffs(0)
-    c.set(0, 0, value)
-    return c
+    """(1, 1) coefficients of the degree-0 field with u_0^0 = value."""
+    return np.full((1, 1), float(value))
+
+
+def zeros(n):
+    return np.zeros((n + 1, 2 * n + 1))
 
 
 def stacked(*fields):
-    """(k, n+1, 2n+1) integrator state of k coefficient sets."""
-    return np.stack([f.data for f in fields])
-
-
-def unstacked(state):
-    return [SphHarmCoeffs(state.shape[1] - 1, d) for d in state]
+    """(k, n+1, 2n+1) integrator state of k coefficient arrays."""
+    return np.stack(fields)
 
 
 def zero(state):
@@ -129,15 +128,15 @@ def test_step_linear_exactness():
     # N = 0: the step is exactly the per-mode exponential
     n = 6
     rng = np.random.default_rng(5)
-    c = SphHarmCoeffs(n)
+    c = zeros(n)
     for ell in range(n + 1):
         for m in range(-ell, ell + 1):
-            c.set(ell, m, rng.standard_normal())
+            c[slot(n, ell, m)] = rng.standard_normal()
     op = DiagonalOperator.from_spectrum(local_spectrum(n))
     tables = etdrk4_tables([op], 0.37)
-    (out,) = unstacked(etdrk4_step(stacked(c), tables, zero))
-    expected = np.exp(0.37 * op.dense()) * c.data
-    np.testing.assert_allclose(out.data, expected, rtol=1e-14, atol=0)
+    (out,) = etdrk4_step(stacked(c), tables, zero)
+    expected = np.exp(0.37 * op.dense()) * c
+    np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0)
 
 
 def test_step_constant_nonlinearity_quadrature_identity():
@@ -145,12 +144,12 @@ def test_step_constant_nonlinearity_quadrature_identity():
     h = 0.25
     op = DiagonalOperator(np.array([0.0, 0.0, 0.0]))
     tables = etdrk4_tables([op], h)
-    const = SphHarmCoeffs(2)
-    const.set(1, 1, 3.0)
-    state = SphHarmCoeffs(2)
-    state.set(1, 1, 1.0)
-    (out,) = unstacked(etdrk4_step(stacked(state), tables, lambda s: stacked(const)))
-    assert out.get(1, 1) == pytest.approx(1.0 + h * 3.0, rel=1e-13)
+    const = zeros(2)
+    const[slot(2, 1, 1)] = 3.0
+    state = zeros(2)
+    state[slot(2, 1, 1)] = 1.0
+    (out,) = etdrk4_step(stacked(state), tables, lambda s: stacked(const))
+    assert out[slot(2, 1, 1)] == pytest.approx(1.0 + h * 3.0, rel=1e-13)
 
 
 def test_step_scalar_ode_against_fine_rk4():
@@ -158,7 +157,7 @@ def test_step_scalar_ode_against_fine_rk4():
     op = DiagonalOperator(np.array([lam]))
     tables = etdrk4_tables([op], h)
     square = lambda s: s * s
-    (out,) = unstacked(etdrk4_step(stacked(scalar_state(u0)), tables, square))
+    (out,) = etdrk4_step(stacked(scalar_state(u0)), tables, square)
     # classical RK4 at h = 1e-5 over the same interval
     f = lambda u: lam * u + u * u
     u = u0
@@ -169,9 +168,9 @@ def test_step_scalar_ode_against_fine_rk4():
         k3 = f(u + 0.5 * hh * k2)
         k4 = f(u + hh * k3)
         u += hh / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert out.get(0, 0) == pytest.approx(u, abs=1e-9)
+    assert out[0, 0] == pytest.approx(u, abs=1e-9)
     # and against the closed form
-    assert out.get(0, 0) == pytest.approx(exact_bernoulli(u0, h), abs=1e-9)
+    assert out[0, 0] == pytest.approx(exact_bernoulli(u0, h), abs=1e-9)
 
 
 def test_scalar_ode_fourth_order_convergence():
@@ -183,8 +182,8 @@ def test_scalar_ode_fourth_order_convergence():
     hs = [0.1 * 2.0**-i for i in range(5)]
     for h in hs:
         state = scalar_state(u0)
-        (state,) = unstacked(evolve(stacked(state), [op], square, h, round(T / h)))
-        errs.append(abs(state.get(0, 0) - exact))
+        (state,) = evolve(stacked(state), [op], square, h, round(T / h))
+        errs.append(abs(state[0, 0] - exact))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 3.8 <= slope <= 4.2
 
@@ -208,28 +207,28 @@ def test_step_blow_up_detection():
 def test_evolve_mean_mode_constant_under_diffusion():
     n = 8
     rng = np.random.default_rng(2)
-    c = SphHarmCoeffs(n)
+    c = zeros(n)
     for ell in range(n + 1):
-        c.set(ell, 0, rng.standard_normal())
-    c.set(0, 0, 1.2345)
+        c[slot(n, ell, 0)] = rng.standard_normal()
+    c[slot(n, 0, 0)] = 1.2345
     op = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=0.01)
-    (out,) = unstacked(evolve(stacked(c), [op], zero, h=0.1, steps=25))
-    assert out.get(0, 0) == 1.2345
+    (out,) = evolve(stacked(c), [op], zero, h=0.1, steps=25)
+    assert out[slot(n, 0, 0)] == 1.2345
 
 
 def test_evolve_heat_decay_single_mode():
     n = 8
     eps = 0.3
-    c = SphHarmCoeffs(n)
-    c.set(5, 2, 0.75)
+    c = zeros(n)
+    c[slot(n, 5, 2)] = 0.75
     op = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=eps * eps)
     T, h = 2.0, 0.125
-    (out,) = unstacked(evolve(stacked(c), [op], zero, h, round(T / h)))
+    (out,) = evolve(stacked(c), [op], zero, h, round(T / h))
     expected = 0.75 * math.exp(-30.0 * eps * eps * T)
-    assert out.get(5, 2) == pytest.approx(expected, rel=1e-12)
+    assert out[slot(n, 5, 2)] == pytest.approx(expected, rel=1e-12)
     # every other mode stays exactly zero
-    out.set(5, 2, 0.0)
-    assert np.all(out.data == 0.0)
+    out[slot(n, 5, 2)] = 0.0
+    assert np.all(out == 0.0)
 
 
 def test_evolve_observers_stride_and_times():
@@ -242,16 +241,15 @@ def test_evolve_observers_stride_and_times():
 
 def test_evolve_coupled_fields_tuple_path():
     n = 3
-    u = SphHarmCoeffs(n)
-    v = SphHarmCoeffs(n)
-    u.set(2, 1, 1.0)
-    v.set(1, 0, 2.0)
+    u, v = zeros(n), zeros(n)
+    u[slot(n, 2, 1)] = 1.0
+    v[slot(n, 1, 0)] = 2.0
     op_u = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=1.0)
     op_v = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=0.5)
     T, h = 1.0, 0.1
-    fu, fv = unstacked(evolve(stacked(u, v), [op_u, op_v], zero, h, round(T / h)))
-    assert fu.get(2, 1) == pytest.approx(math.exp(-6.0 * T), rel=1e-12)
-    assert fv.get(1, 0) == pytest.approx(2.0 * math.exp(-1.0 * T), rel=1e-12)
+    fu, fv = evolve(stacked(u, v), [op_u, op_v], zero, h, round(T / h))
+    assert fu[slot(n, 2, 1)] == pytest.approx(math.exp(-6.0 * T), rel=1e-12)
+    assert fv[slot(n, 1, 0)] == pytest.approx(2.0 * math.exp(-1.0 * T), rel=1e-12)
 
 
 def test_evolve_stacked_fields_do_not_mix():
@@ -260,11 +258,11 @@ def test_evolve_stacked_fields_do_not_mix():
     n = 6
     grid = SphereGrid(n)
     rng = np.random.default_rng(11)
-    u, v = SphHarmCoeffs(n), SphHarmCoeffs(n)
+    u, v = zeros(n), zeros(n)
     for c in (u, v):
         for ell in range(n + 1):
             for m in range(-ell, ell + 1):
-                c.set(ell, m, 0.1 * rng.standard_normal())
+                c[slot(n, ell, m)] = 0.1 * rng.standard_normal()
     op_u = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=0.01)
     op_v = DiagonalOperator(np.linspace(0.0, -3.0, n + 1), prefactor=0.5)
     react_u = lambda a: a - a * a * a
@@ -288,7 +286,7 @@ def test_evolve_validation():
     with pytest.raises(ValueError):
         evolve(stacked(scalar_state(1.0)), [op, op], zero, h=0.1, steps=1)
     with pytest.raises(ValueError):
-        evolve(stacked(SphHarmCoeffs(2)), [op], zero, h=0.1, steps=1)
+        evolve(stacked(zeros(2)), [op], zero, h=0.1, steps=1)
 
 
 # ----------------------------------------------------------------------
@@ -299,25 +297,25 @@ def test_pseudospectral_identity_roundtrip():
     n = 10
     grid = SphereGrid(n)
     rng = np.random.default_rng(9)
-    c = SphHarmCoeffs(n)
+    c = zeros(n)
     for ell in range(n + 1):
         for m in range(-ell, ell + 1):
-            c.set(ell, m, rng.standard_normal())
+            c[slot(n, ell, m)] = rng.standard_normal()
     nl = pseudospectral(lambda v: v, grid)
-    (out,) = unstacked(nl(stacked(c)))
-    np.testing.assert_allclose(out.data, c.data, atol=1e-13)
+    (out,) = nl(stacked(c))
+    np.testing.assert_allclose(out, c, atol=1e-13)
 
 
 def test_pseudospectral_coupled_contract():
     n = 4
     grid = SphereGrid(n)
-    u, v = SphHarmCoeffs(n), SphHarmCoeffs(n)
-    u.set(0, 0, 1.0)
-    v.set(0, 0, 2.0)
+    u, v = zeros(n), zeros(n)
+    u[slot(n, 0, 0)] = 1.0
+    v[slot(n, 0, 0)] = 2.0
     nl = pseudospectral(lambda a, b: (b, a), grid)
-    ou, ov = unstacked(nl(stacked(u, v)))
-    assert ou.get(0, 0) == pytest.approx(2.0, rel=1e-13)
-    assert ov.get(0, 0) == pytest.approx(1.0, rel=1e-13)
+    ou, ov = nl(stacked(u, v))
+    assert ou[slot(n, 0, 0)] == pytest.approx(2.0, rel=1e-13)
+    assert ov[slot(n, 0, 0)] == pytest.approx(1.0, rel=1e-13)
     bad = pseudospectral(lambda a, b: a, grid)
     with pytest.raises(TypeError):
         bad(stacked(u, v))
