@@ -28,7 +28,6 @@ _EXPORTS = {
     # spectrum (the batch constructor shares the submodule's name; reach it
     # as nlsphere.spectrum.spectrum to avoid shadowing the module attribute)
     "KernelParams": "spectrum",
-    "Spectrum": "spectrum",
     "eigenvalue": "spectrum",
     "local_eigenvalue": "spectrum",
     "local_spectrum": "spectrum",
@@ -46,7 +45,6 @@ _EXPORTS = {
     "relative_error_2norm": "sht",
     "slot": "sht",
     # timestep
-    "DiagonalOperator": "timestep",
     "ETDRK4Tables": "timestep",
     "BlowUpError": "timestep",
     "StabilityWarning": "timestep",

@@ -7,15 +7,14 @@ expansions, and reproducible random fields.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import KernelParams, Spectrum, local_spectrum
+from .spectrum import KernelParams, local_spectrum
 from .spectrum import spectrum as _spectrum
-from .sht import SphereGrid, _degree, _layout, _synthesize, _write_csv, slot
-from .timestep import DiagonalOperator
+from .sht import SphereGrid, _degree, _layout, _per_degree, _synthesize, _write_csv, slot
 
 __all__ = [
     "solve_poisson",
@@ -28,7 +27,6 @@ __all__ = [
     "build_spectrum",
     "ginzburg_landau_energy",
     "EnergyRecorder",
-    "CesaroWeights",
     "cesaro_weights",
     "cesaro_apply",
     "random_coeffs",
@@ -41,12 +39,24 @@ __all__ = [
 
 
 def build_spectrum(degree, kernel=None):
-    """Eigenvalue table for a kernel, or the local spectrum if kernel is None."""
+    """Eigenvalues through ``degree`` for a kernel, or of the local operator
+    if kernel is None: a read-only float array of shape (degree+1,)."""
     if kernel is None:
         return local_spectrum(degree)
     if not isinstance(kernel, KernelParams):
         raise TypeError(f"kernel must be KernelParams or None, got {kernel!r}")
     return _spectrum(degree, kernel)
+
+
+def _check_spectrum(spec, degree, what):
+    """``spec`` as a float array, after checking that it holds one
+    eigenvalue per degree 0..``degree`` of ``what``; raises ValueError
+    otherwise."""
+    shape = np.shape(spec)
+    if shape != (degree + 1,):
+        found = f"spectrum {shape[0] - 1}" if len(shape) == 1 else f"spectrum of shape {shape}"
+        raise ValueError(f"degree mismatch: {what} {degree}, {found}")
+    return np.asarray(spec, dtype=float)
 
 
 def embed(coeffs, degree):
@@ -84,28 +94,28 @@ def integrate_grid(values, grid):
 
 def solve_poisson(rhs, spectrum):
     """Modewise division of the (n+1, 2n+1) right-hand side by the
-    degree-n ``spectrum``, with the mean pinned.
+    eigenvalues ``spectrum`` of shape (n+1,), with the mean pinned.
 
     The operator annihilates constants, so the mean slot is replaced by a
     unit entry: the solution inherits the mean of the right-hand side and
-    is otherwise u_l^m = f_l^m / lambda(l).
+    is otherwise u_l^m = f_l^m / lambda(l).  A spectrum of another shape,
+    a non-finite eigenvalue or lambda(0) != 0 raises ValueError, and a
+    zero eigenvalue above degree 0 ZeroDivisionError.
     """
-    if not isinstance(spectrum, Spectrum):
-        raise TypeError(f"spectrum must be Spectrum, got {spectrum!r}")
     n = _degree(rhs)
-    if n != spectrum.degree:
-        raise ValueError(f"degree mismatch: rhs {n}, spectrum {spectrum.degree}")
-    if spectrum.values[0] != 0.0:
-        raise ValueError(
-            f"spectrum must annihilate constants, got lambda(0) = {spectrum.values[0]}"
-        )
-    if np.any(spectrum.values[1:] == 0.0):
-        bad = 1 + int(np.flatnonzero(spectrum.values[1:] == 0.0)[0])
+    lam = _check_spectrum(spectrum, n, "rhs")
+    if not np.all(np.isfinite(lam)):
+        bad = int(np.flatnonzero(~np.isfinite(lam))[0])
+        raise ValueError(f"eigenvalue at degree {bad} is not finite, got {lam[bad]}")
+    if lam[0] != 0.0:
+        raise ValueError(f"spectrum must annihilate constants, got lambda(0) = {lam[0]}")
+    if np.any(lam[1:] == 0.0):
+        bad = 1 + int(np.flatnonzero(lam[1:] == 0.0)[0])
         raise ZeroDivisionError(
             f"eigenvalue at degree {bad} is zero; the kernel is degenerate and "
             "the Poisson problem is singular beyond the mean mode"
         )
-    denom = DiagonalOperator(spectrum.values).dense().copy()
+    denom = _per_degree(lam)
     denom[0, 0] = 1.0
     _, valid = _layout(n)
     denom[~valid] = 1.0  # keep structural zeros as 0/1
@@ -186,10 +196,8 @@ def allen_cahn_nonlinearity(u):
 
 
 def allen_cahn_operator(cfg, spec):
-    """Diagonal linear part eps^2 * L from a precomputed spectrum."""
-    if spec.degree != cfg.degree:
-        raise ValueError(f"spectrum degree {spec.degree} != config degree {cfg.degree}")
-    return DiagonalOperator.from_spectrum(spec, prefactor=cfg.epsilon**2)
+    """Diagonal linear part eps^2 * L, per degree, from a precomputed spectrum."""
+    return cfg.epsilon**2 * _check_spectrum(spec, cfg.degree, "config")
 
 
 def brusselator_nonlinearities(u, v, cfg):
@@ -205,14 +213,14 @@ def brusselator_nonlinearities(u, v, cfg):
 
 
 def brusselator_operators(cfg, spec):
-    """Diagonal linear parts (eps^2 * L, L / tau), plus -1 if the decay moved."""
-    if spec.degree != cfg.degree:
-        raise ValueError(f"spectrum degree {spec.degree} != config degree {cfg.degree}")
+    """Diagonal linear parts (eps^2 * L, L / tau) per degree, with -1 added
+    to the first if the decay moved."""
+    spec = _check_spectrum(spec, cfg.degree, "config")
+    op_u = cfg.epsilon**2 * spec
     if cfg.decay_in_linear:
-        op_u = DiagonalOperator(cfg.epsilon**2 * spec.values - 1.0)
-    else:
-        op_u = DiagonalOperator.from_spectrum(spec, prefactor=cfg.epsilon**2)
-    return op_u, DiagonalOperator.from_spectrum(spec, prefactor=1.0 / cfg.tau)
+        op_u = op_u - 1.0
+    # the reciprocal rounds differently from spec / tau; the outputs keep it
+    return op_u, (1.0 / cfg.tau) * spec
 
 
 # ----------------------------------------------------------------------
@@ -249,13 +257,12 @@ def ginzburg_landau_energy(u, spec, epsilon, grid=None):
     cached) unless a grid is supplied; a supplied grid needs degree >= 2n
     for the quadrature to be exact, and a coarser one raises ValueError.
     The synthesis uses only the orders and degrees <= n of that grid.
-    ``u`` is one field's (n+1, 2n+1) coefficient array.
+    ``u`` is one field's (n+1, 2n+1) coefficient array and ``spec`` its
+    (n+1,) eigenvalues.
     """
     n = _degree(u)
-    if spec.degree != n:
-        raise ValueError(f"degree mismatch: coefficients {n}, spectrum {spec.degree}")
+    lam = _per_degree(_check_spectrum(spec, n, "coefficients"))
     u = np.asarray(u, dtype=float)
-    lam = DiagonalOperator(spec.values).dense()
     linear = -0.5 * epsilon**2 * float(np.sum(lam * u * u))
     if grid is None:
         grid = _refined_grid(2 * n)
@@ -292,20 +299,10 @@ class EnergyRecorder:
 # Cesaro means
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CesaroWeights:
-    """Degreewise taper factors A_{n-l}^kappa / A_n^kappa, l = 0..n."""
-
-    kappa: int
-    degree: int
-    factors: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.factors.setflags(write=False)
-
-
 def cesaro_weights(degree, kappa):
-    """Taper factors with A_l^kappa = C(l + kappa, l); exact integer ratios."""
+    """Degreewise taper factors A_{n-l}^kappa / A_n^kappa, l = 0..n, with
+    A_l^kappa = C(l + kappa, l) (exact integer ratios), as a read-only
+    float array of shape (n+1,)."""
     if not isinstance(kappa, (int, np.integer)) or kappa < 0:
         raise ValueError(f"kappa must be a non-negative integer, got {kappa!r}")
     if not isinstance(degree, (int, np.integer)) or degree < 0:
@@ -315,15 +312,14 @@ def cesaro_weights(degree, kappa):
     factors = np.array(
         [math.comb(n - ell + kappa, n - ell) / a_n for ell in range(n + 1)]
     )
-    return CesaroWeights(kappa=kappa, degree=n, factors=factors)
+    factors.setflags(write=False)
+    return factors
 
 
 def cesaro_apply(coeffs, kappa):
     """Scale the degree-l coefficients of an (n+1, 2n+1) array by
     A_{n-l}^kappa / A_n^kappa into a new array; kappa = 0 copies it."""
-    n = _degree(coeffs)
-    deg, _ = _layout(n)
-    return coeffs * cesaro_weights(n, kappa).factors[deg]
+    return coeffs * _per_degree(cesaro_weights(_degree(coeffs), kappa))
 
 
 # ----------------------------------------------------------------------

@@ -100,6 +100,18 @@ def _layout(degree):
     return deg, valid
 
 
+def _per_degree(values):
+    """Per-degree values of shape (..., n+1) broadcast over the coefficient
+    layout, (..., n+1, 2n+1): every slot of degree ell gets values[..., ell],
+    and the slots below the stored triangle get 0.  Returns a new array."""
+    values = np.asarray(values, dtype=float)
+    deg, valid = _layout(values.shape[-1] - 1)
+    out = np.take(values, deg, axis=-1)
+    # putmask: a boolean index after an ellipsis takes about 4x as long
+    np.putmask(out, np.broadcast_to(~valid, out.shape), 0.0)
+    return out
+
+
 def slot(degree, ell, m):
     """(row, column) of coefficient (ell, m) in the degree-``degree`` layout;
     raises ValueError outside it."""

@@ -26,7 +26,6 @@ from .specfun import _m1_over_hav_from_q
 
 __all__ = [
     "KernelParams",
-    "Spectrum",
     "eigenvalue",
     "local_eigenvalue",
     "local_spectrum",
@@ -65,30 +64,6 @@ class KernelParams:
         return 1.0 - 0.5 * self.delta * self.delta
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues lambda(ell), ell = 0..degree, of one operator.
-
-    ``values[0]`` is exactly zero (constants are in the kernel of the
-    operator) and every entry lies in [-ell(ell+1), 0] up to roundoff.
-    ``params`` is None for the local (classical) operator.
-    """
-
-    params: KernelParams | None
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        self.values.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        return self.values.size - 1
-
-    def __len__(self):
-        return self.values.size
-
-
 def _check_ell(ell):
     if not isinstance(ell, (int, np.integer)) or ell < 0:
         raise ValueError(f"degree must be a non-negative integer, got {ell!r}")
@@ -110,7 +85,7 @@ def _eigenvalue_with_panels(ell, params, panels):
     """Quadrature evaluation with an explicit panel count (ell >= 1)."""
     rule = cc_weights(params.alpha, 0.0, panels)
     g = _m1_over_hav_from_q(ell, _node_haversine(params.delta, panels))
-    # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the prefactor
+    # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the constant factor
     return (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha) * float(rule.weights @ g)
 
 
@@ -136,7 +111,12 @@ def eigenvalue(ell, params):
 
 
 def spectrum(n, params):
-    """All eigenvalues through degree ``n`` from one rule with max(n+1, 8) panels."""
+    """All eigenvalues lambda(ell), ell = 0..n, as a read-only float array
+    of shape (n+1,), from one rule with max(n+1, 8) panels.
+
+    ``values[0]`` is exactly zero (constants are in the kernel of the
+    operator) and every entry lies in [-ell(ell+1), 0] up to roundoff.
+    """
     n = _check_ell(n)
     if not isinstance(params, KernelParams):
         raise TypeError("params must be a KernelParams instance")
@@ -153,10 +133,11 @@ def spectrum(n, params):
             np.divide((2.0 * ell - 1.0) * t * p - (ell - 1.0) * p_prev, ell, out=row)
             p_prev, p = p, row
         g = _m1_over_hav_from_q(ells[:, None], q, rows)
-        # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the prefactor
+        # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the constant factor
         values[first : first + g.shape[0]] = g @ rule.weights
     values[1:] *= (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha)
-    return Spectrum(params=params, values=values)
+    values.setflags(write=False)
+    return values
 
 
 def local_eigenvalue(ell):
@@ -166,18 +147,22 @@ def local_eigenvalue(ell):
 
 
 def local_spectrum(n):
-    """Spectrum of the classical operator through degree ``n``."""
+    """Eigenvalues -ell(ell+1) of the classical operator through degree
+    ``n``, as a read-only float array of shape (n+1,)."""
     n = _check_ell(n)
     ells = np.arange(n + 1, dtype=float)
-    return Spectrum(params=None, values=-ells * (ells + 1.0))
+    values = -ells * (ells + 1.0)
+    values.setflags(write=False)
+    return values
 
 
-def write_spectrum(spec, path, comment=None):
-    """Write a spectrum as CSV: header ``ell,lambda``, 17 significant digits.
+def write_spectrum(values, path, comment=None):
+    """Write the eigenvalues ``values[ell]`` as CSV: header ``ell,lambda``,
+    17 significant digits.
 
     ``comment`` (if given) is emitted first as a single ``#``-prefixed
     metadata line.  The output is deterministic: identical spectra produce
     byte-identical files.
     """
-    rows = ("%d,%.17g\n" % row for row in enumerate(spec.values.tolist()))
+    rows = ("%d,%.17g\n" % row for row in enumerate(np.asarray(values, dtype=float).tolist()))
     _write_csv(path, [comment and f"# {comment}", "ell,lambda"], rows)

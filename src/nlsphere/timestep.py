@@ -1,8 +1,9 @@
 """Fourth-order exponential time differencing (ETDRK4) for stiff systems.
 
 The PDEs handled here have the form u_t = L u + N(u) where L is diagonal
-in the spherical harmonic basis (one eigenvalue per degree, broadcast
-over orders) and N is a bounded nonlinearity.  ETDRK4 treats L exactly
+in the spherical harmonic basis and N is a bounded nonlinearity.  L is
+given as a plain float array of shape (n+1,), one eigenvalue per degree,
+which the tables broadcast over the orders.  ETDRK4 treats L exactly
 through per-mode exponentials and integrates N with a fourth-order
 Runge--Kutta-like rule whose coefficients are the matrix functions
 
@@ -30,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sht import _layout, analysis, synthesis
+from .sht import _per_degree, analysis, synthesis
 
 __all__ = [
     "BlowUpError",
-    "DiagonalOperator",
     "ETDRK4Tables",
     "StabilityWarning",
     "etdrk4_step",
@@ -64,39 +64,6 @@ class BlowUpError(RuntimeError):
             f"non-finite coefficients after step {step_index}; "
             "the time step is likely too large for this problem"
         )
-
-
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Linear operator diagonal in degree: entry ``prefactor * values[ell]``
-    multiplies every coefficient of degree ell.
-    """
-
-    values: np.ndarray
-    prefactor: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "prefactor", float(self.prefactor))
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError("values must be a non-empty 1-d array")
-        self.values.setflags(write=False)
-
-    @classmethod
-    def from_spectrum(cls, spectrum, prefactor=1.0):
-        """Build from a Spectrum object (entries are then all <= 0)."""
-        return cls(values=spectrum.values, prefactor=prefactor)
-
-    @property
-    def degree(self):
-        return self.values.size - 1
-
-    def dense(self):
-        """Entries broadcast over the coefficient layout; invalid slots 0."""
-        deg, valid = _layout(self.degree)
-        out = self.prefactor * self.values[deg]
-        out[~valid] = 0.0
-        return out
 
 
 @dataclass(frozen=True)
@@ -156,21 +123,40 @@ def _phi_taylor(z):
 def etdrk4_tables(operators, h):
     """Coefficient tables for k diagonal operators of one degree n at step
     size h, stacked to shape (k, n+1, 2n+1) in one pass (they are
-    elementwise in z = h lambda)."""
-    operators = tuple(operators)
-    if not all(isinstance(op, DiagonalOperator) for op in operators):
-        raise TypeError("operators must be a sequence of DiagonalOperator")
+    elementwise in z = h lambda).
+
+    ``operators`` holds one per-degree array lambda[ell], ell = 0..n, per
+    field, which must stack to a (k, n+1) float array; anything else, a
+    non-finite h, or a non-finite h lambda raises ValueError.  Positive
+    eigenvalues (growing modes) are allowed but warn.
+    """
+    try:
+        lam = np.asarray(tuple(operators), dtype=float)
+    except (TypeError, ValueError):
+        lam = None
+    if lam is None or lam.ndim != 2 or lam.shape[1] == 0:
+        raise ValueError(
+            "operators must be k per-degree arrays of one length n+1 "
+            "that stack to a (k, n+1) float array"
+        )
     h = float(h)
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"step size must be positive and finite, got {h!r}")
-    if any(np.any(op.prefactor * op.values > 0.0) for op in operators):
+    with np.errstate(over="ignore"):
+        z_deg = h * lam
+    if not np.all(np.isfinite(z_deg)):
+        field, ell = np.argwhere(~np.isfinite(z_deg))[0]
+        raise ValueError(
+            f"operator {field} at degree {ell}: h * lambda is not finite "
+            f"(h = {h!r}, lambda = {float(lam[field, ell])!r})"
+        )
+    if np.any(lam > 0.0):
         warnings.warn(
             "diagonal operator has positive eigenvalues: linear modes grow",
             StabilityWarning,
             stacklevel=2,
         )
-    # raises ValueError for no operators or operators of different degrees
-    z = h * np.stack([op.dense() for op in operators])
+    z = _per_degree(z_deg)
     small = np.abs(z) < _Z_STAR
     parts = [np.empty_like(z) for _ in range(4)]
     if small.any():
@@ -183,7 +169,7 @@ def etdrk4_tables(operators, h):
     stage, f1, f2, f3 = (h * p for p in parts)
     return ETDRK4Tables(
         h=h,
-        degree=operators[0].degree,
+        degree=lam.shape[1] - 1,
         exp_full=np.exp(z),
         exp_half=np.exp(0.5 * z),
         stage=stage,
@@ -231,7 +217,7 @@ def evolve(initial, operators, nonlinearity, h, steps, observers=(),
 
     ``initial`` holds the coefficient arrays of k fields, stacked to shape
     (k, n+1, 2n+1) (k = 1 for a single field), and ``operators`` one
-    DiagonalOperator per field.
+    per-degree array of shape (n+1,) per field, as ``etdrk4_tables`` takes.
     ``observers`` are callables ``(step, time, state)`` invoked with
     read-only state at step 0 and then every ``observer_stride`` steps;
     their outputs are owned by the caller.  Returns the final state array;

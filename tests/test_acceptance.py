@@ -34,9 +34,9 @@ def test_criterion_01_closed_form_spectrum():
     t0 = time.monotonic()
     sp = spectrum(200, KernelParams(-0.5, 2.0))
     ells = np.arange(201)
-    rel = np.abs(sp.values[1:] + 2.0 * ells[1:]) / (2.0 * ells[1:])
+    rel = np.abs(sp[1:] + 2.0 * ells[1:]) / (2.0 * ells[1:])
     elapsed = time.monotonic() - t0
-    ok = sp.values[0] == 0.0 and rel.max() <= 1e-11 and elapsed < 5.0
+    ok = sp[0] == 0.0 and rel.max() <= 1e-11 and elapsed < 5.0
     report(ok, "criterion-01 closed-form spectrum",
            f"max rel err {rel.max():.3e} (tol 1e-11), {elapsed:.2f}s (< 5s)")
 
@@ -50,7 +50,7 @@ def test_criterion_02_local_limit():
             sp = spectrum(50, KernelParams(alpha, delta))
             for ell in range(1, 51):
                 bound = ell * (ell + 1) * (ell + 2) ** 2 * delta**2 / 16.0
-                gap = abs(sp.values[ell] + ell * (ell + 1))
+                gap = abs(sp[ell] + ell * (ell + 1))
                 worst = max(worst, gap / bound)
     elapsed = time.monotonic() - t0
     ok = worst <= 1.0 and elapsed < 5.0
@@ -67,7 +67,7 @@ def test_criterion_03_spectrum_bounds():
     violations = 0
     for alpha in (-0.9, -0.5, 0.0, 0.5, 0.9):
         for delta in (0.1, 0.5, 1.0, 1.5, 2.0):
-            v = spectrum(60, KernelParams(alpha, delta)).values
+            v = spectrum(60, KernelParams(alpha, delta))
             if np.any(v > slack) or np.any(v < -ells * (ells + 1) - slack):
                 violations += 1
     elapsed = time.monotonic() - t0
@@ -83,7 +83,7 @@ def test_criterion_04_hybrid_consistency():
     t0 = time.monotonic()
     kernel = KernelParams(-0.5, 1.0)
     worst, worst_ell = 0.0, None
-    reference = spectrum(1000, kernel).values
+    reference = spectrum(1000, kernel)
     for ell in range(60, 1001):
         r = reference[ell]
         a = eigenvalue(ell, kernel)

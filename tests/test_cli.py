@@ -79,7 +79,7 @@ def test_poisson_death_star_residual(tmp_path):
     assert u[slot(n, 0, 0)] == pytest.approx(rhs[slot(n, 0, 0)], rel=1e-15)
     # rebuild the per-slot eigenvalue layout and check the residual
     deg, valid = _layout(n)
-    lam = spec.values[deg].copy()
+    lam = spec[deg].copy()
     lam[0, 0] = 1.0
     res = np.linalg.norm((lam * u - rhs)[valid])
     assert res / np.linalg.norm(rhs) < 1e-12

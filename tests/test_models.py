@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from nlsphere import models as M
-from nlsphere.spectrum import KernelParams, Spectrum, local_spectrum
-from nlsphere.sht import SphereGrid, analysis, slot, synthesis
+from nlsphere.spectrum import KernelParams, local_spectrum
+from nlsphere.sht import SphereGrid, _per_degree, analysis, slot, synthesis
 from nlsphere.specfun import assoc_legendre_table
-from nlsphere.timestep import DiagonalOperator, evolve, pseudospectral
+from nlsphere.timestep import evolve, pseudospectral
 
 GL_QUARTIC_U20 = 2.6842234419179793
 
@@ -33,8 +33,20 @@ def test_poisson_problem_validation():
     f = np.zeros((4, 7))
     with pytest.raises(ValueError, match="degree mismatch: rhs 3, spectrum 4"):
         M.solve_poisson(f, local_spectrum(4))
-    with pytest.raises(TypeError):
-        M.solve_poisson(f, np.array([0.0, -2.0]))
+    # the spectrum is a plain (n+1,) array; any other shape is refused
+    for wrong in (np.array([0.0, -2.0]), np.zeros((1, 4)), np.float64(0.0)):
+        with pytest.raises(ValueError, match="degree mismatch: rhs 3, spectrum"):
+            M.solve_poisson(f, wrong)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+def test_poisson_refuses_non_finite_eigenvalues(bad):
+    # a NaN eigenvalue used to come back as NaN solution coefficients
+    f = np.zeros((4, 7))
+    f[slot(3, 1, 0)] = 1.0
+    lam = np.array([0.0, -2.0, bad, -12.0])
+    with pytest.raises(ValueError, match=f"eigenvalue at degree 2 is not finite, got {bad}"):
+        M.solve_poisson(f, lam)
 
 
 def test_poisson_single_mode_local():
@@ -57,10 +69,10 @@ def test_poisson_mean_condition():
 def test_poisson_degenerate_kernel_raises():
     f = np.zeros((3, 5))
     f[slot(2, 1, 0)] = 1.0
-    degenerate = Spectrum(None, np.array([0.0, 0.0, -4.0]))
+    degenerate = np.array([0.0, 0.0, -4.0])
     with pytest.raises(ZeroDivisionError):
         M.solve_poisson(f, degenerate)
-    shifted = Spectrum(None, np.array([0.5, -2.0, -4.0]))
+    shifted = np.array([0.5, -2.0, -4.0])
     with pytest.raises(ValueError):
         M.solve_poisson(f, shifted)
 
@@ -76,7 +88,7 @@ def test_poisson_residual(kernel):
     lam = np.zeros((n + 1, 2 * n + 1))
     for ell in range(n + 1):
         for m in range(-ell, ell + 1):
-            lam[slot(n, ell, m)] = spec.values[ell]
+            lam[slot(n, ell, m)] = spec[ell]
     lam[0, 0] = 1.0
     res = np.linalg.norm(lam * u - rhs) / np.linalg.norm(rhs)
     assert res < 1e-12
@@ -110,7 +122,8 @@ def test_allen_cahn_config_validation():
 def test_allen_cahn_operator_scaling():
     cfg = M.AllenCahnConfig(epsilon=0.2, kernel=None, degree=4, h=0.1, steps=1)
     op = M.allen_cahn_operator(cfg, local_spectrum(4))
-    assert op.dense()[2, 0] == pytest.approx(0.04 * -6.0, rel=1e-15)
+    assert op.shape == (5,)
+    assert op[2] == pytest.approx(0.04 * -6.0, rel=1e-15)
     with pytest.raises(ValueError):
         M.allen_cahn_operator(cfg, local_spectrum(5))
 
@@ -171,20 +184,20 @@ def test_brusselator_decay_split_consistency():
     spec = local_spectrum(cfg0.degree)
     op0, opv0 = M.brusselator_operators(cfg0, spec)
     op1, opv1 = M.brusselator_operators(cfg1, spec)
-    np.testing.assert_allclose(
-        op1.prefactor * op1.values,
-        op0.prefactor * op0.values - 1.0,
-        rtol=0, atol=1e-15,
-    )
-    np.testing.assert_allclose(opv1.dense(), opv0.dense(), rtol=0, atol=0)
+    np.testing.assert_allclose(op1, op0 - 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(opv1, opv0, rtol=0, atol=0)
 
 
 def test_brusselator_operator_prefactors():
     cfg = brusselator_cfg()
     spec = local_spectrum(cfg.degree)
     op_u, op_v = M.brusselator_operators(cfg, spec)
-    assert op_u.dense()[1, 0] == pytest.approx(cfg.epsilon**2 * -2.0, rel=1e-15)
-    assert op_v.dense()[1, 0] == pytest.approx(-2.0 / cfg.tau, rel=1e-15)
+    assert op_u[1] == pytest.approx(cfg.epsilon**2 * -2.0, rel=1e-15)
+    assert op_v[1] == pytest.approx(-2.0 / cfg.tau, rel=1e-15)
+    # the second operator multiplies by the reciprocal of tau, bit for bit
+    np.testing.assert_array_equal(op_v, (1.0 / cfg.tau) * spec)
+    with pytest.raises(ValueError, match="degree mismatch: config 8, spectrum 9"):
+        M.brusselator_operators(cfg, local_spectrum(9))
 
 
 @pytest.mark.parametrize("decay_in_linear", [False, True])
@@ -263,7 +276,7 @@ def test_energy_refuses_grids_below_twice_the_field_degree():
 
 def _energy_by_embedding(u, spec, epsilon, grid):
     # the zero-padded route: degree-2n coefficients and degree-2n tables
-    lam = DiagonalOperator(spec.values).dense()
+    lam = _per_degree(spec)
     linear = -0.5 * epsilon**2 * float(np.sum(lam * u * u))
     vals = synthesis(M.embed(u, grid.degree), grid)
     return linear + 0.25 * M.integrate_grid((vals * vals - 1.0) ** 2, grid)
@@ -305,7 +318,7 @@ def test_energy_matches_a_dense_evaluation_on_the_2n_grid(n):
     assert grid.degree == 2 * n and grid.lon_nodes.size == M._fft_length(4 * n + 1)
     spec = M.build_spectrum(n, KernelParams(-0.5, 1.0))
     u = M.random_coeffs(n, n, 0.3, seed=n)
-    lam = DiagonalOperator(spec.values).dense()
+    lam = _per_degree(spec)
     fine = SphereGrid(2 * n)
     vals = _dense_values(u, fine)
     quartic = float(fine.colat_weights @ ((vals * vals - 1.0) ** 2).sum(axis=1))
@@ -362,16 +375,18 @@ def test_energy_recorder_write(tmp_path):
 
 def test_cesaro_factors_small_case():
     w = M.cesaro_weights(2, 2)
-    np.testing.assert_allclose(w.factors, [1.0, 0.5, 1.0 / 6.0], rtol=1e-16)
+    np.testing.assert_allclose(w, [1.0, 0.5, 1.0 / 6.0], rtol=1e-16)
+    assert not w.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])
 @pytest.mark.parametrize("kappa", [0, 1, 2, 3])
 def test_cesaro_factor_invariants(n, kappa):
     w = M.cesaro_weights(n, kappa)
-    assert w.factors[0] == 1.0
-    assert np.all(np.diff(w.factors) <= 0.0)
-    assert w.factors[n] == pytest.approx(1.0 / math.comb(n + kappa, n), rel=1e-15)
+    assert w.shape == (n + 1,)
+    assert w[0] == 1.0
+    assert np.all(np.diff(w) <= 0.0)
+    assert w[n] == pytest.approx(1.0 / math.comb(n + kappa, n), rel=1e-15)
 
 
 def test_cesaro_apply_identity_and_constant():
@@ -391,8 +406,8 @@ def test_cesaro_apply_scales_by_degree():
     c[slot(5, 5, 0)] = 1.0
     out = M.cesaro_apply(c, 2)
     w = M.cesaro_weights(5, 2)
-    assert out[slot(5, 3, -2)] == pytest.approx(2.0 * w.factors[3], rel=1e-15)
-    assert out[slot(5, 5, 0)] == pytest.approx(w.factors[5], rel=1e-15)
+    assert out[slot(5, 3, -2)] == pytest.approx(2.0 * w[3], rel=1e-15)
+    assert out[slot(5, 5, 0)] == pytest.approx(w[5], rel=1e-15)
     with pytest.raises(ValueError):
         M.cesaro_apply(c, -1)
 
@@ -514,8 +529,8 @@ def test_cos10xy_pointwise():
 
 def test_build_spectrum_dispatch():
     local = M.build_spectrum(6)
-    assert local.params is None
+    np.testing.assert_array_equal(local, local_spectrum(6))
     nl = M.build_spectrum(6, KernelParams(-0.5, 2.0))
-    assert nl.values[3] == pytest.approx(-6.0, rel=1e-11)
+    assert nl[3] == pytest.approx(-6.0, rel=1e-11)
     with pytest.raises(TypeError):
         M.build_spectrum(6, kernel=(0.5, 1.0))

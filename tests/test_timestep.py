@@ -14,11 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
-from nlsphere.sht import SphereGrid, analysis, slot, synthesis
+from nlsphere.sht import SphereGrid, _per_degree, analysis, slot, synthesis
 from nlsphere.spectrum import local_spectrum
 from nlsphere.timestep import (
     BlowUpError,
-    DiagonalOperator,
     StabilityWarning,
     _phi_direct,
     _phi_taylor,
@@ -57,7 +56,7 @@ def exact_bernoulli(u0, t):
 # ----------------------------------------------------------------------
 
 def test_tables_zero_entry_limits():
-    op = DiagonalOperator(np.array([0.0]))
+    op = np.array([0.0])
     for h in (1.0, 0.1, 0.00390625):
         t = etdrk4_tables([op], h)
         assert t.exp_full[0, 0] == 1.0
@@ -72,7 +71,7 @@ def test_tables_zero_entry_limits():
 
 def test_f1_at_minus_one_closed_form():
     # f1(z=-1, h=1) = -(-4 + 1 + 8/e) / (-1) ... = 3 - 8/e
-    op = DiagonalOperator(np.array([-1.0]))
+    op = np.array([-1.0])
     t = etdrk4_tables([op], 1.0)
     assert t.f1[0, 0] == pytest.approx(3.0 - 8.0 / math.e, rel=1e-14)
 
@@ -89,27 +88,53 @@ def test_taylor_direct_seam_agreement():
 
 def test_tables_positive_eigenvalue_warns():
     with pytest.warns(StabilityWarning):
-        etdrk4_tables([DiagonalOperator(np.array([0.0, 2.0]))], 0.1)
-    # negative prefactor times negative values is also growth
+        etdrk4_tables([np.array([0.0, 2.0])], 0.1)
+    # a negative factor times negative eigenvalues is also growth
     with pytest.warns(StabilityWarning):
-        etdrk4_tables([DiagonalOperator(np.array([0.0, -2.0]), prefactor=-1.0)], 0.1)
+        etdrk4_tables([-1.0 * np.array([0.0, -2.0])], 0.1)
 
 
 def test_tables_validation():
-    op = DiagonalOperator(np.array([0.0, -2.0]))
+    op = np.array([0.0, -2.0])
     with pytest.raises(ValueError):
         etdrk4_tables([op], 0.0)
     with pytest.raises(ValueError):
         etdrk4_tables([op], -1.0)
-    with pytest.raises(TypeError):
-        etdrk4_tables(np.array([1.0]), 0.1)
-    with pytest.raises(ValueError):
-        DiagonalOperator(np.zeros((2, 2)))
+    # operators must stack to a (k, n+1) float array
+    for bad in (
+        np.array([1.0]),              # one bare array, not a sequence of them
+        [np.zeros((2, 2))],           # a 2-d operator
+        [],                           # no operator
+        [np.zeros(0)],                # an operator of no degree
+        [op, np.zeros(3)],            # two degrees
+        [op, "ab"],                   # not numbers
+        None,
+    ):
+        with pytest.raises(ValueError, match=r"stack to a \(k, n\+1\) float array"):
+            etdrk4_tables(bad, 0.1)
+    # a (k, n+1) array is k operators
+    tables = etdrk4_tables(np.array([op, 0.5 * op]), 0.1)
+    assert tables.exp_full.shape == (2, 2, 3)
+
+
+@pytest.mark.parametrize("values,h", [
+    ([0.0, np.nan], 0.1),
+    ([0.0, -np.inf], 0.1),
+    ([0.0, -1e308], 10.0),   # finite lambda, but h * lambda overflows
+])
+def test_tables_refuse_non_finite_h_lambda(values, h):
+    # these used to build NaN tables, or warn from h * lambda, and evolve
+    # then blamed the time step after step 1
+    ops = [np.array([0.0, -2.0]), np.array(values)]
+    with pytest.raises(ValueError, match="operator 1 at degree 1: h \\* lambda is not finite"):
+        etdrk4_tables(ops, h)
+    with pytest.raises(ValueError, match="operator 1 at degree 1"):
+        evolve(np.zeros((2, 2, 3)), ops, zero, h, 1)
 
 
 def test_operator_dense_layout():
-    op = DiagonalOperator(np.array([0.0, -2.0, -6.0]), prefactor=0.5)
-    dense = op.dense()
+    op = 0.5 * np.array([0.0, -2.0, -6.0])
+    dense = _per_degree(op)
     assert dense.shape == (3, 5)
     assert dense[0, 0] == 0.0
     assert dense[1, 0] == -1.0      # ell=1 scaled by 0.5
@@ -117,7 +142,8 @@ def test_operator_dense_layout():
     assert dense[0, 1] == -1.0      # (ell=1, m=-1) slot
     assert dense[0, 3] == -3.0      # (ell=2, m=-2) slot
     assert dense[1, 3] == 0.0       # structural zero (needs ell=3)
-    assert op.degree == 2
+    assert etdrk4_tables([op], 1.0).degree == 2
+    np.testing.assert_array_equal(etdrk4_tables([op], 1.0).exp_full[0], np.exp(dense))
 
 
 # ----------------------------------------------------------------------
@@ -132,17 +158,17 @@ def test_step_linear_exactness():
     for ell in range(n + 1):
         for m in range(-ell, ell + 1):
             c[slot(n, ell, m)] = rng.standard_normal()
-    op = DiagonalOperator.from_spectrum(local_spectrum(n))
+    op = local_spectrum(n)
     tables = etdrk4_tables([op], 0.37)
     (out,) = etdrk4_step(stacked(c), tables, zero)
-    expected = np.exp(0.37 * op.dense()) * c
+    expected = np.exp(0.37 * _per_degree(op)) * c
     np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0)
 
 
 def test_step_constant_nonlinearity_quadrature_identity():
     # L = 0 and N = const c: one step advances by exactly h*c
     h = 0.25
-    op = DiagonalOperator(np.array([0.0, 0.0, 0.0]))
+    op = np.array([0.0, 0.0, 0.0])
     tables = etdrk4_tables([op], h)
     const = zeros(2)
     const[slot(2, 1, 1)] = 3.0
@@ -154,7 +180,7 @@ def test_step_constant_nonlinearity_quadrature_identity():
 
 def test_step_scalar_ode_against_fine_rk4():
     lam, h, u0 = -2.0, 1e-2, 0.1
-    op = DiagonalOperator(np.array([lam]))
+    op = np.array([lam])
     tables = etdrk4_tables([op], h)
     square = lambda s: s * s
     (out,) = etdrk4_step(stacked(scalar_state(u0)), tables, square)
@@ -175,7 +201,7 @@ def test_step_scalar_ode_against_fine_rk4():
 
 def test_scalar_ode_fourth_order_convergence():
     lam, u0, T = -2.0, 0.1, 1.0
-    op = DiagonalOperator(np.array([lam]))
+    op = np.array([lam])
     square = lambda s: s * s
     exact = exact_bernoulli(u0, T)
     errs = []
@@ -192,7 +218,7 @@ def test_step_blow_up_detection():
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", StabilityWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
-        tables = etdrk4_tables([DiagonalOperator(np.array([1e3]))], 1.0)
+        tables = etdrk4_tables([np.array([1e3])], 1.0)
         square = lambda s: s * s
         with pytest.raises(BlowUpError) as err:
             etdrk4_step(stacked(scalar_state(1e200)), tables, square, step_index=17)
@@ -211,7 +237,7 @@ def test_evolve_mean_mode_constant_under_diffusion():
     for ell in range(n + 1):
         c[slot(n, ell, 0)] = rng.standard_normal()
     c[slot(n, 0, 0)] = 1.2345
-    op = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=0.01)
+    op = 0.01 * local_spectrum(n)
     (out,) = evolve(stacked(c), [op], zero, h=0.1, steps=25)
     assert out[slot(n, 0, 0)] == 1.2345
 
@@ -221,7 +247,7 @@ def test_evolve_heat_decay_single_mode():
     eps = 0.3
     c = zeros(n)
     c[slot(n, 5, 2)] = 0.75
-    op = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=eps * eps)
+    op = eps * eps * local_spectrum(n)
     T, h = 2.0, 0.125
     (out,) = evolve(stacked(c), [op], zero, h, round(T / h))
     expected = 0.75 * math.exp(-30.0 * eps * eps * T)
@@ -233,7 +259,7 @@ def test_evolve_heat_decay_single_mode():
 
 def test_evolve_observers_stride_and_times():
     seen = []
-    op = DiagonalOperator(np.array([0.0]))
+    op = np.array([0.0])
     evolve(stacked(scalar_state(1.0)), [op], zero, h=0.5, steps=7,
            observers=[lambda k, t, s: seen.append((k, t))], observer_stride=3)
     assert seen == [(0, 0.0), (3, 1.5), (6, 3.0)]
@@ -244,8 +270,8 @@ def test_evolve_coupled_fields_tuple_path():
     u, v = zeros(n), zeros(n)
     u[slot(n, 2, 1)] = 1.0
     v[slot(n, 1, 0)] = 2.0
-    op_u = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=1.0)
-    op_v = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=0.5)
+    op_u = 1.0 * local_spectrum(n)
+    op_v = 0.5 * local_spectrum(n)
     T, h = 1.0, 0.1
     fu, fv = evolve(stacked(u, v), [op_u, op_v], zero, h, round(T / h))
     assert fu[slot(n, 2, 1)] == pytest.approx(math.exp(-6.0 * T), rel=1e-12)
@@ -263,8 +289,8 @@ def test_evolve_stacked_fields_do_not_mix():
         for ell in range(n + 1):
             for m in range(-ell, ell + 1):
                 c[slot(n, ell, m)] = 0.1 * rng.standard_normal()
-    op_u = DiagonalOperator.from_spectrum(local_spectrum(n), prefactor=0.01)
-    op_v = DiagonalOperator(np.linspace(0.0, -3.0, n + 1), prefactor=0.5)
+    op_u = 0.01 * local_spectrum(n)
+    op_v = 0.5 * np.linspace(0.0, -3.0, n + 1)
     react_u = lambda a: a - a * a * a
     react_v = lambda b: 0.5 * b * b
     h, steps = 0.1, 5
@@ -278,7 +304,7 @@ def test_evolve_stacked_fields_do_not_mix():
 
 
 def test_evolve_validation():
-    op = DiagonalOperator(np.array([0.0]))
+    op = np.array([0.0])
     with pytest.raises(ValueError):
         evolve(stacked(scalar_state(1.0)), [op], zero, h=0.1, steps=0)
     with pytest.raises(ValueError):
