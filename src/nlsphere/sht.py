@@ -44,6 +44,13 @@ they are 16 rows of every order at once, streamed from the Legendre
 recurrence as the products consume them and never stored.  ``synthesis``
 and ``analysis`` accept that leading axis of k fields, which share every
 table read.
+
+Synthesis is two steps: ``_parity_parts`` runs the Legendre and longitude
+stages and returns the even and odd parts at the northern nodes, and the
+hemisphere assembly turns them into values, even + odd in the north and
+even - odd at the southern mirror nodes.  A caller that needs only a
+symmetric function of the values, such as the Ginzburg--Landau energy's
+quartic, can work on the parts and skip the assembly.
 """
 
 from __future__ import annotations
@@ -308,8 +315,12 @@ def _rfft(values, grid, out):
     return out
 
 
-def _synthesize(data, grid):
-    """Values on ``grid`` of a (k, n+1, 2n+1) coefficient stack, n <= grid degree.
+def _parity_parts(data, grid):
+    """Even and odd parts on ``grid`` of a (k, n+1, 2n+1) coefficient
+    stack, n <= grid degree: a (k, 2, north, L) array whose [:, 0] sums
+    the rows of even ell - m and [:, 1] those of odd ell - m at the
+    northern nodes.  The value at northern node i is even + odd, and at
+    its southern mirror even - odd.
 
     Only orders and degrees <= n enter: the Legendre tables stop at
     degree n and the spectra at order n, so a field is
@@ -318,7 +329,6 @@ def _synthesize(data, grid):
     data = np.ascontiguousarray(data)
     k, rows, _ = data.shape
     n, north, count = rows - 1, grid.north, grid.lon_nodes.size
-    paired = grid.degree + 1 - north
     # (order, row ell - m, field): s + i c per order, the m = 0 column real
     coeffs = np.empty((n + 1, n + 1, k), complex)
     coeffs[0] = data[:, :, 0].T
@@ -336,7 +346,15 @@ def _synthesize(data, grid):
                 spectra_r[m, parity] += product
     # the tables are real, so the complex factor commutes with them
     spectra *= _order_factors(n, count)[0][:, None, None, None]
-    parts = _irfft(spectra.transpose(3, 1, 2, 0), grid, np.empty((k, 2, north, count)))
+    return _irfft(spectra.transpose(3, 1, 2, 0), grid, np.empty((k, 2, north, count)))
+
+
+def _synthesize(data, grid):
+    """Values on ``grid`` of a (k, n+1, 2n+1) coefficient stack, n <= grid
+    degree: the hemispheres assembled from :func:`_parity_parts`."""
+    parts = _parity_parts(data, grid)
+    k, _, north, count = parts.shape
+    paired = grid.degree + 1 - north
     even, odd = parts[:, 0], parts[:, 1]
     # rows of even ell - m are symmetric about the equator, odd ones
     # antisymmetric; the equator node (even grid degree) is northern

@@ -13,7 +13,8 @@ numpy array arithmetic:
   ``(P_ell(cos theta) - 1) / sin^2(theta/2)``, the integrand of every
   operator eigenvalue.  Its one evaluation rule (``_m1_over_hav_from_q``:
   ratio series near theta = 0, recurrence or, from degree 550, Bessel
-  asymptotics elsewhere) is shared with ``spectrum`` and ``eigenvalue``,
+  asymptotics elsewhere) is shared with ``spectrum`` and ``eigenvalue``;
+  past theta = pi/2 it runs on the mirror angle pi - theta,
 * ``bessel_j`` -- cylindrical Bessel functions J_0..J_3,
 * ``assoc_legendre_normalized`` / ``assoc_legendre_table`` -- fully
   normalized associated Legendre functions.
@@ -323,6 +324,11 @@ def legendre_m1_over_hav(ell, theta):
     precision, while direct evaluation is then perfectly conditioned.
     It follows the eigenvalues' rule, ``_m1_over_hav_from_q``: from degree
     550 on, P_ell at q > 1e-2 comes from the Bessel-series asymptotics.
+    For q > 1/2 the rule runs on the mirror angle pi - theta instead, whose
+    haversine c = cos^2(theta/2) is formed from theta:
+    P_ell(cos theta) = (-1)^ell (1 + c g(c)), so P - 1 is c g(c) for even
+    ell and -2 - c g(c) for odd ell, and neither subtracts 1 from a value
+    near 1 nor feels the rounding of q near 1.
     """
     ell = _check_degree(ell)
     th = np.asarray(theta, dtype=float)
@@ -334,7 +340,15 @@ def legendre_m1_over_hav(ell, theta):
         return _wrap(np.zeros_like(th), scalar)
     half = np.sin(0.5 * th)
     q = half * half
-    return _wrap(_m1_over_hav_from_q(ell, q), scalar)
+    g = np.empty_like(q)
+    near = q <= 0.5
+    g[near] = _m1_over_hav_from_q(ell, q[near])
+    if not near.all():
+        mirror = np.cos(0.5 * th[~near])
+        c = mirror * mirror
+        shifted = c * _m1_over_hav_from_q(ell, c)  # P_ell(1 - 2c) - 1
+        g[~near] = (shifted if ell % 2 == 0 else -2.0 - shifted) / q[~near]
+    return _wrap(g, scalar)
 
 
 def _m1_over_hav_from_q(ell, q, p=None):

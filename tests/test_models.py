@@ -14,7 +14,7 @@ import pytest
 
 from nlsphere import models as M
 from nlsphere.spectrum import KernelParams, local_spectrum
-from nlsphere.sht import SphereGrid, _per_degree, analysis, slot, synthesis
+from nlsphere.sht import SphereGrid, _is_prime, _layout, _per_degree, analysis, slot, synthesis
 from nlsphere.specfun import assoc_legendre_table
 from nlsphere.timestep import evolve, pseudospectral
 
@@ -290,6 +290,34 @@ def test_energy_band_n_synthesis_matches_embedding(n):
         want = _energy_by_embedding(u, spec, 0.1, grid or SphereGrid(2 * n))
         got = M.ginzburg_landau_energy(u, spec, 0.1, grid=grid)
         assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 6, 31])
+def test_energy_from_parity_parts_matches_embedding_on_supplied_grids(n):
+    # degree 2n has an unpaired equator row and degree 2n+1 none; a prime
+    # longitude count takes the dense-DFT longitude stage
+    spec = M.build_spectrum(n, KernelParams(-0.5, 1.0))
+    u = M.random_coeffs(n, n, 0.3, seed=n + 100)
+    prime = next(c for c in range(4 * n + 2, 8 * n + 8) if _is_prime(c))
+    grids = (SphereGrid(2 * n, longitudes=4 * n + 2), SphereGrid(2 * n + 1),
+             SphereGrid(2 * n, longitudes=prime))
+    assert [g.north for g in grids] == [n + 1, n + 1, n + 1]
+    assert [g.degree + 1 - g.north for g in grids] == [n, n + 1, n]
+    assert [g._dense_longitudes for g in grids] == [False, _is_prime(4 * n + 3), True]
+    for grid in grids:
+        want = _energy_by_embedding(u, spec, 0.1, grid)
+        assert M.ginzburg_landau_energy(u, spec, 0.1, grid=grid) == pytest.approx(
+            want, rel=1e-13, abs=0)
+
+
+def test_energy_ignores_values_below_the_stored_triangle():
+    # as the transforms do, the diffusion term skips the structural zeros
+    n = 6
+    spec = M.build_spectrum(n, KernelParams(-0.5, 1.0)) - 1.0
+    u = M.random_coeffs(n, n, 0.3, seed=3)
+    junk = u.copy()
+    junk[~_layout(n)[1]] = 5.0
+    assert M.ginzburg_landau_energy(junk, spec, 0.1) == M.ginzburg_landau_energy(u, spec, 0.1)
 
 
 def _dense_values(u, grid):

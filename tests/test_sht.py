@@ -23,6 +23,7 @@ from nlsphere.sht import (
     SphereGrid,
     _is_prime,
     _layout,
+    _parity_parts,
     _per_degree,
     _synthesize,
     analysis,
@@ -656,6 +657,24 @@ def test_streamed_rows_match_the_cached_tables(monkeypatch, degree, field_degree
                           (coeffs, analysis(values, cached))):
             assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
     assert cached._tables
+
+
+@pytest.mark.parametrize("degree", [31, 32, _TABLE_CACHE_MAX_DEGREE + 1])
+def test_synthesis_is_the_hemisphere_assembly_of_the_parity_parts(degree):
+    # northern node i holds even + odd and its southern mirror n - i
+    # even - odd; an even degree's equator row is northern and unpaired.
+    # Degrees 31 and 32 read cached tables, the third streams its rows.
+    grid = SphereGrid(degree)
+    paired = degree + 1 - grid.north
+    for k in (1, 2):
+        data = random_stack(k, degree, seed=degree + k)
+        parts = _parity_parts(data, grid)
+        even, odd = parts[:, 0], parts[:, 1]
+        south = (even[:, :paired] - odd[:, :paired])[:, ::-1]
+        want = np.concatenate([even + odd, south], axis=1)
+        got = synthesis(data if k > 1 else data[0], grid)
+        np.testing.assert_array_equal(got.reshape(want.shape), want)
+    assert (grid._tables == {}) == (degree > _TABLE_CACHE_MAX_DEGREE)
 
 
 @pytest.mark.parametrize("transform", ["synthesis", "analysis"])

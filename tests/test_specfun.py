@@ -260,8 +260,12 @@ def test_m1_over_hav_monotone_tail_bound():
 def test_m1_over_hav_route_follows_the_degree(monkeypatch, ell):
     # the eigenvalues' rule: from the switch degree on the asymptotics take
     # exactly the angles with haversine above _SERIES_HAV_MAX, below it none
+    # exactly the haversines above _SERIES_HAV_MAX, below it none; an angle
+    # past pi/2 enters as its mirror's haversine c = cos^2(theta/2)
     theta = np.linspace(0.0, np.pi, 201)
     q = np.sin(0.5 * theta) ** 2
+    near = q[q <= 0.5]
+    c = np.cos(0.5 * theta[q > 0.5]) ** 2
     seen = []
 
     def spy(ell, q):
@@ -273,18 +277,24 @@ def test_m1_over_hav_route_follows_the_degree(monkeypatch, ell):
     if ell < _ASYMPTOTIC_MIN_DEGREE:
         assert seen == []
     else:
-        assert len(seen) == 1 and np.array_equal(seen[0], q[q > _SERIES_HAV_MAX])
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], near[near > _SERIES_HAV_MAX])
+        assert np.array_equal(seen[1], c[c > _SERIES_HAV_MAX])
 
 
-def _m1_over_hav_mpmath(ell, q):
-    # P - 1 is about -ell(ell+1) q, so it keeps 50 digits when the working
-    # precision grows by one digit per decade of q below 1
+def _m1_over_hav_mpmath(ell, theta):
+    # (P_ell(cos theta) - 1) / sin^2(theta/2) at the double theta.  P - 1 is
+    # about -ell(ell+1) q near theta = 0, and for even ell about ell(ell+1) c
+    # near theta = pi, c = cos^2(theta/2); it keeps 50 digits when the
+    # working precision grows by one digit per decade of min(q, c) below 1
     mpmath = pytest.importorskip("mpmath")
-    if q == 0.0:
+    q, c = np.sin(0.5 * theta) ** 2, np.cos(0.5 * theta) ** 2
+    if q == 0.0:  # the limit, to double precision
         return -float(ell * (ell + 1))
-    with mpmath.workdps(50 + max(0, -math.floor(math.log10(q)))):
-        q = mpmath.mpf(q)
-        return float((mpmath.legendre(ell, 1 - 2 * q) - 1) / q)
+    with mpmath.workdps(50 + max(0, -math.floor(math.log10(min(q, c))))):
+        theta = mpmath.mpf(theta)
+        return float((mpmath.legendre(ell, mpmath.cos(theta)) - 1)
+                     / mpmath.sin(theta / 2) ** 2)
 
 
 # log-uniform angles put most draws near 0, in the series zone
@@ -296,24 +306,34 @@ ANGLES = st.one_of(
 )
 
 
-# The reference is (P_ell(cos theta) - 1) / sin^2(theta/2) at the angle whose
-# haversine is the double q = sin(theta/2)^2 the function forms.  The rounding
-# of q belongs to the input: near theta = pi it alone moves P_ell by up to
-# about ell(ell+1) eps (measured 2e-10 at ell = 1200).  The error is relative
-# to max(|g|, 1), since g vanishes at theta = pi for even ell.  Measured worst:
-# 2.9e-12 over these draws (ell = 1104, theta = 0.0050; 1.9e-13 elsewhere),
-# and 4.2e-12 on a dense scan of theta in [3/ell, 0.25] through ell = 1200
-# (ell = 1200, theta = 0.0044), both just outside the series zone, where the
-# recurrence runs in t = 1 - 2q and the rounding of t near 1 costs about
-# P_ell'(t) eps / 4.  The bound is twice the scan's worst, so that another
+# The reference is (P_ell(cos theta) - 1) / sin^2(theta/2) at the double
+# theta.  The error is relative to max(|g|, 1), since g vanishes at
+# theta = pi for even ell.  Measured worst: 1.7e-13 over these draws
+# (ell = 1200, theta = 0.031), and 4.2e-12 on a dense scan of theta in
+# [3/ell, 0.25] through ell = 1200 (ell = 1200, theta = 0.0044), just
+# outside the series zone, where the recurrence runs in t = 1 - 2q and the
+# rounding of t near 1 costs about P_ell'(t) eps / 4.  The bound is twice the scan's worst, so that another
 # hypothesis version's draws stay inside it.
 @settings(derandomize=True, deadline=None, max_examples=120, database=None)
 @given(ell=st.integers(1, 1200), theta=ANGLES)
 def test_m1_over_hav_matches_mpmath_everywhere(ell, theta):
-    half = np.sin(0.5 * np.atleast_1d(theta))[0]
-    ref = _m1_over_hav_mpmath(ell, float(half * half))
+    ref = _m1_over_hav_mpmath(ell, theta)
     err = abs(legendre_m1_over_hav(ell, theta) - ref) / max(abs(ref), 1.0)
     assert err <= 8e-12, err
+
+
+# Near theta = pi the function runs on the mirror haversine c = cos^2(theta/2)
+# formed from theta, so it does not feel the rounding of q = sin^2(theta/2)
+# near 1, which moves P_ell by up to about ell(ell+1) eps.  Measured worst
+# relative error on 200 log-spaced angles pi - 10^[-6, -0.5]: 4.0e-13
+# (ell = 299), 3.7e-12 (1200) and 9.5e-12 (2000), the last from the
+# recurrence in t = 1 - 2c near t = 1, as near theta = 0.
+@pytest.mark.parametrize("ell", [299, 1200, 2000])
+def test_m1_over_hav_near_pi_matches_mpmath(ell):
+    theta = np.pi - 10.0 ** np.linspace(-6.0, -0.5, 12)
+    ref = np.array([_m1_over_hav_mpmath(ell, th) for th in theta])
+    err = np.abs(legendre_m1_over_hav(ell, theta) - ref) / np.abs(ref)
+    assert np.max(err) <= 1e-11, np.max(err)
 
 
 def test_m1_over_hav_rejects_bad_arguments():

@@ -301,6 +301,18 @@ def test_evolve_stacked_fields_do_not_mix():
     np.testing.assert_array_equal(both[0], alone_u[0])
     np.testing.assert_array_equal(both[1], alone_v[0])
     assert not np.array_equal(both[0], both[1])
+    # and a step is the literal Cox--Matthews formula, bit for bit
+    react = pseudospectral(lambda a, b: (react_u(a), react_v(b)), grid)
+    t, state = etdrk4_tables([op_u, op_v], h), stacked(u, v)
+    n_u = react(state)
+    a = t.exp_half * state + t.stage * n_u
+    n_a = react(a)
+    b = t.exp_half * state + t.stage * n_a
+    n_b = react(b)
+    c = t.exp_half * a + t.stage * (2.0 * n_b - n_u)
+    n_c = react(c)
+    want = t.exp_full * state + t.f1 * n_u + 2.0 * t.f2 * (n_a + n_b) + t.f3 * n_c
+    np.testing.assert_array_equal(etdrk4_step(state, t, react), want)
 
 
 def test_evolve_validation():
