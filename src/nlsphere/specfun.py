@@ -11,10 +11,9 @@ numpy array arithmetic:
   Bessel series,
 * ``legendre_m1_over_hav`` -- the cancellation-free ratio
   ``(P_ell(cos theta) - 1) / sin^2(theta/2)``, the integrand of every
-  operator eigenvalue.  Its one evaluation rule (``_m1_over_hav_from_q``:
-  ratio series near theta = 0, recurrence or, from degree 550, Bessel
-  asymptotics elsewhere) is shared with ``spectrum`` and ``eigenvalue``;
-  past theta = pi/2 it runs on the mirror angle pi - theta,
+  operator eigenvalue, by the rule ``spectrum`` and ``eigenvalue`` share
+  (ratio series near theta = 0, one recurrence on the ratio itself, Bessel
+  asymptotics); past theta = pi/2 it runs on the mirror angle pi - theta,
 * ``bessel_j`` -- cylindrical Bessel functions J_0..J_3,
 * ``assoc_legendre_normalized`` / ``assoc_legendre_table`` -- fully
   normalized associated Legendre functions.
@@ -75,6 +74,9 @@ _SERIES_HAV_MAX = 1e-2
 #: agree with the recurrence to a few ulps from degree 130 on, but are up to
 #: 1e-13 less accurate at 50-60.
 _ASYMPTOTIC_MIN_DEGREE = 550
+
+#: Degrees per block of ``_m1_over_hav_rows``; keeps its memory O(len(q)).
+_SWEEP_BLOCK = 64
 
 #: Rows of the Legendre table per step of the row recurrence, even so that
 #: every step starts on an even row.  16 rows of all 384 orders at 192
@@ -290,23 +292,24 @@ def _m1_series_from_hav(ell, q):
     """Ratio series in the haversine q; exact polynomial of degree ell-1.
 
     term_1 = -ell(ell+1) and term_{k+1}/term_k =
-    -(ell-k)(ell+k+1) q / (k+1)^2, so the loop needs no binomials.
+    (k(k+1) - ell(ell+1)) q / (k+1)^2, so the loop needs no binomials.
     ``ell`` may be an array of degrees broadcasting against ``q``.
     Terminates early once the current term is below machine epsilon
     relative to the running magnitude of the partial sums and the terms
     are shrinking.
     """
     ell, q = np.broadcast_arrays(np.asarray(ell, float), np.atleast_1d(q).astype(float))
-    term = -ell * (ell + 1.0)
+    top = ell * (ell + 1.0)
+    term = -top
     total = term.copy()
     running = np.abs(total)
     prev_mag = np.abs(term)
     for k in range(1, int(ell.max())):
-        term = term * (-(ell - k) * (ell + k + 1.0) / ((k + 1.0) * (k + 1.0))) * q
+        term = term * ((k * (k + 1.0) - top) / ((k + 1.0) * (k + 1.0))) * q
         total += term
         np.maximum(running, np.abs(total), out=running)
         mag = np.abs(term)
-        if np.all(mag <= _EPS * running) and np.all(mag <= prev_mag):
+        if (mag <= _EPS * running).all() and (mag <= prev_mag).all():
             break
         prev_mag = mag
     return total
@@ -315,20 +318,14 @@ def _m1_series_from_hav(ell, q):
 def legendre_m1_over_hav(ell, theta):
     """Evaluate (P_ell(cos theta) - 1) / sin^2(theta/2) for theta in [0, pi].
 
-    Near theta = 0 both numerator and denominator vanish; the quotient is
-    computed there from its power series in q = sin^2(theta/2), whose
-    first term gives the limit -ell(ell+1) exactly at theta = 0.  Away
-    from zero the two factors are evaluated directly.  The series is used
-    when q <= 1e-2 and additionally (ell+1/2)^2 q <= 4; outside that
-    region its alternating terms grow too large to cancel in double
-    precision, while direct evaluation is then perfectly conditioned.
-    It follows the eigenvalues' rule, ``_m1_over_hav_from_q``: from degree
-    550 on, P_ell at q > 1e-2 comes from the Bessel-series asymptotics.
-    For q > 1/2 the rule runs on the mirror angle pi - theta instead, whose
-    haversine c = cos^2(theta/2) is formed from theta:
-    P_ell(cos theta) = (-1)^ell (1 + c g(c)), so P - 1 is c g(c) for even
-    ell and -2 - c g(c) for odd ell, and neither subtracts 1 from a value
-    near 1 nor feels the rounding of q near 1.
+    Near theta = 0 both numerator and denominator vanish; the quotient
+    g(q) in q = sin^2(theta/2) comes from the eigenvalues' rule,
+    ``_m1_over_hav_from_q``, whose ratio series gives the limit
+    -ell(ell+1) exactly at theta = 0.  For q > 1/2 the rule runs on the
+    mirror angle pi - theta instead, whose haversine c = cos^2(theta/2) is
+    formed from theta: P_ell(cos theta) = (-1)^ell (1 + c g(c)), so P - 1
+    is c g(c) for even ell and -2 - c g(c) for odd ell, and neither
+    subtracts 1 from a value near 1 nor feels the rounding of q near 1.
     """
     ell = _check_degree(ell)
     th = np.asarray(theta, dtype=float)
@@ -351,34 +348,55 @@ def legendre_m1_over_hav(ell, theta):
     return _wrap(g, scalar)
 
 
-def _m1_over_hav_from_q(ell, q, p=None):
-    """g = (P_ell(1 - 2q) - 1) / q at the haversines ``q`` (a 1-D array).
-
-    The one rule for how the eigenvalue integrand is evaluated at a node:
-    the ratio series where q <= ``_SERIES_HAV_MAX`` and (ell + 1/2)^2 q
-    <= ``_SERIES_OSC_MAX``, and (P_ell - 1) / q elsewhere.  There P_ell
-    comes from the Bessel-series asymptotics where q > ``_SERIES_HAV_MAX``
-    from degree ``_ASYMPTOTIC_MIN_DEGREE`` on, and from the recurrence at
-    every other node.  A caller that already holds P_ell at the nodes
-    passes it as ``p``, whose shape ``ell`` and ``q`` broadcast to: a
-    column of degrees against the nodes serves a block of recurrence rows.
-    """
-    ells, q = np.broadcast_arrays(ell, q)
-    series = (q <= _SERIES_HAV_MAX) & ((ells + 0.5) ** 2 * q <= _SERIES_OSC_MAX)
-    if p is None:
-        p = np.ones(q.shape)  # P - 1 = 0 holds the series nodes' place
-        rest = ~series
-        far = q > _SERIES_HAV_MAX
-        if ell >= _ASYMPTOTIC_MIN_DEGREE and far.any():
-            p[far] = _szego_from_haversine(ell, q[far])
-            rest &= ~far
-        if rest.any():
-            p[rest] = legendre_rec(ell, 1.0 - 2.0 * q[rest])
-    g = np.subtract(p, 1.0)
-    np.divide(g, q, out=g, where=~series)
+def _m1_over_hav_from_q(ell, q):
+    """g = (P_ell(1 - 2q) - 1) / q at the haversines ``q`` (a 1-D array),
+    ell >= 1: the ratio series in its zone, the Bessel-series asymptotics
+    at q > ``_SERIES_HAV_MAX`` from degree ``_ASYMPTOTIC_MIN_DEGREE`` on,
+    and the degree-ell row of ``_m1_over_hav_rows`` at every other node."""
+    g = np.empty(q.shape)
+    series = (q <= _SERIES_HAV_MAX) & ((ell + 0.5) ** 2 * q <= _SERIES_OSC_MAX)
+    far = (q > _SERIES_HAV_MAX) & (ell >= _ASYMPTOTIC_MIN_DEGREE)
+    rest = ~(series | far)
     if series.any():
-        g[series] = _m1_series_from_hav(ells[series], q[series])
+        g[series] = _m1_series_from_hav(ell, q[series])
+    if far.any():
+        g[far] = (_szego_from_haversine(ell, q[far]) - 1.0) / q[far]
+    if rest.any():
+        [(_, rows)] = _m1_over_hav_rows(q[rest], ell, first=ell)
+        g[rest] = rows[0]
     return g
+
+
+def _m1_over_hav_rows(q, last, first=1):
+    """Rows of g_ell = (P_ell(1 - 2q) - 1) / q at the haversines ``q`` (a
+    1-D array) for the degrees ell = first..last, ``_SWEEP_BLOCK`` at a
+    time, as ``(first_degree, rows)``; ``rows`` views a buffer that the
+    next block overwrites.  The three-term recurrence runs on g itself:
+    (ell + 1) g_{ell+1} = (2 ell + 1) (g_ell - 2q g_ell - 2) - ell g_{ell-1},
+    so no step rounds t = 1 - 2q, an error that grows like ell^2.  In the
+    rows it yields the ratio series takes its zone and seeds the next steps.
+    """
+    q2 = 2.0 * q
+    buf = np.empty((_SWEEP_BLOCK, q.size))
+    g_prev = g = np.zeros_like(q)  # g_0; the first step gives g_1 = -2 exactly
+    for start in range(1, last + 1, _SWEEP_BLOCK):
+        ells = np.arange(start, min(start + _SWEEP_BLOCK, last + 1), dtype=float)
+        rows = buf[: ells.size]
+        for row, ell in zip(rows, ells.tolist()):  # Python floats step fastest
+            step = g - q2 * g
+            step -= 2.0
+            step *= 2.0 * ell - 1.0
+            step -= (ell - 1.0) * g_prev
+            np.divide(step, ell, out=row)
+            g_prev, g = g, row
+        skip = max(first - start, 0)
+        if skip >= ells.size:
+            continue
+        ells, qs = np.broadcast_arrays(ells[skip:, None], q)
+        series = (qs <= _SERIES_HAV_MAX) & ((ells + 0.5) ** 2 * qs <= _SERIES_OSC_MAX)
+        if series.any():
+            rows[skip:][series] = _m1_series_from_hav(ells[series], qs[series])
+        yield start + skip, rows[skip:]
 
 
 # ----------------------------------------------------------------------

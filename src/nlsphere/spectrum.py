@@ -4,13 +4,10 @@ The operator acts on spherical harmonics diagonally; its eigenvalue at
 degree ell is a weighted integral of (P_ell(t(x)) - 1)/(1-x) against the
 algebraic weight (1-x)^alpha on [-1, 1], where t(x) interpolates between
 1 and 1 - delta^2/2.  A modified Clenshaw--Curtis rule absorbs the
-singular factor; ``specfun._m1_over_hav_from_q`` evaluates the integrand
-at its nodes, with the cancellation-free ratio series near the singular
-end.  ``spectrum(n)`` serves all degrees through n with one rule and one
-three-term recurrence whose rows it hands to that integrand.
-``eigenvalue(ell)`` has its own rule and lets the integrand evaluate
-P_ell too: by the recurrence below degree 550, and from there on by the
-Bessel-series asymptotics, O(1) per node, away from the singular end.
+singular factor.  ``spectrum(n)`` sums the rows of the integrand's one
+recurrence, ``specfun._m1_over_hav_rows``, through degree n against one
+rule; ``eigenvalue(ell)`` has its own rule and takes the degree-ell row
+through ``specfun._m1_over_hav_from_q``.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import numpy as np
 
 from .quadrature import cc_weights
 from .sht import _write_csv
-from .specfun import _m1_over_hav_from_q
+from .specfun import _m1_over_hav_from_q, _m1_over_hav_rows
 
 __all__ = [
     "KernelParams",
@@ -32,10 +29,6 @@ __all__ = [
     "spectrum",
     "write_spectrum",
 ]
-
-#: Degrees per block of Legendre rows in ``spectrum``; keeps its memory O(n).
-_SWEEP_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -96,11 +89,8 @@ def eigenvalue(ell, params):
     invariant and downstream solvers rely on the mean mode being exact.
     For ell >= 1 the integral uses a modified Clenshaw--Curtis rule with
     max(ell+1, 8) panels, which integrates the polynomial part of the
-    integrand exactly.  The integrand is the one ``spectrum`` and
-    ``specfun.legendre_m1_over_hav`` share: the ratio series near the
-    singular end, and elsewhere P_ell from the recurrence, or from degree
-    550 on from the four-term Bessel-series asymptotics at the nodes with
-    haversine above 1e-2.
+    integrand exactly.  The integrand comes from
+    ``specfun._m1_over_hav_from_q``, which ``legendre_m1_over_hav`` shares.
     """
     ell = _check_ell(ell)
     if not isinstance(params, KernelParams):
@@ -124,15 +114,7 @@ def spectrum(n, params):
     panels = max(n + 1, 8)
     rule = cc_weights(params.alpha, 0.0, panels)
     q = _node_haversine(params.delta, panels)
-    t = 1.0 - 2.0 * q
-    p_prev = p = np.ones_like(t)  # P_0; the first step gives P_1 = t exactly
-    for first in range(1, n + 1, _SWEEP_BLOCK):
-        ells = np.arange(first, min(first + _SWEEP_BLOCK, n + 1), dtype=float)
-        rows = np.empty((ells.size, t.size))
-        for row, ell in zip(rows, ells):
-            np.divide((2.0 * ell - 1.0) * t * p - (ell - 1.0) * p_prev, ell, out=row)
-            p_prev, p = p, row
-        g = _m1_over_hav_from_q(ells[:, None], q, rows)
+    for first, g in _m1_over_hav_rows(q, n):
         # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the constant factor
         values[first : first + g.shape[0]] = g @ rule.weights
     values[1:] *= (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha)

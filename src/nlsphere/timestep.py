@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sht import _per_degree, analysis, synthesis
+from .sht import _layout, analysis, synthesis
 
 __all__ = [
     "BlowUpError",
@@ -156,7 +156,9 @@ def etdrk4_tables(operators, h):
             StabilityWarning,
             stacklevel=2,
         )
-    z = _per_degree(z_deg)
+    # every function once per degree, then over the coefficient layout; the
+    # structural-zero slots read an appended z = 0 and keep its exact limits
+    z = np.concatenate([z_deg, np.zeros((lam.shape[0], 1))], axis=1)
     small = np.abs(z) < _Z_STAR
     parts = [np.empty_like(z) for _ in range(4)]
     if small.any():
@@ -166,12 +168,17 @@ def etdrk4_tables(operators, h):
     if big.any():
         for dst, src in zip(parts, _phi_direct(z[big])):
             dst[big] = src
-    stage, f1, f2, f3 = (h * p for p in parts)
+    deg, valid = _layout(lam.shape[1] - 1)
+    slots = np.where(valid, deg, lam.shape[1])
+    exp_full, exp_half, stage, f1, f2, f3 = (
+        np.take(p, slots, axis=-1)
+        for p in (np.exp(z), np.exp(0.5 * z), *(h * p for p in parts))
+    )
     return ETDRK4Tables(
         h=h,
         degree=lam.shape[1] - 1,
-        exp_full=np.exp(z),
-        exp_half=np.exp(0.5 * z),
+        exp_full=exp_full,
+        exp_half=exp_half,
         stage=stage,
         f1=f1,
         f2=f2,

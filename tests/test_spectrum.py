@@ -20,7 +20,12 @@ import numpy as np
 import pytest
 
 from nlsphere.quadrature import cc_weights
-from nlsphere.specfun import _ASYMPTOTIC_MIN_DEGREE, _SERIES_HAV_MAX, legendre_rec
+from nlsphere.specfun import (
+    _ASYMPTOTIC_MIN_DEGREE,
+    _SERIES_HAV_MAX,
+    _m1_over_hav_rows,
+    legendre_rec,
+)
 from nlsphere.spectrum import (
     KernelParams,
     _eigenvalue_with_panels,
@@ -62,16 +67,24 @@ def test_minus_two_ell_kernel():
 
 
 def test_minus_two_ell_kernel_through_degree_2000():
-    # the haversine q from the node angle, not from the rounded node x,
-    # keeps the spectrum's error at 2.4e-13 through ell = 2000 (it was
-    # 9.6e-12); an isolated eigenvalue has its own (ell+1)-panel rule and
-    # reaches 6.2e-13 at ell = 1999 (it was 1.1e-12 there, 9.6e-12 at 2000)
+    # measured worst with the recurrence on g = (P - 1)/q: 1.74e-13 for the
+    # spectrum (ell = 1981) and 2.9e-13 for an isolated eigenvalue, which
+    # has its own (ell+1)-panel rule (ell = 1990 of 1900..2000).  The P
+    # recurrence in t = 1 - 2q reached 2.4e-13 and 6.2e-13 (ell = 1999).
     params = KernelParams(-0.5, 2.0)
     ells = np.arange(1, 2001)
     values = spectrum(2000, params)
-    np.testing.assert_allclose(values[1:], -2.0 * ells, rtol=5e-13, atol=0)
-    for ell in (1000, 1500, 1973, 1999, 2000):
-        assert eigenvalue(ell, params) == pytest.approx(-2.0 * ell, rel=1e-12)
+    np.testing.assert_allclose(values[1:], -2.0 * ells, rtol=3.5e-13, atol=0)
+    for ell in (1000, 1500, 1973, 1990, 1999, 2000):
+        assert eigenvalue(ell, params) == pytest.approx(-2.0 * ell, rel=6e-13)
+
+
+def test_minus_two_ell_kernel_through_degree_10000():
+    # 6.6e-13 measured (ell = 8627); the P recurrence in t = 1 - 2q
+    # reached 4.6e-12, from the rounding of t near 1
+    values = spectrum(10000, KernelParams(-0.5, 2.0))
+    ells = np.arange(1, 10001)
+    np.testing.assert_allclose(values[1:], -2.0 * ells, rtol=1e-12, atol=0)
 
 
 def test_spectrum_low_degrees_minus_two_ell():
@@ -112,22 +125,25 @@ def test_eigenvalue_route_follows_the_degree(monkeypatch, alpha, delta):
     params = KernelParams(alpha, delta)
     c = _ASYMPTOTIC_MIN_DEGREE
     expected = spectrum(2 * c, params)
+    seen = []
 
     def no_asymptotics(ell, q):
         raise AssertionError(f"asymptotics at degree {ell}")
 
-    def near_nodes_only(ell, t):
-        assert np.all(t >= 1.0 - 2.0 * _SERIES_HAV_MAX), f"far-node recurrence at degree {ell}"
-        return legendre_rec(ell, t)
+    def near_nodes_only(q, last, first=1):
+        assert np.all(q <= _SERIES_HAV_MAX), f"far-node recurrence at degree {last}"
+        seen.append(last)
+        return _m1_over_hav_rows(q, last, first)
 
     with monkeypatch.context() as patch:
         patch.setattr("nlsphere.specfun._szego_from_haversine", no_asymptotics)
         for ell in (1, c - 1):
             assert eigenvalue(ell, params) == pytest.approx(expected[ell], rel=1e-13)
     with monkeypatch.context() as patch:
-        patch.setattr("nlsphere.specfun.legendre_rec", near_nodes_only)
+        patch.setattr("nlsphere.specfun._m1_over_hav_rows", near_nodes_only)
         for ell in (c, 2 * c):
             assert eigenvalue(ell, params) == pytest.approx(expected[ell], rel=1e-13)
+    assert seen == [c, 2 * c]  # the spy saw the recurrence at both degrees
 
 
 def test_compensated_summation_reference():
@@ -291,10 +307,11 @@ def _mpmath_eigenvalue(ell, alpha, delta):
     (-0.5, 1.0, 1000, 2e-13), (0.9, 0.01, 1000, 2e-13), (0.3, 1.5, 1000, 2e-13),
 ])
 def test_spectrum_against_mpmath(alpha, delta, n, rtol):
-    # rtol: about twice the worst error on these kernels, 1.15e-13 at
-    # alpha = 0.3, delta = 1.5, ell = 51 for n <= 383 and 9.9e-14 at
-    # alpha = -0.5, delta = 2, ell = 1000; with q from the rounded node
-    # x instead of its angle the latter was 2.9e-12
+    # rtol: about twice the worst error on these kernels, 8.3e-14 at
+    # alpha = 0.9, delta = 0.01, ell = 1000 (4.9e-14 for n <= 383); the P
+    # recurrence in t = 1 - 2q reached 9.8e-14 at alpha = -0.5, delta = 2,
+    # ell = 700, and with q from the rounded node x instead of its angle
+    # 2.9e-12 at ell = 1000
     values = spectrum(n, KernelParams(alpha, delta))
     for ell in (1, 2, 7, 50, 51, 100, 200, 300, 383, 500, 700, n):
         if ell <= n:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from nlsphere.sht import SphereGrid, _per_degree, analysis, slot, synthesis
-from nlsphere.spectrum import local_spectrum
+from nlsphere.spectrum import KernelParams, local_spectrum, spectrum
 from nlsphere.timestep import (
     BlowUpError,
     StabilityWarning,
@@ -144,6 +144,42 @@ def test_operator_dense_layout():
     assert dense[1, 3] == 0.0       # structural zero (needs ell=3)
     assert etdrk4_tables([op], 1.0).degree == 2
     np.testing.assert_array_equal(etdrk4_tables([op], 1.0).exp_full[0], np.exp(dense))
+
+
+def _tables_per_slot(operators, h):
+    """(exp_full, exp_half, stage, f1, f2, f3) with every (k, n+1, 2n+1)
+    slot evaluated on its own, structural zeros at z = 0."""
+    z = _per_degree(h * np.asarray(operators, dtype=float))
+    small = np.abs(z) < _Z_STAR
+    parts = [np.empty_like(z) for _ in range(4)]
+    for mask, phi in ((small, _phi_taylor), (~small, _phi_direct)):
+        if mask.any():
+            for dst, src in zip(parts, phi(z[mask])):
+                dst[mask] = src
+    return (np.exp(z), np.exp(0.5 * z), *(h * p for p in parts))
+
+
+@pytest.mark.parametrize("n", [31, 127, 255])
+def test_tables_match_per_slot_evaluation(n):
+    # the tables come from one evaluation per degree, broadcast over the
+    # layout; they equal the per-slot evaluation bit for bit on the
+    # benchmark's Allen-Cahn and Brusselator operators and the local one.
+    # The decay moved into the linear part makes z nonzero at degree 0, so
+    # the structural zeros must not borrow degree 0's values
+    ac = KernelParams(-0.5, 1.0)
+    br = spectrum(n, KernelParams(0.0, 1.0))
+    cases = [
+        ([0.1**2 * spectrum(n, ac)], 0.01),
+        ([0.075**2 * br, (1.0 / 7.8125) * br], 0.1),
+        ([0.075**2 * br - 1.0, (1.0 / 7.8125) * br], 0.1),
+        ([local_spectrum(n)], 0.37),
+    ]
+    for operators, h in cases:
+        tables = etdrk4_tables(operators, h)
+        got = (tables.exp_full, tables.exp_half, tables.stage, tables.f1, tables.f2, tables.f3)
+        for mine, ref in zip(got, _tables_per_slot(operators, h)):
+            assert mine.shape == ref.shape
+            assert np.array_equal(mine, ref)
 
 
 # ----------------------------------------------------------------------
