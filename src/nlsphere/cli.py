@@ -8,7 +8,8 @@ environment variables; importing this module alone stays cheap.
 kernel, a `--rhs` file, the model config, the initial condition), each
 checked by the object that owns it, and only then creates the output
 directory, the spectrum and the grid: a refused command line exits 1 and
-writes nothing.
+writes nothing.  An evolution that blows up exits 2 and removes the
+output directory if it created it and wrote nothing into it.
 
 All outputs are UTF-8 CSV files with `#`-prefixed header lines, written
 deterministically: re-running a command with identical flags (including
@@ -90,10 +91,12 @@ def run(args):
         write_coeffs,
         write_grid_values,
     )
-    from .timestep import evolve, pseudospectral
+    from .timestep import BlowUpError, evolve, pseudospectral
 
     n = args.degree
     kernel = None if args.local else KernelParams(args.alpha, args.delta)
+    if n < 0:
+        raise CliError(f"degree must be a non-negative integer, got {n!r}")
     if args.command == "poisson" and args.rhs != "death-star":
         rhs = read_coeffs(args.rhs)
         if len(rhs) != n + 1:
@@ -114,9 +117,7 @@ def run(args):
         steps = max(round(args.t_final / h), 1)
         kind, cap, scale = _parse_ic(args.ic)
         if args.model == "allen-cahn":
-            cfg = M.AllenCahnConfig(
-                epsilon=args.epsilon, kernel=kernel, degree=n, h=h, steps=steps
-            )
+            cfg = M.AllenCahnConfig(epsilon=args.epsilon)
             if kind == "equilibrium":
                 raise CliError("--ic equilibrium applies only to the brusselator model")
             tags = ("u",)
@@ -124,10 +125,7 @@ def run(args):
             if kind == "random":
                 state = [M.random_coeffs(cap, n, scale, args.seed)]
         else:
-            cfg = M.BrusselatorConfig(
-                E=args.E, epsilon=args.epsilon, tau=args.tau, f=args.f,
-                kernel=kernel, degree=n, h=h, steps=steps,
-            )
+            cfg = M.BrusselatorConfig(E=args.E, epsilon=args.epsilon, tau=args.tau, f=args.f)
             if kind == "cos10xy":
                 raise CliError(
                     "--ic for the brusselator model must be equilibrium or random:<cap>:<scale>"
@@ -142,6 +140,7 @@ def run(args):
                 state.append(c)
     spec = M.build_spectrum(n, kernel)
 
+    created = not os.path.exists(args.output_dir)
     os.makedirs(args.output_dir, exist_ok=True)
     out = lambda name: os.path.join(args.output_dir, name)
     written = []
@@ -194,8 +193,14 @@ def run(args):
     if args.snapshot_stride >= 1:
         observers.append(snapshot_observer)
     # a blow-up overflows before evolve sees it; BlowUpError reports it alone
-    with np.errstate(over="ignore", invalid="ignore"):
-        final = evolve(state, operators, nonlinearity, h, steps, observers=observers)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            final = evolve(state, operators, nonlinearity, h, steps, observers=observers)
+    except BlowUpError:
+        # a directory this run created and left empty is not an output
+        if created and not os.listdir(args.output_dir):
+            os.rmdir(args.output_dir)
+        raise
     if args.model == "allen-cahn":
         recorder.write(out("energy.csv"))
         written.append(out("energy.csv"))
@@ -260,7 +265,6 @@ def build_parser():
 
 def main(argv=None):
     try:
-        _apply_thread_cap()
         run(build_parser().parse_args(argv))
     except (CliError, ValueError, OSError) as err:
         print(f"nlsphere: error: {err}", file=sys.stderr)

@@ -3,7 +3,9 @@
 Provides the nonlocal Poisson solve with a mean condition, Allen--Cahn
 and Brusselator reaction--diffusion setups for the ETDRK4 integrator,
 the Ginzburg--Landau free energy, Cesaro smoothing of coefficient
-expansions, and reproducible random fields.
+expansions, and reproducible random fields.  A model config holds only
+physical constants; the kernel, degree, step size and step count belong
+to the spectrum, the grid and `evolve`.
 """
 
 import math
@@ -131,13 +133,8 @@ class AllenCahnConfig:
     """Phase-field flow with diffusion eps^2 * L and reaction u - u^3."""
 
     epsilon: float
-    kernel: KernelParams | None
-    degree: int
-    h: float
-    steps: int
 
     def __post_init__(self):
-        _check_model_common(self)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
@@ -157,14 +154,9 @@ class BrusselatorConfig:
     epsilon: float
     tau: float
     f: float
-    kernel: KernelParams | None
-    degree: int
-    h: float
-    steps: int
     decay_in_linear: bool = False
 
     def __post_init__(self):
-        _check_model_common(self)
         for name in ("E", "epsilon", "tau"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
@@ -178,17 +170,6 @@ class BrusselatorConfig:
         return u_e, 1.0 / u_e
 
 
-def _check_model_common(cfg):
-    if cfg.kernel is not None and not isinstance(cfg.kernel, KernelParams):
-        raise TypeError(f"kernel must be KernelParams or None, got {cfg.kernel!r}")
-    if not isinstance(cfg.degree, (int, np.integer)) or cfg.degree < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {cfg.degree!r}")
-    if not (math.isfinite(cfg.h) and cfg.h > 0):
-        raise ValueError(f"h must be positive, got {cfg.h}")
-    if not isinstance(cfg.steps, (int, np.integer)) or cfg.steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {cfg.steps!r}")
-
-
 def allen_cahn_nonlinearity(u):
     """Pointwise cubic reaction u - u^3."""
     u = np.asarray(u, dtype=float)
@@ -197,7 +178,7 @@ def allen_cahn_nonlinearity(u):
 
 def allen_cahn_operator(cfg, spec):
     """Diagonal linear part eps^2 * L, per degree, from a precomputed spectrum."""
-    return cfg.epsilon**2 * _check_spectrum(spec, cfg.degree, "config")
+    return cfg.epsilon**2 * np.asarray(spec, dtype=float)
 
 
 def brusselator_nonlinearities(u, v, cfg):
@@ -215,7 +196,7 @@ def brusselator_nonlinearities(u, v, cfg):
 def brusselator_operators(cfg, spec):
     """Diagonal linear parts (eps^2 * L, L / tau) per degree, with -1 added
     to the first if the decay moved."""
-    spec = _check_spectrum(spec, cfg.degree, "config")
+    spec = np.asarray(spec, dtype=float)
     op_u = cfg.epsilon**2 * spec
     if cfg.decay_in_linear:
         op_u = op_u - 1.0
@@ -294,17 +275,16 @@ class EnergyRecorder:
     """Observer for `evolve` that records (t, energy) of the first field
     of its (k, n+1, 2n+1) state."""
 
-    def __init__(self, spec, epsilon, grid=None):
+    def __init__(self, spec, epsilon):
         self.spec = spec
         self.epsilon = epsilon
-        self.grid = grid
         self.times = []
         self.energies = []
 
     def __call__(self, step, t, state):
         self.times.append(t)
         self.energies.append(
-            ginzburg_landau_energy(state[0], self.spec, self.epsilon, self.grid))
+            ginzburg_landau_energy(state[0], self.spec, self.epsilon))
 
     def write(self, path):
         rows = ("%.17g,%.17g\n" % row for row in zip(self.times, self.energies))

@@ -18,11 +18,12 @@ triangle are structurally zero: the transforms keep them so, and
 ``read_coeffs`` refuses a file that breaks them.
 
 The grid couples n+1 Gauss--Legendre colatitudes with L equispaced
-longitudes, L = 2n+1 unless a grid asks for more.  Gauss--Legendre
-exactness in colatitude (degree 2n+1) and trapezoid exactness in
-longitude (frequencies below L) make analysis the exact inverse of
-synthesis for band-limited data, which the tests verify to near machine
-precision.
+longitudes, L = 2n+1 unless a grid asks for more; values on it are a
+plain (n+1, L) float array, row i at colat_nodes[i] and column j at
+lon_nodes[j].  Gauss--Legendre exactness in colatitude (degree 2n+1) and
+trapezoid exactness in longitude (frequencies below L) make analysis the
+exact inverse of synthesis for band-limited data, which the tests verify
+to near machine precision.
 
 A transform has two stages.  The longitude stage is a real FFT of length
 L (``numpy.fft.irfft`` / ``rfft``), O(n^2 log n) in all, except when L is
@@ -66,7 +67,6 @@ from .quadrature import gauss_legendre
 from .specfun import _legendre_rows, assoc_legendre_table
 
 __all__ = [
-    "GridValues",
     "SphereGrid",
     "analysis",
     "mean",
@@ -77,10 +77,6 @@ __all__ = [
     "write_coeffs",
     "write_grid_values",
 ]
-
-#: Grid values are a plain (n+1) x L float array, L = 2n+1 by default:
-#: value at (colat_nodes[i], lon_nodes[j]).
-GridValues = np.ndarray
 
 #: Legendre tables are cached on the grid object up to this degree
 #: (memory for all orders together grows like degree^3 / 4 doubles, 123 MB

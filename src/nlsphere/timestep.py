@@ -70,8 +70,6 @@ class BlowUpError(RuntimeError):
 class ETDRK4Tables:
     """Precomputed per-mode ETDRK4 coefficients of k stacked operators at h."""
 
-    h: float
-    degree: int
     exp_full: np.ndarray
     exp_half: np.ndarray
     stage: np.ndarray
@@ -175,8 +173,6 @@ def etdrk4_tables(operators, h):
         for p in (np.exp(z), np.exp(0.5 * z), *(h * p for p in parts))
     )
     return ETDRK4Tables(
-        h=h,
-        degree=lam.shape[1] - 1,
         exp_full=exp_full,
         exp_half=exp_half,
         stage=stage,
@@ -222,34 +218,29 @@ def etdrk4_step(state, tables, nonlinearity, step_index=None):
     return new
 
 
-def evolve(initial, operators, nonlinearity, h, steps, observers=(),
-           observer_stride=1):
+def evolve(initial, operators, nonlinearity, h, steps, observers=()):
     """Integrate ``steps`` ETDRK4 steps of size ``h`` from ``initial``.
 
     ``initial`` holds the coefficient arrays of k fields, stacked to shape
     (k, n+1, 2n+1) (k = 1 for a single field), and ``operators`` one
     per-degree array of shape (n+1,) per field, as ``etdrk4_tables`` takes.
-    ``observers`` are callables ``(step, time, state)`` invoked with
-    read-only state at step 0 and then every ``observer_stride`` steps;
-    their outputs are owned by the caller.  Returns the final state array;
-    a BlowUpError carries the failing step.
+    ``observers`` are callables ``(step, time, state)`` invoked with a
+    read-only view of the state at step 0 and after every step (a stride
+    is the observer's own); their outputs are owned by the caller.  Returns
+    the final state array; a BlowUpError carries the failing step.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    if not isinstance(observer_stride, (int, np.integer)) or observer_stride < 1:
-        raise ValueError(
-            f"observer_stride must be a positive integer, got {observer_stride!r}"
-        )
     state = np.asarray(initial, dtype=float)
     tables = etdrk4_tables(operators, h)
     _check_shape(state, tables)
+    # observers get read-only views: broadcast_to never returns a writable one
     for obs in observers:
-        obs(0, 0.0, state)
+        obs(0, 0.0, np.broadcast_to(state, state.shape))
     for k in range(1, int(steps) + 1):
         state = etdrk4_step(state, tables, nonlinearity, step_index=k)
-        if k % int(observer_stride) == 0:
-            for obs in observers:
-                obs(k, k * h, state)
+        for obs in observers:
+            obs(k, k * h, np.broadcast_to(state, state.shape))
     return state
 
 

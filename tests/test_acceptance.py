@@ -182,11 +182,10 @@ def test_criterion_08_etdrk4_temporal_order():
     u0 = analysis(M.cos10xy(grid), grid)
     nl = pseudospectral(M.allen_cahn_nonlinearity, grid)
 
+    op = M.allen_cahn_operator(M.AllenCahnConfig(epsilon=0.1), spec)
+
     def run(h):
-        cfg = M.AllenCahnConfig(epsilon=0.1, kernel=kernel, degree=n, h=h,
-                                steps=round(1.0 / h))
-        op = M.allen_cahn_operator(cfg, spec)
-        return evolve(u0[None], [op], nl, cfg.h, cfg.steps)
+        return evolve(u0[None], [op], nl, h, round(1.0 / h))
 
     ref = run(2.0**-8)
     hs = [2.0**-k for k in range(2, 7)]
@@ -211,11 +210,10 @@ def test_criterion_09_energy_monotonicity():
     ok = True
     for label, kernel in (("local", None), ("nonlocal", KernelParams(-0.5, 1.0))):
         spec = M.build_spectrum(n, kernel)
-        cfg = M.AllenCahnConfig(epsilon=0.1, kernel=kernel, degree=n,
-                                h=0.1, steps=200)
+        cfg = M.AllenCahnConfig(epsilon=0.1)
         rec = M.EnergyRecorder(spec, cfg.epsilon)
-        evolve(u0[None], [M.allen_cahn_operator(cfg, spec)], nl, cfg.h, cfg.steps,
-               observers=[rec], observer_stride=1)
+        evolve(u0[None], [M.allen_cahn_operator(cfg, spec)], nl, 0.1, 200,
+               observers=[rec])
         e = np.array(rec.energies)
         increases = np.diff(e) - 1e-8 * np.abs(e[:-1])
         ok = ok and bool(np.all(increases <= 0.0))
@@ -246,19 +244,17 @@ def test_criterion_11_brusselator_equilibrium():
     # E=4, eps=0.075, tau=7.8125, f=0.8, alpha=0, delta=1; exact
     # equilibrium IC, 100 steps at h=0.1: max drift <= 1e-10
     t0 = time.monotonic()
-    cfg = M.BrusselatorConfig(E=4.0, epsilon=0.075, tau=7.8125, f=0.8,
-                              kernel=KernelParams(0.0, 1.0), degree=32,
-                              h=0.1, steps=100)
-    spec = M.build_spectrum(cfg.degree, cfg.kernel)
-    grid = SphereGrid(cfg.degree)
+    n = 32
+    cfg = M.BrusselatorConfig(E=4.0, epsilon=0.075, tau=7.8125, f=0.8)
+    spec = M.build_spectrum(n, KernelParams(0.0, 1.0))
+    grid = SphereGrid(n)
     nl = pseudospectral(lambda u, v: M.brusselator_nonlinearities(u, v, cfg), grid)
     u_e, v_e = cfg.equilibrium()
-    u0 = np.zeros((cfg.degree + 1, 2 * cfg.degree + 1))
-    v0 = np.zeros((cfg.degree + 1, 2 * cfg.degree + 1))
-    u0[slot(cfg.degree, 0, 0)] = u_e * math.sqrt(4.0 * math.pi)
-    v0[slot(cfg.degree, 0, 0)] = v_e * math.sqrt(4.0 * math.pi)
-    fu, fv = evolve(np.stack([u0, v0]), M.brusselator_operators(cfg, spec), nl,
-                    cfg.h, cfg.steps)
+    u0 = np.zeros((n + 1, 2 * n + 1))
+    v0 = np.zeros((n + 1, 2 * n + 1))
+    u0[slot(n, 0, 0)] = u_e * math.sqrt(4.0 * math.pi)
+    v0[slot(n, 0, 0)] = v_e * math.sqrt(4.0 * math.pi)
+    fu, fv = evolve(np.stack([u0, v0]), M.brusselator_operators(cfg, spec), nl, 0.1, 100)
     drift = max(np.abs(fu - u0).max(), np.abs(fv - v0).max())
     elapsed = time.monotonic() - t0
     ok = drift <= 1e-10

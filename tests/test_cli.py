@@ -166,8 +166,7 @@ def test_evolve_brusselator_snapshots(tmp_path):
     assert sorted(n_ for n_ in os.listdir(tmp_path)
                   if n_.startswith("snapshot_")) == sorted(snapshots)
     # step-0 v snapshot is the Cesaro-smoothed v initial condition
-    cfg = M.BrusselatorConfig(E=4.0, epsilon=0.1, tau=7.8125, f=0.8, kernel=None,
-                              degree=n, h=0.05, steps=5)
+    cfg = M.BrusselatorConfig(E=4.0, epsilon=0.1, tau=7.8125, f=0.8)
     v0 = np.zeros((n + 1, 2 * n + 1))
     v0[slot(n, 0, 0)] = cfg.equilibrium()[1] * math.sqrt(4.0 * math.pi)
     v0 = v0 + M.random_coeffs(4, n, 0.01, seed + 1)
@@ -211,17 +210,34 @@ def test_evolve_brusselator_random_ic_perturbs_both(tmp_path):
     assert u[slot(6, 2, 1)] != v[slot(6, 2, 1)]
 
 
+BLOW_UP_ARGS = ["evolve", "--model", "allen-cahn", "--local", "--degree", "6",
+                "--dt", "1", "--t-final", "3", "--ic", "random:3:1e8"]
+
+
 def test_evolve_blow_up_exits_2(tmp_path, capsys):
     # the overflow that leads to the blow-up raises no RuntimeWarning (which
     # pytest turns into an error here): stderr holds the one message
-    rc = main(["evolve", "--model", "allen-cahn", "--local", "--degree", "6",
-               "--dt", "1", "--t-final", "3", "--ic", "random:3:1e8",
-               "--output-dir", str(tmp_path)])
+    rc = main(BLOW_UP_ARGS + ["--output-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == (
         "nlsphere: non-finite coefficients after step 1; "
         "the time step is likely too large for this problem\n"
     )
+
+
+def test_blow_up_removes_only_the_empty_directory_it_created(tmp_path):
+    created = tmp_path / "created"
+    assert main(BLOW_UP_ARGS + ["--output-dir", str(created)]) == 2
+    assert not created.exists()
+    # a directory that was there before the run stays, although empty
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert main(BLOW_UP_ARGS + ["--output-dir", str(existing)]) == 2
+    assert existing.is_dir() and not any(existing.iterdir())
+    # and so does one the run created and wrote snapshots into
+    snapshots = tmp_path / "snapshots"
+    assert main(BLOW_UP_ARGS + ["--snapshot-stride", "1", "--output-dir", str(snapshots)]) == 2
+    assert sorted(p.name for p in snapshots.iterdir()) == ["snapshot_u_000000.csv"]
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +279,9 @@ def test_validation_failures_exit_1(tmp_path, args):
     AC_ARGS + ["--ic", "random:3:nan"],
     AC_ARGS + ["--ic", "random:3:1", "--seed", "-1"],
     ["poisson", "--local", "--degree", "1", "--rhs", "zero1.csv"],
+    ["spectrum", "--degree", "-1"],
+    ["evolve", "--model", "brusselator", "--degree", "-1", "--dt", "0.1",
+     "--t-final", "1", "--ic", "equilibrium"],
 ])
 def test_refused_command_line_leaves_nothing_behind(tmp_path, monkeypatch, args):
     write_coeffs(np.zeros((5, 9)), tmp_path / "rhs4.csv")

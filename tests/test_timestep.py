@@ -142,7 +142,7 @@ def test_operator_dense_layout():
     assert dense[0, 1] == -1.0      # (ell=1, m=-1) slot
     assert dense[0, 3] == -3.0      # (ell=2, m=-2) slot
     assert dense[1, 3] == 0.0       # structural zero (needs ell=3)
-    assert etdrk4_tables([op], 1.0).degree == 2
+    assert etdrk4_tables([op], 1.0).exp_full.shape == (1, 3, 5)
     np.testing.assert_array_equal(etdrk4_tables([op], 1.0).exp_full[0], np.exp(dense))
 
 
@@ -294,11 +294,38 @@ def test_evolve_heat_decay_single_mode():
 
 
 def test_evolve_observers_stride_and_times():
-    seen = []
+    # evolve calls every observer at every step; a stride is the observer's own
+    every, strided = [], []
+
+    def every_third(k, t, s):
+        if k % 3 == 0:
+            strided.append((k, t))
+
     op = np.array([0.0])
     evolve(stacked(scalar_state(1.0)), [op], zero, h=0.5, steps=7,
-           observers=[lambda k, t, s: seen.append((k, t))], observer_stride=3)
-    assert seen == [(0, 0.0), (3, 1.5), (6, 3.0)]
+           observers=[lambda k, t, s: every.append((k, t)), every_third])
+    assert every == [(k, 0.5 * k) for k in range(8)]
+    assert strided == [(0, 0.0), (3, 1.5), (6, 3.0)]
+
+
+def test_evolve_observers_see_read_only_state():
+    # an observer that zeroed the state it was handed used to zero the run,
+    # and at step 0 the caller's own initial array
+    op = np.array([0.0, -2.0])
+    initial = stacked(zeros(1))
+    initial[0][slot(1, 0, 0)], initial[0][slot(1, 1, 0)] = 1.0, 0.5
+    before = initial.copy()
+    for at in (0, 2):
+        def zeroing(k, t, s, at=at):
+            if k == at:
+                s[...] = 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            evolve(initial, [op], zero, h=0.1, steps=3, observers=[zeroing])
+        np.testing.assert_array_equal(initial, before)
+    # the final state stays the caller's to change
+    final = evolve(initial, [op], zero, h=0.1, steps=3, observers=[lambda k, t, s: None])
+    final[...] = 0.0
 
 
 def test_evolve_coupled_fields_tuple_path():
@@ -355,8 +382,14 @@ def test_evolve_validation():
     op = np.array([0.0])
     with pytest.raises(ValueError):
         evolve(stacked(scalar_state(1.0)), [op], zero, h=0.1, steps=0)
-    with pytest.raises(ValueError):
-        evolve(stacked(scalar_state(1.0)), [op], zero, h=0.1, steps=3, observer_stride=0)
+    for h in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            etdrk4_tables([op], h)
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            evolve(stacked(scalar_state(1.0)), [op], zero, h=h, steps=1)
+    for steps in (-1, 1.5):
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            evolve(stacked(scalar_state(1.0)), [op], zero, h=0.1, steps=steps)
     with pytest.raises(ValueError):
         evolve(stacked(scalar_state(1.0)), [op, op], zero, h=0.1, steps=1)
     with pytest.raises(ValueError):
