@@ -7,7 +7,7 @@ solve Poisson problems and to integrate stiff reaction--diffusion systems
 
 Submodules
 ----------
-specfun    Legendre/Bessel kernels shared by everything else.
+specfun    Legendre kernels shared by everything else.
 quadrature Modified Clenshaw--Curtis and Gauss--Legendre rules.
 spectrum   Operator eigenvalues (per degree and batched).
 sht        Spherical harmonic analysis/synthesis on Gauss--Legendre grids.

@@ -8,8 +8,8 @@ environment variables; importing this module alone stays cheap.
 kernel, a `--rhs` file, the model config, the initial condition), each
 checked by the object that owns it, and only then creates the output
 directory, the spectrum and the grid: a refused command line exits 1 and
-writes nothing.  An evolution that blows up exits 2 and removes the
-output directory if it created it and wrote nothing into it.
+writes nothing.  An evolution that blows up exits 2 and removes every
+level of the output path that it created and left empty.
 
 All outputs are UTF-8 CSV files with `#`-prefixed header lines, written
 deterministically: re-running a command with identical flags (including
@@ -140,7 +140,12 @@ def run(args):
                 state.append(c)
     spec = M.build_spectrum(n, kernel)
 
-    created = not os.path.exists(args.output_dir)
+    # the levels of the output path this run creates, innermost first
+    created = []
+    level = os.path.abspath(args.output_dir)
+    while not os.path.exists(level):
+        created.append(level)
+        level = os.path.dirname(level)
     os.makedirs(args.output_dir, exist_ok=True)
     out = lambda name: os.path.join(args.output_dir, name)
     written = []
@@ -198,8 +203,10 @@ def run(args):
             final = evolve(state, operators, nonlinearity, h, steps, observers=observers)
     except BlowUpError:
         # a directory this run created and left empty is not an output
-        if created and not os.listdir(args.output_dir):
-            os.rmdir(args.output_dir)
+        for level in created:
+            if os.listdir(level):
+                break
+            os.rmdir(level)
         raise
     if args.model == "allen-cahn":
         recorder.write(out("energy.csv"))

@@ -4,10 +4,10 @@ The operator acts on spherical harmonics diagonally; its eigenvalue at
 degree ell is a weighted integral of (P_ell(t(x)) - 1)/(1-x) against the
 algebraic weight (1-x)^alpha on [-1, 1], where t(x) interpolates between
 1 and 1 - delta^2/2.  A modified Clenshaw--Curtis rule absorbs the
-singular factor.  ``spectrum(n)`` sums the rows of the integrand's one
-recurrence, ``specfun._m1_over_hav_rows``, through degree n against one
-rule; ``eigenvalue(ell)`` has its own rule and takes the degree-ell row
-through ``specfun._m1_over_hav_from_q``.
+singular factor.  The integrand has one evaluation, the recurrence
+``specfun._m1_over_hav_rows``: ``spectrum(n)`` sums its rows through
+degree n against one rule, and ``eigenvalue(ell)`` takes its degree-ell
+row against a rule of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .quadrature import cc_weights
 from .sht import _write_csv
-from .specfun import _m1_over_hav_from_q, _m1_over_hav_rows
+from .specfun import _m1_over_hav_rows
 
 __all__ = [
     "KernelParams",
@@ -74,14 +74,6 @@ def _node_haversine(delta, panels):
     return np.clip(0.25 * delta * delta * half * half, 0.0, 1.0)
 
 
-def _eigenvalue_with_panels(ell, params, panels):
-    """Quadrature evaluation with an explicit panel count (ell >= 1)."""
-    rule = cc_weights(params.alpha, 0.0, panels)
-    g = _m1_over_hav_from_q(ell, _node_haversine(params.delta, panels))
-    # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the constant factor
-    return (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha) * float(rule.weights @ g)
-
-
 def eigenvalue(ell, params):
     """Eigenvalue lambda(ell) of the nonlocal operator.
 
@@ -89,15 +81,20 @@ def eigenvalue(ell, params):
     invariant and downstream solvers rely on the mean mode being exact.
     For ell >= 1 the integral uses a modified Clenshaw--Curtis rule with
     max(ell+1, 8) panels, which integrates the polynomial part of the
-    integrand exactly.  The integrand comes from
-    ``specfun._m1_over_hav_from_q``, which ``legendre_m1_over_hav`` shares.
+    integrand exactly.  The integrand is the degree-ell row of
+    ``specfun._m1_over_hav_rows``, the recurrence ``spectrum`` sums.
     """
     ell = _check_ell(ell)
     if not isinstance(params, KernelParams):
         raise TypeError("params must be a KernelParams instance")
     if ell == 0:
         return 0.0
-    return _eigenvalue_with_panels(ell, params, max(ell + 1, 8))
+    panels = max(ell + 1, 8)
+    rule = cc_weights(params.alpha, 0.0, panels)
+    q = _node_haversine(params.delta, panels)
+    [(_, (g,))] = _m1_over_hav_rows(q, ell, first=ell)
+    # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the constant factor
+    return (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha) * float(rule.weights @ g)
 
 
 def spectrum(n, params):

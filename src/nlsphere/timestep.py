@@ -232,6 +232,7 @@ def evolve(initial, operators, nonlinearity, h, steps, observers=()):
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     state = np.asarray(initial, dtype=float)
+    h = float(h)
     tables = etdrk4_tables(operators, h)
     _check_shape(state, tables)
     # observers get read-only views: broadcast_to never returns a writable one

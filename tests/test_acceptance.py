@@ -77,9 +77,9 @@ def test_criterion_03_spectrum_bounds():
 
 
 def test_criterion_04_hybrid_consistency():
-    # isolated eigenvalue(ell) -- the recurrence below degree 550, the
-    # Bessel-series asymptotics from 550 on -- vs the recurrence of one
-    # spectrum(1000), relative 1e-8 for ell in [60, 1000], < 60 s
+    # isolated eigenvalue(ell), the degree-ell row of the recurrence on its
+    # own (ell+1)-panel rule, vs the one-pass spectrum(1000), which sums
+    # every row on one rule: relative 1e-8 for ell in [60, 1000], < 60 s
     t0 = time.monotonic()
     kernel = KernelParams(-0.5, 1.0)
     worst, worst_ell = 0.0, None

@@ -240,6 +240,21 @@ def test_blow_up_removes_only_the_empty_directory_it_created(tmp_path):
     assert sorted(p.name for p in snapshots.iterdir()) == ["snapshot_u_000000.csv"]
 
 
+def test_blow_up_removes_every_empty_level_it_created(tmp_path):
+    # new/deeper/out: all three levels are the run's, and all three go
+    assert main(BLOW_UP_ARGS + ["--output-dir", str(tmp_path / "new/deeper/out")]) == 2
+    assert not (tmp_path / "new").exists()
+    # below an existing directory only the new levels go, up to that one
+    (tmp_path / "kept").mkdir()
+    assert main(BLOW_UP_ARGS + ["--output-dir", str(tmp_path / "kept/new/out")]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+    assert not any((tmp_path / "kept").iterdir())
+    # a created level that holds the run's snapshots stays, and so does its parent
+    nested = tmp_path / "made" / "out"
+    assert main(BLOW_UP_ARGS + ["--snapshot-stride", "1", "--output-dir", str(nested)]) == 2
+    assert sorted(p.name for p in nested.iterdir()) == ["snapshot_u_000000.csv"]
+
+
 # ----------------------------------------------------------------------
 # validation and exit codes
 # ----------------------------------------------------------------------

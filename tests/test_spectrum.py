@@ -4,7 +4,7 @@ Cross-checks used here, in increasing strength:
 * closed forms (degree 0; the alpha = -1/2, delta = 2 kernel where the
   exact eigenvalues are -2*ell),
 * the local-limit and sign/magnitude bounds satisfied by every eigenvalue,
-* agreement between the recurrence and asymptotic integrand evaluations,
+* agreement between an isolated eigenvalue and the one-pass spectrum,
 * agreement between the default summation and a compensated (math.fsum)
   re-evaluation of the same quadrature sum,
 * node-count independence, since the recurrence integrand is a polynomial
@@ -20,15 +20,9 @@ import numpy as np
 import pytest
 
 from nlsphere.quadrature import cc_weights
-from nlsphere.specfun import (
-    _ASYMPTOTIC_MIN_DEGREE,
-    _SERIES_HAV_MAX,
-    _m1_over_hav_rows,
-    legendre_rec,
-)
+from nlsphere.specfun import legendre_rec
 from nlsphere.spectrum import (
     KernelParams,
-    _eigenvalue_with_panels,
     eigenvalue,
     local_eigenvalue,
     local_spectrum,
@@ -106,44 +100,15 @@ def test_local_limit_small_horizon():
                 assert abs(lam + ell * (ell + 1)) <= bound * (1.0 + 1e-8) + 1e-12
 
 
-@pytest.mark.parametrize("ell", [
-    _ASYMPTOTIC_MIN_DEGREE - 1, _ASYMPTOTIC_MIN_DEGREE, 2 * _ASYMPTOTIC_MIN_DEGREE, 1000,
-])
+@pytest.mark.parametrize("ell", [549, 550, 1100, 1000])
 def test_recurrence_and_asymptotics_agree(ell):
-    # an isolated eigenvalue on either side of the switch against the
-    # one-pass spectrum, which runs the recurrence at every degree
+    # an isolated eigenvalue, the degree-ell row of the recurrence on its own
+    # (ell+1)-panel rule, against the one-pass spectrum, which sums every row
+    # on one rule
     params = KernelParams(-0.5, 1.0)
     assert eigenvalue(ell, params) == pytest.approx(
         spectrum(max(ell, 1000), params)[ell], rel=1e-8
     )
-
-
-@pytest.mark.parametrize("alpha,delta", [(-0.5, 2.0), (0.3, 0.7)])
-def test_eigenvalue_route_follows_the_degree(monkeypatch, alpha, delta):
-    # below the switch no node reaches the asymptotics; from it on the
-    # recurrence keeps only the nodes at haversine <= _SERIES_HAV_MAX
-    params = KernelParams(alpha, delta)
-    c = _ASYMPTOTIC_MIN_DEGREE
-    expected = spectrum(2 * c, params)
-    seen = []
-
-    def no_asymptotics(ell, q):
-        raise AssertionError(f"asymptotics at degree {ell}")
-
-    def near_nodes_only(q, last, first=1):
-        assert np.all(q <= _SERIES_HAV_MAX), f"far-node recurrence at degree {last}"
-        seen.append(last)
-        return _m1_over_hav_rows(q, last, first)
-
-    with monkeypatch.context() as patch:
-        patch.setattr("nlsphere.specfun._szego_from_haversine", no_asymptotics)
-        for ell in (1, c - 1):
-            assert eigenvalue(ell, params) == pytest.approx(expected[ell], rel=1e-13)
-    with monkeypatch.context() as patch:
-        patch.setattr("nlsphere.specfun._m1_over_hav_rows", near_nodes_only)
-        for ell in (c, 2 * c):
-            assert eigenvalue(ell, params) == pytest.approx(expected[ell], rel=1e-13)
-    assert seen == [c, 2 * c]  # the spy saw the recurrence at both degrees
 
 
 def test_compensated_summation_reference():
@@ -166,13 +131,13 @@ def test_compensated_summation_reference():
 
 @pytest.mark.parametrize("ell", [1, 5, 30, 101])
 def test_node_count_independence_under_recurrence(ell):
-    assert ell < _ASYMPTOTIC_MIN_DEGREE
     # the integrand is a degree ell-1 polynomial: doubling the panel count
-    # must not change the integral beyond roundoff
+    # must not change the integral beyond roundoff; spectrum(2 base - 1)
+    # uses 2 base panels
     params = KernelParams(0.3, 0.7)
     base = max(ell + 1, 8)
-    a = _eigenvalue_with_panels(ell, params, base)
-    b = _eigenvalue_with_panels(ell, params, 2 * base)
+    a = eigenvalue(ell, params)
+    b = spectrum(2 * base - 1, params)[ell]
     assert b == pytest.approx(a, rel=1e-12)
 
 

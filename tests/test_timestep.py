@@ -308,6 +308,22 @@ def test_evolve_observers_stride_and_times():
     assert strided == [(0, 0.0), (3, 1.5), (6, 3.0)]
 
 
+def test_evolve_converts_h_once():
+    # observers get float times k * h, not a repeated string, and an h
+    # float() refuses fails before any observer runs
+    seen = []
+    op = np.array([0.0])
+    evolve(stacked(scalar_state(1.0)), [op], zero, "0.5", 3,
+           observers=[lambda k, t, s: seen.append(t)])
+    assert seen == [0.0, 0.5, 1.0, 1.5]
+    assert all(type(t) is float for t in seen)
+    seen.clear()
+    with pytest.raises(ValueError):
+        evolve(stacked(scalar_state(1.0)), [op], zero, "half", 3,
+               observers=[lambda k, t, s: seen.append(t)])
+    assert seen == []
+
+
 def test_evolve_observers_see_read_only_state():
     # an observer that zeroed the state it was handed used to zero the run,
     # and at step 0 the caller's own initial array
