@@ -7,13 +7,16 @@ solve Poisson problems and to integrate stiff reaction--diffusion systems
 
 Submodules
 ----------
-specfun    Legendre kernels shared by everything else.
+specfun    Legendre recurrences shared by everything else.
 quadrature Modified Clenshaw--Curtis and Gauss--Legendre rules.
-spectrum   Operator eigenvalues (per degree and batched).
+spectrum   Operator eigenvalues: one spectrum pass through degree n.
 sht        Spherical harmonic analysis/synthesis on Gauss--Legendre grids.
 timestep   ETDRK4 exponential time stepping for diagonal stiff systems.
 models     Poisson, Allen--Cahn, Brusselator, energy, Cesaro smoothing.
 cli        ``nlsphere`` command line front end.
+
+Every public name is on a path that the command line or the README's
+library usage runs; the tests keep their own reference oracles.
 
 Imports here are lazy (PEP 562) so that the command line front end can cap
 BLAS/OpenMP thread counts via the ``NLSPHERE_THREADS`` environment variable
@@ -29,7 +32,6 @@ _EXPORTS = {
     # as nlsphere.spectrum.spectrum to avoid shadowing the module attribute)
     "KernelParams": "spectrum",
     "eigenvalue": "spectrum",
-    "local_eigenvalue": "spectrum",
     "local_spectrum": "spectrum",
     # quadrature
     "CCRule": "quadrature",
@@ -41,8 +43,6 @@ _EXPORTS = {
     "SphereGrid": "sht",
     "analysis": "sht",
     "synthesis": "sht",
-    "mean": "sht",
-    "relative_error_2norm": "sht",
     "slot": "sht",
     # timestep
     "ETDRK4Tables": "timestep",
@@ -66,10 +66,8 @@ _EXPORTS = {
     "cesaro_apply": "models",
     "cesaro_weights": "models",
     "random_coeffs": "models",
-    "north_south_step": "models",
     "death_star_rhs": "models",
     "cos10xy": "models",
-    "integrate_grid": "models",
     "embed": "models",
 }
 

@@ -110,11 +110,13 @@ def run(args):
         for flag, value in (("--dt", h), ("--t-final", args.t_final)):
             if not (math.isfinite(value) and value > 0):
                 raise CliError(f"evolve requires a positive {flag}, got {value!r}")
-        if not math.isfinite(args.t_final / h):
+        ratio = args.t_final / h
+        # above 2**53 the step index k and the time k h are no longer exact
+        if not ratio <= 2.0**53:
             raise CliError(
-                f"--t-final {args.t_final!r} / --dt {h!r} overflows the step count"
+                f"--t-final {args.t_final!r} / --dt {h!r} is more than 2**53 steps"
             )
-        steps = max(round(args.t_final / h), 1)
+        steps = max(round(ratio), 1)
         kind, cap, scale = _parse_ic(args.ic)
         if args.model == "allen-cahn":
             cfg = M.AllenCahnConfig(epsilon=args.epsilon)

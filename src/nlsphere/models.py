@@ -5,7 +5,8 @@ and Brusselator reaction--diffusion setups for the ETDRK4 integrator,
 the Ginzburg--Landau free energy, Cesaro smoothing of coefficient
 expansions, and reproducible random fields.  A model config holds only
 physical constants; the kernel, degree, step size and step count belong
-to the spectrum, the grid and `evolve`.
+to the spectrum, the grid and `evolve`.  The built-in fields are the
+command line's right-hand side and initial conditions.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from .spectrum import KernelParams, local_spectrum
 from .spectrum import spectrum as _spectrum
-from .sht import SphereGrid, _degree, _layout, _parity_parts, _per_degree, _write_csv, slot
+from .sht import SphereGrid, _degree, _layout, _parity_parts, _per_degree, _write_csv
 
 __all__ = [
     "solve_poisson",
@@ -33,10 +34,8 @@ __all__ = [
     "cesaro_apply",
     "random_coeffs",
     "embed",
-    "integrate_grid",
     "death_star_rhs",
     "cos10xy",
-    "north_south_step",
 ]
 
 
@@ -71,23 +70,6 @@ def embed(coeffs, degree):
     # the slot of (ell, m) does not depend on the layout degree
     out[: n + 1, : 2 * n + 1] = coeffs
     return out
-
-
-def integrate_grid(values, grid):
-    """Quadrature of grid values over the sphere.
-
-    Longitudes carry the uniform periodic-trapezoid weight 2*pi/L on the
-    grid's L longitudes; colatitudes carry the Gauss--Legendre weights in
-    cos(theta), which absorb the sin(theta) surface factor.  Exact for
-    integrands of harmonic degree <= 2n (and longitude frequency < L).
-    """
-    values = np.asarray(values, dtype=float)
-    shape = (grid.degree + 1, grid.lon_nodes.size)
-    if values.shape != shape:
-        raise ValueError(f"values shape {values.shape} does not match the grid's {shape}")
-    return float(
-        np.dot(grid.colat_weights, values.sum(axis=1)) * (2.0 * np.pi / shape[1])
-    )
 
 
 # ----------------------------------------------------------------------
@@ -144,17 +126,14 @@ class BrusselatorConfig:
     """Coupled activator--inhibitor system.
 
     Fields follow u_t = eps^2 L u + eps^2 E - u + f u^2 v and
-    tau v_t = L v + eps^{-2} (u - u^2 v).  By default the -u decay stays
-    in the nonlinearity; decay_in_linear folds it into the (diagonal)
-    linear part instead, which the exponential integrator then treats
-    exactly.
+    tau v_t = L v + eps^{-2} (u - u^2 v); the -u decay is part of the
+    nonlinearity.
     """
 
     E: float
     epsilon: float
     tau: float
     f: float
-    decay_in_linear: bool = False
 
     def __post_init__(self):
         for name in ("E", "epsilon", "tau"):
@@ -182,26 +161,20 @@ def allen_cahn_operator(cfg, spec):
 
 
 def brusselator_nonlinearities(u, v, cfg):
-    """Reaction terms (N_u, N_v) on grid values, honoring the decay split."""
+    """Reaction terms (N_u, N_v) on grid values, the -u decay in N_u."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     uuv = u * u * v
-    n_u = cfg.epsilon**2 * cfg.E + cfg.f * uuv
-    if not cfg.decay_in_linear:
-        n_u = n_u - u
+    n_u = cfg.epsilon**2 * cfg.E + cfg.f * uuv - u
     n_v = (u - uuv) / (cfg.tau * cfg.epsilon**2)
     return n_u, n_v
 
 
 def brusselator_operators(cfg, spec):
-    """Diagonal linear parts (eps^2 * L, L / tau) per degree, with -1 added
-    to the first if the decay moved."""
+    """Diagonal linear parts (eps^2 * L, L / tau) per degree."""
     spec = np.asarray(spec, dtype=float)
-    op_u = cfg.epsilon**2 * spec
-    if cfg.decay_in_linear:
-        op_u = op_u - 1.0
     # the reciprocal rounds differently from spec / tau; the outputs keep it
-    return op_u, (1.0 / cfg.tau) * spec
+    return cfg.epsilon**2 * spec, (1.0 / cfg.tau) * spec
 
 
 # ----------------------------------------------------------------------
@@ -370,28 +343,3 @@ def cos10xy(grid):
     """cos(10xy) on the grid; a standard phase-field initial condition."""
     x, y, _ = _grid_xyz(grid)
     return np.cos(10.0 * x * y)
-
-
-def _legendre_at_zero(k):
-    # P_k(0): zero for odd k, (-1)^j C(2j,j)/4^j for k = 2j
-    if k % 2:
-        return 0.0
-    j = k // 2
-    return (-1) ** j * math.comb(2 * j, j) / 4.0**j
-
-
-def north_south_step(degree):
-    """Exact expansion coefficients of sign(z): +1 north cap, -1 south.
-
-    Only odd zonal modes survive; each uses the closed form
-    int_0^1 P_l = [P_{l-1}(0) - P_{l+1}(0)] / (2l + 1).  The partial sums
-    exhibit the classical overshoot near the equator, which Cesaro
-    smoothing removes.
-    """
-    c = np.zeros((degree + 1, 2 * degree + 1))
-    for ell in range(1, degree + 1, 2):
-        half_int = (_legendre_at_zero(ell - 1) - _legendre_at_zero(ell + 1)) / (
-            2 * ell + 1
-        )
-        c[slot(degree, ell, 0)] = 2.0 * half_int * math.sqrt(2.0 * math.pi * (2 * ell + 1) / 2.0)
-    return c

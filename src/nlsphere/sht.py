@@ -69,9 +69,7 @@ from .specfun import _legendre_rows, assoc_legendre_table
 __all__ = [
     "SphereGrid",
     "analysis",
-    "mean",
     "read_coeffs",
-    "relative_error_2norm",
     "slot",
     "synthesis",
     "write_coeffs",
@@ -416,28 +414,6 @@ def analysis(values, grid):
     return data.reshape(values.shape[:-1] + data.shape[-1:])
 
 
-def mean(coeffs):
-    """Integral of the field over the sphere: u_0^0 * sqrt(4 pi)."""
-    _degree(coeffs)
-    return coeffs[0, 0] * math.sqrt(4.0 * np.pi)
-
-
-def relative_error_2norm(a, b):
-    """|| a - b ||_2 / || b ||_2 over coefficient arrays of equal shape.
-
-    By Parseval this equals the relative L2 error of the corresponding
-    fields.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    denom = np.linalg.norm(b)
-    if denom == 0.0:
-        raise ValueError("reference has zero norm")
-    return float(np.linalg.norm(a - b) / denom)
-
-
 # ----------------------------------------------------------------------
 # file formats: UTF-8 CSV, "\n" line ends, "#" head lines first.  Writers
 # stream one "%"-formatted text row per data row (2n+1 lines per grid row);
@@ -532,7 +508,7 @@ def _first_bad_line(path, shape):
     return number, f"the file ends after {found} rows, expected {rows} for degree {rows - 1}"
 
 
-def write_grid_values(values, grid, path, comment=None):
+def write_grid_values(values, grid, path):
     """Write grid values as CSV with columns ``theta,phi,value``."""
     values = np.asarray(values, dtype=float)
     n = grid.degree
@@ -542,7 +518,7 @@ def write_grid_values(values, grid, path, comment=None):
         raise ValueError(
             f"values shape {values.shape} does not match grid degree {n}"
         )
-    head = [f"# sht-grid v1 degree={n}", comment and f"# {comment}", "theta,phi,value"]
+    head = [f"# sht-grid v1 degree={n}", "theta,phi,value"]
     # the lines of one colatitude: theta goes in at "\0", the values at "%.17g"
     block = "".join([f"\0,{phi:.17g},%.17g\n" for phi in grid.lon_nodes.tolist()])
     rows = (block.replace("\0", f"{theta:.17g}") % tuple(row.tolist())

@@ -1,23 +1,19 @@
 """Legendre kernels used throughout the package.
 
 Everything downstream (quadrature weights, operator eigenvalues, spherical
-harmonic transforms) reduces to a handful of classical special functions.
-They are implemented here directly so the numerical core depends only on
-numpy array arithmetic:
+harmonic transforms) reduces to a handful of classical recurrences.  They
+are implemented here directly so the numerical core depends only on numpy
+array arithmetic:
 
-* ``legendre_rec`` -- Legendre polynomials by the three-term recurrence,
-  whose loop also serves the Gauss--Legendre Newton iteration,
-* ``legendre_m1_over_hav`` -- the cancellation-free ratio
-  ``(P_ell(cos theta) - 1) / sin^2(theta/2)``, the integrand of every
-  operator eigenvalue, from the one recurrence ``spectrum`` and
-  ``eigenvalue`` share (ratio series near theta = 0, a three-term
-  recurrence on the ratio itself elsewhere); past theta = pi/2 it runs on
-  the mirror angle pi - theta,
-* ``assoc_legendre_normalized`` / ``assoc_legendre_table`` -- fully
-  normalized associated Legendre functions.
-
-Scalar or array arguments are accepted; arrays come back as arrays and
-scalars as Python floats.
+* ``_legendre_pair`` -- Legendre polynomials by the three-term recurrence,
+  the loop of the Gauss--Legendre Newton iteration,
+* ``_m1_over_hav_rows`` -- the cancellation-free ratio
+  g_ell = (P_ell(1 - 2q) - 1) / q in the haversine q = sin^2(theta/2),
+  the integrand of every operator eigenvalue, degree by degree (ratio
+  series near q = 0, a three-term recurrence on the ratio itself
+  elsewhere),
+* ``assoc_legendre_table`` -- fully normalized associated Legendre
+  functions, the tables of the transforms.
 """
 
 from __future__ import annotations
@@ -26,12 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "assoc_legendre_normalized",
-    "assoc_legendre_table",
-    "legendre_m1_over_hav",
-    "legendre_rec",
-]
+__all__ = ["assoc_legendre_table"]
 
 _EPS = np.finfo(float).eps
 
@@ -61,30 +52,9 @@ def _check_degree(ell, minimum=0):
     return int(ell)
 
 
-def _wrap(arr, scalar_input):
-    return float(arr[0]) if scalar_input else arr
-
-
 # ----------------------------------------------------------------------
 # Legendre polynomials: three-term recurrence
 # ----------------------------------------------------------------------
-
-def legendre_rec(ell, t):
-    """Evaluate the Legendre polynomial P_ell(t) by upward recurrence.
-
-    ``t`` must lie in [-1, 1] up to a slack of four machine epsilons,
-    which tolerates endpoints produced by floating-point cosines.
-    """
-    ell = _check_degree(ell)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    if np.any(np.abs(t_arr) > 1.0 + 4.0 * _EPS) or not np.all(np.isfinite(t_arr)):
-        raise ValueError("argument of legendre_rec must lie in [-1, 1]")
-    if ell == 0:
-        return _wrap(np.ones_like(t_arr), scalar)
-    return _wrap(_legendre_pair(ell, t_arr)[0], scalar)
-
 
 def _legendre_pair(n, x):
     """P_n(x) and P_{n-1}(x) by the three-term recurrence (n >= 1)."""
@@ -104,12 +74,11 @@ def _m1_series_from_hav(ell, q):
 
     term_1 = -ell(ell+1) and term_{k+1}/term_k =
     (k(k+1) - ell(ell+1)) q / (k+1)^2, so the loop needs no binomials.
-    ``ell`` may be an array of degrees broadcasting against ``q``.
-    Terminates early once the current term is below machine epsilon
-    relative to the running magnitude of the partial sums and the terms
-    are shrinking.
+    ``ell`` and ``q`` are float arrays of one shape, a degree and a
+    haversine per entry.  Terminates early once the current term is below
+    machine epsilon relative to the running magnitude of the partial sums
+    and the terms are shrinking.
     """
-    ell, q = np.broadcast_arrays(np.asarray(ell, float), np.atleast_1d(q).astype(float))
     top = ell * (ell + 1.0)
     term = -top
     total = term.copy()
@@ -126,45 +95,14 @@ def _m1_series_from_hav(ell, q):
     return total
 
 
-def legendre_m1_over_hav(ell, theta):
-    """Evaluate (P_ell(cos theta) - 1) / sin^2(theta/2) for theta in [0, pi].
-
-    Near theta = 0 both numerator and denominator vanish; the quotient
-    g(q) in q = sin^2(theta/2) is the degree-ell row of the eigenvalues'
-    recurrence, ``_m1_over_hav_rows``, whose ratio series gives the limit
-    -ell(ell+1) exactly at theta = 0.  For q > 1/2 the recurrence runs on
-    the mirror angle pi - theta instead, whose haversine c = cos^2(theta/2)
-    is formed from theta: P_ell(cos theta) = (-1)^ell (1 + c g(c)), so P - 1
-    is c g(c) for even ell and -2 - c g(c) for odd ell, and neither
-    subtracts 1 from a value near 1 nor feels the rounding of q near 1.
-    """
-    ell = _check_degree(ell)
-    th = np.asarray(theta, dtype=float)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    if np.any(th < 0.0) or np.any(th > np.pi) or not np.all(np.isfinite(th)):
-        raise ValueError("theta must lie in [0, pi]")
-    if ell == 0:
-        return _wrap(np.zeros_like(th), scalar)
-    half, mirror = np.sin(0.5 * th), np.cos(0.5 * th)
-    q, c = half * half, mirror * mirror
-    near = q <= 0.5
-    [(_, (g,))] = _m1_over_hav_rows(np.where(near, q, c).ravel(), ell, first=ell)
-    g = g.reshape(th.shape)
-    shifted = c * g  # P_ell(1 - 2c) - 1 where q > 1/2
-    far = shifted if ell % 2 == 0 else -2.0 - shifted
-    # q > 1/2 wherever the quotient is kept; the max spares the rest q = 0
-    return _wrap(np.where(near, g, far / np.maximum(q, 0.5)), scalar)
-
-
-def _m1_over_hav_rows(q, last, first=1):
+def _m1_over_hav_rows(q, last):
     """Rows of g_ell = (P_ell(1 - 2q) - 1) / q at the haversines ``q`` (a
-    1-D array) for the degrees ell = first..last, ``_SWEEP_BLOCK`` at a
-    time, as ``(first_degree, rows)``; ``rows`` views a buffer that the
-    next block overwrites.  The three-term recurrence runs on g itself:
+    1-D array) for the degrees ell = 1..last, ``_SWEEP_BLOCK`` at a time,
+    as ``(first_degree, rows)``; ``rows`` views a buffer that the next
+    block overwrites.  The three-term recurrence runs on g itself:
     (ell + 1) g_{ell+1} = (2 ell + 1) (g_ell - 2q g_ell - 2) - ell g_{ell-1},
-    so no step rounds t = 1 - 2q, an error that grows like ell^2.  In the
-    rows it yields the ratio series takes its zone and seeds the next steps.
+    so no step rounds t = 1 - 2q, an error that grows like ell^2.  In every
+    block the ratio series takes its zone and seeds the next steps.
     """
     q2 = 2.0 * q
     buf = np.empty((_SWEEP_BLOCK, q.size))
@@ -179,14 +117,11 @@ def _m1_over_hav_rows(q, last, first=1):
             step -= (ell - 1.0) * g_prev
             np.divide(step, ell, out=row)
             g_prev, g = g, row
-        skip = max(first - start, 0)
-        if skip >= ells.size:
-            continue
-        ells, qs = np.broadcast_arrays(ells[skip:, None], q)
+        ells, qs = np.broadcast_arrays(ells[:, None], q)
         series = (qs <= _SERIES_HAV_MAX) & ((ells + 0.5) ** 2 * qs <= _SERIES_OSC_MAX)
         if series.any():
-            rows[skip:][series] = _m1_series_from_hav(ells[series], qs[series])
-        yield start + skip, rows[skip:]
+            rows[series] = _m1_series_from_hav(ells[series], qs[series])
+        yield start, rows
 
 
 # ----------------------------------------------------------------------
@@ -292,24 +227,3 @@ def assoc_legendre_table(m, degree, t, parity=False):
     if orders.ndim == 0:
         parts = tuple(part[0] for part in parts)
     return parts if parity else parts[0]
-
-
-def assoc_legendre_normalized(ell, m, t):
-    """Normalized associated Legendre function Ptilde_ell^m(t).
-
-    Negative orders carry the phase Ptilde_ell^{-m} = (-1)^m Ptilde_ell^m.
-    Raises ValueError when |m| > ell.
-    """
-    ell = _check_degree(ell)
-    if not isinstance(m, (int, np.integer)):
-        raise TypeError(f"order must be an integer, got {type(m).__name__}")
-    if abs(m) > ell:
-        raise ValueError(f"order |m| = {abs(m)} exceeds degree {ell}")
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    mm = abs(int(m))
-    vals = assoc_legendre_table(mm, ell, t_arr)[-1]
-    if m < 0 and mm % 2 == 1:
-        vals = -vals
-    return _wrap(vals, scalar)

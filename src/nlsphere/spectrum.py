@@ -5,9 +5,9 @@ degree ell is a weighted integral of (P_ell(t(x)) - 1)/(1-x) against the
 algebraic weight (1-x)^alpha on [-1, 1], where t(x) interpolates between
 1 and 1 - delta^2/2.  A modified Clenshaw--Curtis rule absorbs the
 singular factor.  The integrand has one evaluation, the recurrence
-``specfun._m1_over_hav_rows``: ``spectrum(n)`` sums its rows through
-degree n against one rule, and ``eigenvalue(ell)`` takes its degree-ell
-row against a rule of its own.
+``specfun._m1_over_hav_rows``, and the eigenvalues one route:
+``spectrum(n)`` sums its rows through degree n against one rule, and
+``eigenvalue(ell)`` is ``spectrum(ell)[ell]``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .specfun import _m1_over_hav_rows
 __all__ = [
     "KernelParams",
     "eigenvalue",
-    "local_eigenvalue",
     "local_spectrum",
     "spectrum",
     "write_spectrum",
@@ -75,26 +74,10 @@ def _node_haversine(delta, panels):
 
 
 def eigenvalue(ell, params):
-    """Eigenvalue lambda(ell) of the nonlocal operator.
-
-    Degree zero returns exactly 0.0 without quadrature -- constants are
-    invariant and downstream solvers rely on the mean mode being exact.
-    For ell >= 1 the integral uses a modified Clenshaw--Curtis rule with
-    max(ell+1, 8) panels, which integrates the polynomial part of the
-    integrand exactly.  The integrand is the degree-ell row of
-    ``specfun._m1_over_hav_rows``, the recurrence ``spectrum`` sums.
-    """
-    ell = _check_ell(ell)
-    if not isinstance(params, KernelParams):
-        raise TypeError("params must be a KernelParams instance")
-    if ell == 0:
-        return 0.0
-    panels = max(ell + 1, 8)
-    rule = cc_weights(params.alpha, 0.0, panels)
-    q = _node_haversine(params.delta, panels)
-    [(_, (g,))] = _m1_over_hav_rows(q, ell, first=ell)
-    # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the constant factor
-    return (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha) * float(rule.weights @ g)
+    """Eigenvalue lambda(ell) of the nonlocal operator, as a float: the
+    last entry of ``spectrum(ell, params)``, bit for bit.  It costs a full
+    spectrum through degree ell, O(ell^2) work."""
+    return float(spectrum(ell, params)[ell])
 
 
 def spectrum(n, params):
@@ -117,12 +100,6 @@ def spectrum(n, params):
     values[1:] *= (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha)
     values.setflags(write=False)
     return values
-
-
-def local_eigenvalue(ell):
-    """Eigenvalue -ell(ell+1) of the classical Laplace--Beltrami operator."""
-    ell = _check_ell(ell)
-    return -float(ell * (ell + 1))
 
 
 def local_spectrum(n):

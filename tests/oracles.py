@@ -1,0 +1,70 @@
+"""Reference computations the tests check the package against.
+
+None of these is on a path the program runs: each is an independent
+formula (a quadrature sum, a norm, a closed-form expansion) that a test
+compares a package result with.
+"""
+
+import math
+
+import numpy as np
+
+from nlsphere.sht import slot
+
+
+def relative_error_2norm(a, b):
+    """|| a - b ||_2 / || b ||_2 over coefficient arrays of equal shape.
+
+    By Parseval this equals the relative L2 error of the corresponding
+    fields.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    denom = np.linalg.norm(b)
+    if denom == 0.0:
+        raise ValueError("reference has zero norm")
+    return float(np.linalg.norm(a - b) / denom)
+
+
+def integrate_grid(values, grid):
+    """Quadrature of grid values over the sphere.
+
+    Longitudes carry the uniform periodic-trapezoid weight 2*pi/L on the
+    grid's L longitudes; colatitudes carry the Gauss--Legendre weights in
+    cos(theta), which absorb the sin(theta) surface factor.  Exact for
+    integrands of harmonic degree <= 2n (and longitude frequency < L).
+    """
+    values = np.asarray(values, dtype=float)
+    shape = (grid.degree + 1, grid.lon_nodes.size)
+    if values.shape != shape:
+        raise ValueError(f"values shape {values.shape} does not match the grid's {shape}")
+    return float(
+        np.dot(grid.colat_weights, values.sum(axis=1)) * (2.0 * np.pi / shape[1])
+    )
+
+
+def _legendre_at_zero(k):
+    # P_k(0): zero for odd k, (-1)^j C(2j,j)/4^j for k = 2j
+    if k % 2:
+        return 0.0
+    j = k // 2
+    return (-1) ** j * math.comb(2 * j, j) / 4.0**j
+
+
+def north_south_step(degree):
+    """Exact expansion coefficients of sign(z): +1 north cap, -1 south.
+
+    Only odd zonal modes survive; each uses the closed form
+    int_0^1 P_l = [P_{l-1}(0) - P_{l+1}(0)] / (2l + 1).  The partial sums
+    exhibit the classical overshoot near the equator, which Cesaro
+    smoothing removes.
+    """
+    c = np.zeros((degree + 1, 2 * degree + 1))
+    for ell in range(1, degree + 1, 2):
+        half_int = (_legendre_at_zero(ell - 1) - _legendre_at_zero(ell + 1)) / (
+            2 * ell + 1
+        )
+        c[slot(degree, ell, 0)] = 2.0 * half_int * math.sqrt(2.0 * math.pi * (2 * ell + 1) / 2.0)
+    return c

@@ -13,15 +13,10 @@ import numpy as np
 
 from nlsphere import models as M
 from nlsphere.quadrature import cc_weights, jacobi_moments
-from nlsphere.sht import (
-    SphereGrid,
-    analysis,
-    relative_error_2norm,
-    slot,
-    synthesis,
-)
+from nlsphere.sht import SphereGrid, analysis, slot, synthesis
 from nlsphere.spectrum import KernelParams, eigenvalue, spectrum
 from nlsphere.timestep import evolve, pseudospectral
+from oracles import integrate_grid, north_south_step, relative_error_2norm
 
 
 def report(ok, label, detail):
@@ -77,9 +72,9 @@ def test_criterion_03_spectrum_bounds():
 
 
 def test_criterion_04_hybrid_consistency():
-    # isolated eigenvalue(ell), the degree-ell row of the recurrence on its
-    # own (ell+1)-panel rule, vs the one-pass spectrum(1000), which sums
-    # every row on one rule: relative 1e-8 for ell in [60, 1000], < 60 s
+    # isolated eigenvalue(ell), the last entry of spectrum(ell) on its own
+    # (ell+1)-panel rule, vs the one-pass spectrum(1000), which sums every
+    # row on one 1001-panel rule: relative 1e-8 for ell in [60, 1000], < 60 s
     t0 = time.monotonic()
     kernel = KernelParams(-0.5, 1.0)
     worst, worst_ell = 0.0, None
@@ -132,7 +127,7 @@ def test_criterion_06_sht_roundtrip_parseval():
         back = analysis(values, grid)
         worst_round = max(worst_round, np.abs(back - c).max())
         # u^2 has band limit 2n: the quadrature is exact for it
-        quad = M.integrate_grid(values * values, grid)
+        quad = integrate_grid(values * values, grid)
         pars = abs(quad - np.sum(c**2)) / np.sum(c**2)
         worst_pars = max(worst_pars, pars)
     elapsed = time.monotonic() - t0
@@ -228,7 +223,7 @@ def test_criterion_10_cesaro_overshoot_removal():
     # (C,2) max <= 1.001
     t0 = time.monotonic()
     n = 100
-    c = M.north_south_step(n)
+    c = north_south_step(n)
     fine = SphereGrid(4 * n)
     raw_max = float(synthesis(M.embed(c, 4 * n), fine).max())
     smooth = synthesis(M.embed(M.cesaro_apply(c, 2), 4 * n), fine)

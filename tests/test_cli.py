@@ -280,6 +280,32 @@ VALIDATION_FAILURES = [
 ]
 
 
+#: 10**300 steps: k and t = k h are not exact doubles above 2**53 steps
+HANG_ARGS = ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "1e-300",
+             "--t-final", "1"]
+
+
+def test_step_count_above_2_53_is_refused(tmp_path, capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def build_spectrum(*_):
+        raise Reached  # the input phase passed
+
+    monkeypatch.setattr(M, "build_spectrum", build_spectrum)
+    out = tmp_path / "out"
+    assert main(HANG_ARGS + ["--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "nlsphere: error: --t-final 1.0 / --dt 1e-300 is more than 2**53 steps\n")
+    assert not out.exists()
+    steps = ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "1", "--t-final"]
+    with pytest.raises(Reached):  # 2**53 steps pass the input phase
+        main(steps + [str(2.0**53), "--output-dir", str(out)])
+    # the next double, 2**53 + 2, does not
+    assert main(steps + [str(2.0**53 + 2), "--output-dir", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", VALIDATION_FAILURES)
 def test_validation_failures_exit_1(tmp_path, args):
     assert main(args + ["--output-dir", str(tmp_path)]) == 1
@@ -297,6 +323,7 @@ def test_validation_failures_exit_1(tmp_path, args):
     ["spectrum", "--degree", "-1"],
     ["evolve", "--model", "brusselator", "--degree", "-1", "--dt", "0.1",
      "--t-final", "1", "--ic", "equilibrium"],
+    HANG_ARGS,
 ])
 def test_refused_command_line_leaves_nothing_behind(tmp_path, monkeypatch, args):
     write_coeffs(np.zeros((5, 9)), tmp_path / "rhs4.csv")

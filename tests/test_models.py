@@ -17,6 +17,7 @@ from nlsphere.spectrum import KernelParams, local_spectrum
 from nlsphere.sht import SphereGrid, _is_prime, _layout, _per_degree, analysis, slot, synthesis
 from nlsphere.specfun import assoc_legendre_table
 from nlsphere.timestep import evolve, pseudospectral
+from oracles import integrate_grid, north_south_step
 
 GL_QUARTIC_U20 = 2.6842234419179793
 
@@ -162,24 +163,6 @@ def test_brusselator_nonlinearity_at_zero():
     assert np.all(n_v == 0.0)
 
 
-def test_brusselator_decay_split_consistency():
-    # moving the -u decay into the linear part must leave N_u + (linear u
-    # action) unchanged
-    cfg0 = brusselator_cfg()
-    cfg1 = brusselator_cfg(decay_in_linear=True)
-    u = np.linspace(-0.3, 0.4, 8)
-    v = np.linspace(2.0, 9.0, 8)
-    n_u0, n_v0 = M.brusselator_nonlinearities(u, v, cfg0)
-    n_u1, n_v1 = M.brusselator_nonlinearities(u, v, cfg1)
-    np.testing.assert_allclose(n_u1 - u, n_u0, rtol=1e-15)
-    np.testing.assert_allclose(n_v1, n_v0, rtol=0, atol=0)
-    spec = local_spectrum(8)
-    op0, opv0 = M.brusselator_operators(cfg0, spec)
-    op1, opv1 = M.brusselator_operators(cfg1, spec)
-    np.testing.assert_allclose(op1, op0 - 1.0, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(opv1, opv0, rtol=0, atol=0)
-
-
 def test_brusselator_operator_prefactors():
     cfg = brusselator_cfg()
     spec = local_spectrum(8)
@@ -194,10 +177,9 @@ def test_brusselator_operator_prefactors():
         evolve(np.zeros((2, 9, 17)), M.brusselator_operators(cfg, local_spectrum(9)), nl, 0.1, 1)
 
 
-@pytest.mark.parametrize("decay_in_linear", [False, True])
-def test_brusselator_equilibrium_is_fixed_point(decay_in_linear):
+def test_brusselator_equilibrium_is_fixed_point():
     n = 12
-    cfg = brusselator_cfg(decay_in_linear=decay_in_linear)
+    cfg = brusselator_cfg()
     spec = M.build_spectrum(n, KernelParams(0.0, 1.0))
     ops = M.brusselator_operators(cfg, spec)
     grid = SphereGrid(n)
@@ -271,7 +253,7 @@ def _energy_by_embedding(u, spec, epsilon, grid):
     lam = _per_degree(spec)
     linear = -0.5 * epsilon**2 * float(np.sum(lam * u * u))
     vals = synthesis(M.embed(u, grid.degree), grid)
-    return linear + 0.25 * M.integrate_grid((vals * vals - 1.0) ** 2, grid)
+    return linear + 0.25 * integrate_grid((vals * vals - 1.0) ** 2, grid)
 
 
 @pytest.mark.parametrize("n", [1, 6, 31])
@@ -437,7 +419,7 @@ def test_gibbs_overshoot_removed_by_cesaro():
     # partial sums of the north/south step overshoot near the equator;
     # the (C,2) means stay inside the step's range
     n = 60
-    c = M.north_south_step(n)
+    c = north_south_step(n)
     fine = SphereGrid(2 * n)
     raw = synthesis(M.embed(c, 2 * n), fine)
     smooth = synthesis(M.embed(M.cesaro_apply(c, 2), 2 * n), fine)
@@ -447,7 +429,7 @@ def test_gibbs_overshoot_removed_by_cesaro():
 
 
 def test_north_south_step_coefficients():
-    c = M.north_south_step(7)
+    c = north_south_step(7)
     # u_1^0 = sqrt(2 pi) * sqrt(3/2): classical 3/2 * P_1 leading term
     assert c[slot(7, 1, 0)] == pytest.approx(math.sqrt(2 * math.pi * 1.5), rel=1e-14)
     # even and off-zonal slots vanish
@@ -512,13 +494,13 @@ def test_embed_preserves_modes():
 def test_integrate_grid_examples():
     grid = SphereGrid(8)
     ones = np.ones((9, 17))
-    assert M.integrate_grid(ones, grid) == pytest.approx(4 * math.pi, rel=1e-15)
+    assert integrate_grid(ones, grid) == pytest.approx(4 * math.pi, rel=1e-15)
     _, _, z = M._grid_xyz(grid)
-    assert M.integrate_grid(z * z, grid) == pytest.approx(
+    assert integrate_grid(z * z, grid) == pytest.approx(
         4 * math.pi / 3.0, rel=1e-14
     )
     with pytest.raises(ValueError):
-        M.integrate_grid(np.ones((3, 3)), grid)
+        integrate_grid(np.ones((3, 3)), grid)
 
 
 def test_death_star_rhs_pointwise():

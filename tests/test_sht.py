@@ -27,14 +27,13 @@ from nlsphere.sht import (
     _per_degree,
     _synthesize,
     analysis,
-    mean,
     read_coeffs,
-    relative_error_2norm,
     slot,
     synthesis,
     write_coeffs,
     write_grid_values,
 )
+from oracles import relative_error_2norm
 
 
 def random_coeffs(n, seed):
@@ -141,7 +140,6 @@ SHAPE_CHECKED = {
     "write_coeffs": lambda c: write_coeffs(c, "unused.csv"),
     "embed": lambda c: M.embed(c, 5),
     "cesaro_apply": lambda c: M.cesaro_apply(c, 2),
-    "mean": mean,
     "ginzburg_landau_energy": lambda c: M.ginzburg_landau_energy(c, local_spectrum(3), 0.1),
     "solve_poisson": lambda c: M.solve_poisson(c, local_spectrum(3)),
 }
@@ -267,12 +265,13 @@ def test_structural_zeros_preserved_by_transforms():
 # ----------------------------------------------------------------------
 
 def test_mean_examples():
-    c = np.zeros((6, 11))
-    c[slot(5, 0, 0)] = math.sqrt(4.0 * math.pi)
-    assert mean(c) == pytest.approx(4.0 * math.pi, rel=1e-15)
-    c = np.zeros((6, 11))
-    c[slot(5, 5, 3)] = 2.0
-    assert mean(c) == 0.0
+    # the integral of a field over the sphere is u_0^0 sqrt(4 pi): the
+    # constant 1 has u_0^0 = sqrt(4 pi) and no other coefficient
+    grid = SphereGrid(5)
+    c = analysis(np.ones((6, 11)), grid)
+    assert c[slot(5, 0, 0)] * math.sqrt(4.0 * math.pi) == pytest.approx(4.0 * math.pi, rel=1e-15)
+    c[slot(5, 0, 0)] = 0.0
+    assert np.abs(c).max() <= 1e-14
 
 
 def test_mean_matches_grid_quadrature():
@@ -283,7 +282,7 @@ def test_mean_matches_grid_quadrature():
     quad = float(
         (grid.colat_weights @ vals).sum() * (2.0 * np.pi / (2 * n + 1))
     )
-    assert mean(c) == pytest.approx(quad, rel=1e-11, abs=1e-11)
+    assert c[slot(n, 0, 0)] * math.sqrt(4.0 * math.pi) == pytest.approx(quad, rel=1e-11, abs=1e-11)
 
 
 @pytest.mark.parametrize("n", [16, 64, 62, 63, 127, 255])
@@ -364,13 +363,10 @@ def _old_write_coeffs(coeffs, path, comment=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def _old_write_grid_values(values, grid, path, comment=None):
+def _old_write_grid_values(values, grid, path):
     # per-point formatting of the first file-format version
     n = grid.degree
-    lines = [f"# sht-grid v1 degree={n}"]
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("theta,phi,value")
+    lines = [f"# sht-grid v1 degree={n}", "theta,phi,value"]
     for i, theta in enumerate(grid.colat_nodes):
         for j, phi in enumerate(grid.lon_nodes):
             lines.append(f"{theta:.17g},{phi:.17g},{values[i, j]:.17g}")
@@ -412,9 +408,9 @@ def test_writers_match_per_value_formatting(tmp_path, n):
         write_coeffs(c, tmp_path / "new_c.csv", comment=comment)
         _old_write_coeffs(c, tmp_path / "old_c.csv", comment=comment)
         assert (tmp_path / "new_c.csv").read_bytes() == (tmp_path / "old_c.csv").read_bytes()
-        write_grid_values(vals, grid, tmp_path / "new_g.csv", comment=comment)
-        _old_write_grid_values(vals, grid, tmp_path / "old_g.csv", comment=comment)
-        assert (tmp_path / "new_g.csv").read_bytes() == (tmp_path / "old_g.csv").read_bytes()
+    write_grid_values(vals, grid, tmp_path / "new_g.csv")
+    _old_write_grid_values(vals, grid, tmp_path / "old_g.csv")
+    assert (tmp_path / "new_g.csv").read_bytes() == (tmp_path / "old_g.csv").read_bytes()
 
 
 def _reemit(path, out):
@@ -430,8 +426,7 @@ def _reemit(path, out):
         return "coeffs"
     if lines[0].startswith("# sht-grid"):
         n = int(lines[0].split("=")[1])
-        _old_write_grid_values(rows[:, 2].reshape(n + 1, 2 * n + 1), SphereGrid(n), out,
-                               comment=comment)
+        _old_write_grid_values(rows[:, 2].reshape(n + 1, 2 * n + 1), SphereGrid(n), out)
         return "grid"
     if path.name == "spectrum.csv":
         _old_write_spectrum(rows[:, 1], out, comment=lines[0][2:])

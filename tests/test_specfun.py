@@ -13,19 +13,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_legendre
 
 from nlsphere.specfun import (
     _SERIES_HAV_MAX,
+    _SERIES_OSC_MAX,
+    _legendre_pair,
     _m1_over_hav_rows,
-    assoc_legendre_normalized,
     assoc_legendre_table,
-    legendre_m1_over_hav,
-    legendre_rec,
 )
 
 # ----------------------------------------------------------------------
-# legendre_rec
+# Legendre polynomials: the three-term recurrence of the Gauss--Legendre
+# Newton iteration
 # ----------------------------------------------------------------------
+
+
+def legendre(ell, t):
+    """P_ell(t) from the recurrence: the P_{n-1} that ``_legendre_pair``
+    returns for n = ell + 1."""
+    return _legendre_pair(ell + 1, np.atleast_1d(np.asarray(t, dtype=float)))[1]
+
 
 LEGENDRE_REF = [
     # (ell, theta, P_ell(t)) from mpmath.legendre, dps=40, evaluated at
@@ -42,59 +50,69 @@ LEGENDRE_REF = [
 
 def test_legendre_rec_low_degrees_closed_forms():
     t = np.linspace(-1.0, 1.0, 11)
-    assert np.array_equal(legendre_rec(0, t), np.ones_like(t))
-    np.testing.assert_allclose(legendre_rec(1, t), t, rtol=0, atol=0)
+    assert np.array_equal(legendre(0, t), np.ones_like(t))
+    np.testing.assert_allclose(legendre(1, t), t, rtol=0, atol=0)
     np.testing.assert_allclose(
-        legendre_rec(2, t), 1.5 * t * t - 0.5, rtol=1e-15, atol=1e-15
+        legendre(2, t), 1.5 * t * t - 0.5, rtol=1e-15, atol=1e-15
     )
     np.testing.assert_allclose(
-        legendre_rec(3, t), 2.5 * t**3 - 1.5 * t, rtol=1e-15, atol=1e-15
+        legendre(3, t), 2.5 * t**3 - 1.5 * t, rtol=1e-15, atol=1e-15
     )
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 7, 64, 351])
 def test_legendre_rec_endpoint_values(ell):
-    assert legendre_rec(ell, 1.0) == 1.0
-    assert legendre_rec(ell, -1.0) == (-1.0) ** ell
+    assert legendre(ell, 1.0) == 1.0
+    assert legendre(ell, -1.0) == (-1.0) ** ell
 
 
 @pytest.mark.parametrize("ell,theta,ref", LEGENDRE_REF)
 def test_legendre_rec_matches_high_precision(ell, theta, ref):
-    val = legendre_rec(ell, math.cos(theta))
+    val = legendre(ell, math.cos(theta))[0]
     assert val == pytest.approx(ref, rel=5e-13, abs=1e-15)
 
 
 def test_legendre_rec_accepts_endpoint_roundoff_slack():
+    # the Legendre tables take arguments up to four epsilons outside
+    # [-1, 1], the slack of floating-point cosines
     eps = np.finfo(float).eps
-    legendre_rec(5, 1.0 + 4 * eps)
-    legendre_rec(5, -(1.0 + 4 * eps))
+    assoc_legendre_table(0, 5, 1.0 + 4 * eps)
+    assoc_legendre_table(0, 5, -(1.0 + 4 * eps))
     with pytest.raises(ValueError):
-        legendre_rec(5, 1.0 + 16 * eps)
+        assoc_legendre_table(0, 5, 1.0 + 16 * eps)
     with pytest.raises(ValueError):
-        legendre_rec(5, np.array([0.0, 2.0]))
+        assoc_legendre_table(0, 5, np.array([0.0, 2.0]))
 
 
 def test_legendre_rec_rejects_bad_degree():
     with pytest.raises(TypeError):
-        legendre_rec(2.0, 0.5)
+        assoc_legendre_table(0, 2.0, 0.5)
     with pytest.raises(ValueError):
-        legendre_rec(-1, 0.5)
+        assoc_legendre_table(0, -1, 0.5)
 
 
 def test_legendre_rec_scalar_and_array_agree():
+    # each point steps on its own: one point alone gives the same bits
     t = np.array([-0.9, -0.3, 0.0, 0.4, 1.0])
-    arr = legendre_rec(17, t)
-    assert isinstance(arr, np.ndarray)
+    arr = legendre(17, t)
     for ti, vi in zip(t, arr):
-        assert legendre_rec(17, float(ti)) == vi
+        assert legendre(17, ti)[0] == vi
 
 
 # ----------------------------------------------------------------------
-# legendre_m1_over_hav
+# g_ell = (P_ell(1 - 2q) - 1) / q, the eigenvalue integrand
 # ----------------------------------------------------------------------
+
+
+def g_row(ell, q):
+    """The degree-ell row of ``_m1_over_hav_rows`` at the haversines q."""
+    *_, (_, rows) = _m1_over_hav_rows(np.atleast_1d(np.asarray(q, dtype=float)), ell)
+    return rows[-1].copy()
+
 
 M1_REF = [
-    # (ell, theta, (P_ell(cos theta)-1)/sin^2(theta/2)) via mpmath, dps=40
+    # (ell, theta, (P_ell(cos theta)-1)/sin^2(theta/2)) via mpmath, dps=40;
+    # the rows take q = sin^2(theta/2) in double precision
     (5, 0.2, -27.961997215281779),
     (12, 1e-06, -155.9999999984985),
     (40, 0.05, -1265.0508688773963),
@@ -106,17 +124,19 @@ M1_REF = [
 
 @pytest.mark.parametrize("ell,theta,ref", M1_REF)
 def test_m1_over_hav_matches_high_precision(ell, theta, ref):
-    assert legendre_m1_over_hav(ell, theta) == pytest.approx(ref, rel=2e-13)
+    assert g_row(ell, math.sin(0.5 * theta) ** 2)[0] == pytest.approx(ref, rel=2e-13)
 
 
 def test_m1_over_hav_limit_at_zero_is_exact():
-    for ell in (0, 1, 2, 17, 500):
-        assert legendre_m1_over_hav(ell, 0.0) == -float(ell * (ell + 1))
+    for ell in (1, 2, 17, 500):
+        assert g_row(ell, 0.0)[0] == -float(ell * (ell + 1))
 
 
 def test_m1_over_hav_degree_zero_vanishes():
-    theta = np.linspace(0.0, np.pi, 7)
-    assert np.array_equal(legendre_m1_over_hav(0, theta), np.zeros_like(theta))
+    # g_0 = 0 seeds the recurrence, so its first row is g_1 = -2 exactly
+    q = np.linspace(0.0, 1.0, 7)
+    assert list(_m1_over_hav_rows(q, 0)) == []
+    assert np.array_equal(g_row(1, q), np.full_like(q, -2.0))
 
 
 @pytest.mark.parametrize("ell", [1, 2, 5, 11, 19])
@@ -124,56 +144,63 @@ def test_m1_over_hav_series_consistent_with_direct(ell):
     # for small degrees the exact ratio series and the direct quotient
     # are both well conditioned on moderate angles: two independent routes
     theta = np.linspace(0.05, np.pi, 117)
-    vals = legendre_m1_over_hav(ell, theta)
     q = np.sin(0.5 * theta) ** 2
-    direct = (legendre_rec(ell, np.cos(theta)) - 1.0) / q
-    np.testing.assert_allclose(vals, direct, rtol=5e-11, atol=5e-13)
+    direct = (eval_legendre(ell, np.cos(theta)) - 1.0) / q
+    np.testing.assert_allclose(g_row(ell, q), direct, rtol=5e-11, atol=5e-13)
 
 
 def test_m1_over_hav_monotone_tail_bound():
-    # |(P_ell - 1)/q| <= ell(ell+1) everywhere on [0, pi]
-    theta = np.linspace(0.0, np.pi, 301)
+    # |(P_ell - 1)/q| <= ell(ell+1) everywhere on [0, 1]
+    q = np.sin(0.5 * np.linspace(0.0, np.pi, 301)) ** 2
     for ell in (1, 3, 10, 57, 200):
-        vals = legendre_m1_over_hav(ell, theta)
+        vals = g_row(ell, q)
         assert np.all(np.abs(vals) <= ell * (ell + 1) * (1 + 1e-12))
         assert np.all(vals <= 0.0)
 
 
 @pytest.mark.parametrize("ell", [1, 64, 65, 200, 550, 1100])
 def test_isolated_row_is_the_sweep_row(ell):
-    # one recurrence serves spectrum and eigenvalue: where no degree takes
-    # the series (q > _SERIES_HAV_MAX) the isolated degree-ell row is the
-    # sweep's row bit for bit, and the series seeds move the rest by roundoff
+    # a sweep that stops at degree ell, as spectrum(ell) and so
+    # eigenvalue(ell) run it, yields the rows of a longer sweep: bit for
+    # bit outside the series zone, and inside it up to the series' own
+    # rounding, whose term count follows the block
     q = np.concatenate([[0.0], np.geomspace(1e-8, 1.0, 60)])
     blocks = [(first, rows.copy()) for first, rows in _m1_over_hav_rows(q, ell)]
     assert [first for first, _ in blocks] == list(range(1, ell + 1, 64))
     sweep = np.concatenate([rows for _, rows in blocks])
     assert sweep.shape == (ell, q.size)
-    [(first, (row,))] = _m1_over_hav_rows(q, ell, first=ell)
-    assert first == ell
-    far = q > _SERIES_HAV_MAX
-    assert np.array_equal(row[far], sweep[-1, far])
-    # the gap at the near nodes grows with the degree: measured 5.4e-14 at
-    # 200, 3.8e-13 at 550 and 6.9e-13 at 1100, all at nodes just outside the
-    # series zone, where the unseeded isolated row is the less accurate one
-    np.testing.assert_allclose(row, sweep[-1], rtol=1e-13 if ell <= 200 else 1.5e-12, atol=0)
-    direct = (legendre_rec(ell, 1.0 - 2.0 * q[far]) - 1.0) / q[far]
-    np.testing.assert_allclose(row[far], direct, rtol=1e-13, atol=0)
+    longer = np.concatenate([rows.copy() for _, rows in _m1_over_hav_rows(q, ell + 100)])
+    zone = (q <= _SERIES_HAV_MAX) & ((np.arange(1, ell + 1)[:, None] + 0.5) ** 2 * q <= _SERIES_OSC_MAX)
+    assert np.array_equal(sweep[~zone], longer[:ell][~zone])
+    np.testing.assert_allclose(sweep, longer[:ell], rtol=1e-15, atol=0)
+    # q above 1/2, where scipy's P_ell(-1) is off by 1.5e-12 at ell = 550,
+    # is left to test_m1_over_hav_near_pi_matches_mpmath
+    far = (q > _SERIES_HAV_MAX) & (q <= 0.5)
+    direct = (eval_legendre(ell, 1.0 - 2.0 * q[far]) - 1.0) / q[far]
+    np.testing.assert_allclose(sweep[-1, far], direct, rtol=1e-13, atol=0)
 
 
-def _m1_over_hav_mpmath(ell, theta):
-    # (P_ell(cos theta) - 1) / sin^2(theta/2) at the double theta.  P - 1 is
-    # about -ell(ell+1) q near theta = 0, and for even ell about ell(ell+1) c
-    # near theta = pi, c = cos^2(theta/2); it keeps 50 digits when the
-    # working precision grows by one digit per decade of min(q, c) below 1
+def _m1_over_hav_mpmath(ell, q):
+    # (P_ell(1 - 2q) - 1) / q at the double q.  P - 1 is about -ell(ell+1) q
+    # near q = 0, and for even ell about ell(ell+1) c near q = 1, c = 1 - q
+    # (exact in double there); it keeps 50 digits when the working
+    # precision grows by one digit per decade of min(q, c) below 1
     mpmath = pytest.importorskip("mpmath")
-    q, c = np.sin(0.5 * theta) ** 2, np.cos(0.5 * theta) ** 2
-    if q == 0.0:  # the limit, to double precision
+    if q == 0.0:  # the limit
         return -float(ell * (ell + 1))
-    with mpmath.workdps(50 + max(0, -math.floor(math.log10(min(q, c))))):
-        theta = mpmath.mpf(theta)
-        return float((mpmath.legendre(ell, mpmath.cos(theta)) - 1)
-                     / mpmath.sin(theta / 2) ** 2)
+    c = 1.0 - q
+    with mpmath.workdps(50 + (max(0, -math.floor(math.log10(min(q, c)))) if c else 0)):
+        q = mpmath.mpf(q)
+        return float((mpmath.legendre(ell, 1 - 2 * q) - 1) / q)
+
+
+def _above_half_bound(ell):
+    # at q in (1/2, 1], t = 1 - 2q near -1, the rows' rounding grows like
+    # ell^2: relative to max(|g|, 1), measured worst 5.8e-14 (ell = 50),
+    # 8.0e-13 (299), 1.2e-11 (1000), 1.8e-11 (1200) and 8.3e-11 (2000), at
+    # or next to q = 1.  The largest error / ell^2 was 2.3e-17 (ell = 50);
+    # the bound is about twice that
+    return 5e-17 * ell * ell
 
 
 # log-uniform angles put most draws near 0, in the series zone
@@ -185,45 +212,35 @@ ANGLES = st.one_of(
 )
 
 
-# The reference is (P_ell(cos theta) - 1) / sin^2(theta/2) at the double
-# theta.  The error is relative to max(|g|, 1), since g vanishes at
-# theta = pi for even ell.  Measured worst on a dense scan of theta in
-# [3/ell, 0.06] for ell = 550..1200: 1.7e-12 (ell = 1200, theta = 0.0046),
-# just outside the series zone, from the rounding of the recurrence on
-# g = (P - 1)/q itself.  The P recurrence in t = 1 - 2q reached 5.1e-12
-# there, since the rounding of t near 1 costs about P_ell'(t) eps / 4.  The
-# bound is about twice the scan's worst, so that another hypothesis
-# version's draws stay inside it.
+# The reference is (P_ell(1 - 2q) - 1) / q at the double q = sin^2(theta/2).
+# The error is relative to max(|g|, 1), since g vanishes at q = 1 for even
+# ell.  Measured worst on a dense scan of theta in [3/ell, 0.06] for
+# ell = 550..1200: 1.7e-12 (ell = 1200, theta = 0.0046), just outside the
+# series zone, from the rounding of the recurrence on g = (P - 1)/q itself.
+# The P recurrence in t = 1 - 2q reached 5.1e-12 there, since the rounding
+# of t near 1 costs about P_ell'(t) eps / 4.  The bound for q <= 1/2 is
+# about twice the scan's worst, so that another hypothesis version's draws
+# stay inside it; above 1/2 it is ``_above_half_bound``.
 @settings(derandomize=True, deadline=None, max_examples=120, database=None)
 @given(ell=st.integers(1, 1200), theta=ANGLES)
 def test_m1_over_hav_matches_mpmath_everywhere(ell, theta):
-    ref = _m1_over_hav_mpmath(ell, theta)
-    err = abs(legendre_m1_over_hav(ell, theta) - ref) / max(abs(ref), 1.0)
-    assert err <= 3.5e-12, err
+    q = math.sin(0.5 * theta) ** 2
+    ref = _m1_over_hav_mpmath(ell, q)
+    err = abs(g_row(ell, q)[0] - ref) / max(abs(ref), 1.0)
+    assert err <= (3.5e-12 if q <= 0.5 else _above_half_bound(ell)), err
 
 
-# Near theta = pi the function runs on the mirror haversine c = cos^2(theta/2)
-# formed from theta, so it does not feel the rounding of q = sin^2(theta/2)
-# near 1, which moves P_ell by up to about ell(ell+1) eps.  Measured worst
-# relative error on 200 log-spaced angles pi - 10^[-6, -0.5]: 1.9e-13
-# (ell = 299), 7.1e-13 (1200) and 2.0e-12 (2000), from the recurrence on
-# g(c) as near theta = 0; the P recurrence in t = 1 - 2c reached 4.0e-13,
-# 3.7e-12 and 9.5e-12.
-@pytest.mark.parametrize("ell", [299, 1200, 2000])
+# q in (1/2, 1], which the nodes of a delta = 2 kernel reach: q on a uniform
+# grid, 1 included, and near 1 at the angles pi - 10^[-6, -0.5].  There
+# |g| <= 2 while |lambda| ~ 2 ell, so the closed-form eigenvalue tests at
+# delta = 2 bound what this rounding costs an eigenvalue.
+@pytest.mark.parametrize("ell", [50, 299, 1000, 1200, 2000])
 def test_m1_over_hav_near_pi_matches_mpmath(ell):
     theta = np.pi - 10.0 ** np.linspace(-6.0, -0.5, 12)
-    ref = np.array([_m1_over_hav_mpmath(ell, th) for th in theta])
-    err = np.abs(legendre_m1_over_hav(ell, theta) - ref) / np.abs(ref)
-    assert np.max(err) <= 4e-12, np.max(err)
-
-
-def test_m1_over_hav_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        legendre_m1_over_hav(3, -0.1)
-    with pytest.raises(ValueError):
-        legendre_m1_over_hav(3, np.pi + 0.1)
-    with pytest.raises(ValueError):
-        legendre_m1_over_hav(-2, 0.3)
+    q = np.concatenate([np.sin(0.5 * theta) ** 2, np.linspace(0.5, 1.0, 41)[1:]])
+    ref = np.array([_m1_over_hav_mpmath(ell, qi) for qi in q])
+    err = np.abs(g_row(ell, q) - ref) / np.maximum(np.abs(ref), 1.0)
+    assert np.max(err) <= _above_half_bound(ell), np.max(err)
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +260,10 @@ ASSOC_REF = [
 
 @pytest.mark.parametrize("ell,m,t,ref", ASSOC_REF)
 def test_assoc_legendre_matches_high_precision(ell, m, t, ref):
-    assert assoc_legendre_normalized(ell, m, t) == pytest.approx(ref, rel=1e-12)
+    # the table holds orders m >= 0; the reference of a negative order is
+    # Ptilde_ell^{-m} = (-1)^m Ptilde_ell^m
+    value = assoc_legendre_table(abs(m), ell, t)[-1, 0]
+    assert value == pytest.approx(ref if m >= 0 else (-1) ** m * ref, rel=1e-12)
 
 
 def test_assoc_legendre_orthonormal_rows():
@@ -261,33 +281,21 @@ def test_assoc_legendre_table_layout():
     table = assoc_legendre_table(2, 6, t)
     assert table.shape == (5, 5)
     for i, ell in enumerate(range(2, 7)):
-        np.testing.assert_array_equal(
-            table[i], np.atleast_1d(assoc_legendre_normalized(ell, 2, t))
-        )
-
-
-def test_assoc_legendre_negative_order_phase():
-    t = 0.37
-    for ell, m in [(4, 1), (4, 2), (9, 5)]:
-        plus = assoc_legendre_normalized(ell, m, t)
-        minus = assoc_legendre_normalized(ell, -m, t)
-        assert minus == (-1.0) ** m * plus
+        # a table's rows are the last rows of the smaller tables
+        np.testing.assert_array_equal(table[i], assoc_legendre_table(2, ell, t)[-1])
 
 
 def test_assoc_legendre_constant_term():
     # Ptilde_0^0 = 1/sqrt(2) everywhere
     t = np.linspace(-1, 1, 9)
     np.testing.assert_array_equal(
-        np.atleast_1d(assoc_legendre_normalized(0, 0, t)),
-        np.full(9, 1.0 / math.sqrt(2.0)),
+        assoc_legendre_table(0, 0, t)[-1], np.full(9, 1.0 / math.sqrt(2.0))
     )
 
 
 def test_assoc_legendre_rejects_bad_order():
     with pytest.raises(ValueError):
-        assoc_legendre_normalized(3, 4, 0.5)
-    with pytest.raises(ValueError):
-        assoc_legendre_normalized(3, -4, 0.5)
+        assoc_legendre_table(-4, 3, 0.5)
     with pytest.raises(ValueError):
         assoc_legendre_table(-1, 3, 0.5)
     with pytest.raises(ValueError):

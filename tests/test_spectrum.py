@@ -18,13 +18,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import eval_legendre
 
 from nlsphere.quadrature import cc_weights
-from nlsphere.specfun import legendre_rec
 from nlsphere.spectrum import (
     KernelParams,
     eigenvalue,
-    local_eigenvalue,
     local_spectrum,
     spectrum,
     write_spectrum,
@@ -62,9 +61,11 @@ def test_minus_two_ell_kernel():
 
 def test_minus_two_ell_kernel_through_degree_2000():
     # measured worst with the recurrence on g = (P - 1)/q: 1.74e-13 for the
-    # spectrum (ell = 1981) and 2.9e-13 for an isolated eigenvalue, which
-    # has its own (ell+1)-panel rule (ell = 1990 of 1900..2000).  The P
-    # recurrence in t = 1 - 2q reached 2.4e-13 and 6.2e-13 (ell = 1999).
+    # spectrum (ell = 1981) and 1.86e-13 for the isolated eigenvalues below
+    # (ell = 1500), each the last entry of its own (ell+1)-panel spectrum.
+    # Not every stopping degree does as well: spectrum(1909) reaches 2.0e-12
+    # at ell = 1612 and 1.27e-12 at ell = 1909.  The P recurrence in
+    # t = 1 - 2q reached 2.4e-13 and 6.2e-13 (ell = 1999).
     params = KernelParams(-0.5, 2.0)
     ells = np.arange(1, 2001)
     values = spectrum(2000, params)
@@ -79,6 +80,16 @@ def test_minus_two_ell_kernel_through_degree_10000():
     values = spectrum(10000, KernelParams(-0.5, 2.0))
     ells = np.arange(1, 10001)
     np.testing.assert_allclose(values[1:], -2.0 * ells, rtol=1e-12, atol=0)
+
+
+def test_isolated_eigenvalues_near_degree_10000():
+    # an isolated eigenvalue is the last row of its own spectrum, seeded by
+    # the ratio series like every sweep row; measured 2.2e-13, 5.8e-13,
+    # 5.3e-13 and 4.3e-14 at these degrees (an isolated row without the
+    # series seeds reached 1.11e-12 at ell = 9990)
+    params = KernelParams(-0.5, 2.0)
+    for ell in (8000, 8627, 9990, 10000):
+        assert eigenvalue(ell, params) == pytest.approx(-2.0 * ell, rel=1e-12, abs=0)
 
 
 def test_spectrum_low_degrees_minus_two_ell():
@@ -102,9 +113,8 @@ def test_local_limit_small_horizon():
 
 @pytest.mark.parametrize("ell", [549, 550, 1100, 1000])
 def test_recurrence_and_asymptotics_agree(ell):
-    # an isolated eigenvalue, the degree-ell row of the recurrence on its own
-    # (ell+1)-panel rule, against the one-pass spectrum, which sums every row
-    # on one rule
+    # an isolated eigenvalue, the last entry of its own (ell+1)-panel
+    # spectrum, against the one-pass spectrum through degree 1000 or more
     params = KernelParams(-0.5, 1.0)
     assert eigenvalue(ell, params) == pytest.approx(
         spectrum(max(ell, 1000), params)[ell], rel=1e-8
@@ -122,7 +132,7 @@ def test_compensated_summation_reference():
                 g = -(d2 / 8.0) * ell * (ell + 1)
             else:
                 q = d2 * (1.0 - xj) / 8.0
-                g = (legendre_rec(ell, 1.0 - 2.0 * q) - 1.0) / (1.0 - xj)
+                g = (eval_legendre(ell, 1.0 - 2.0 * q) - 1.0) / (1.0 - xj)
             terms.append(wj * g)
         ref = (1.0 + alpha) * 2.0 ** (2.0 - alpha) / d2 * math.fsum(terms)
         mine = eigenvalue(ell, KernelParams(alpha, delta))
@@ -175,9 +185,12 @@ def test_monotonicity_where_claimed(alpha):
             )
 
 
-@pytest.mark.parametrize("alpha,delta", [
+SWEEP_KERNELS = [
     (-0.5, 2.0), (-0.9, 0.01), (0.9, 0.7), (0.0, 1.0), (0.3, 0.1), (-0.5, 0.01),
-])
+]
+
+
+@pytest.mark.parametrize("alpha,delta", SWEEP_KERNELS)
 def test_spectrum_matches_per_degree_recurrence(alpha, delta):
     # the one-pass sweep against eigenvalue(ell) on its own rule, degree by
     # degree, across the panel floor of 8 and through degree 200
@@ -189,12 +202,24 @@ def test_spectrum_matches_per_degree_recurrence(alpha, delta):
         np.testing.assert_allclose(values, ref[: n + 1], rtol=3e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("alpha,delta", SWEEP_KERNELS)
+def test_eigenvalue_is_the_spectrum_row(alpha, delta):
+    # one route: an isolated eigenvalue is the last entry of the spectrum
+    # through its degree, bit for bit
+    params = KernelParams(alpha, delta)
+    for ell in (0, 1, 7, 8, 63, 64, 65, 200):
+        value = eigenvalue(ell, params)
+        assert type(value) is float
+        assert value == spectrum(ell, params)[ell]
+
+
 def test_local_eigenvalue_values():
-    assert local_eigenvalue(0) == 0.0
-    assert local_eigenvalue(1) == -2.0
-    assert local_eigenvalue(10) == -110.0
+    sp = local_spectrum(10)
+    assert sp[0] == 0.0
+    assert sp[1] == -2.0
+    assert sp[10] == -110.0
     with pytest.raises(ValueError):
-        local_eigenvalue(-1)
+        local_spectrum(-1)
 
 
 def test_local_spectrum_object():
