@@ -61,7 +61,7 @@ _EXPORTS = {
     "ginzburg_landau_energy": "models",
     "allen_cahn_nonlinearity": "models",
     "allen_cahn_operator": "models",
-    "brusselator_nonlinearities": "models",
+    "brusselator_nonlinearity": "models",
     "brusselator_operators": "models",
     "cesaro_apply": "models",
     "cesaro_weights": "models",

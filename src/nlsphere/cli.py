@@ -183,9 +183,7 @@ def run(args):
         observers.append(recorder)
     else:
         operators = M.brusselator_operators(cfg, spec)
-        nonlinearity = pseudospectral(
-            lambda u, v: M.brusselator_nonlinearities(u, v, cfg), grid
-        )
+        nonlinearity = M.brusselator_nonlinearity(cfg, grid)
 
     def snapshot_observer(step, t, state):
         if step % args.snapshot_stride:

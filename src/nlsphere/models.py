@@ -3,10 +3,14 @@
 Provides the nonlocal Poisson solve with a mean condition, Allen--Cahn
 and Brusselator reaction--diffusion setups for the ETDRK4 integrator,
 the Ginzburg--Landau free energy, Cesaro smoothing of coefficient
-expansions, and reproducible random fields.  A model config holds only
-physical constants; the kernel, degree, step size and step count belong
-to the spectrum, the grid and `evolve`.  The built-in fields are the
-command line's right-hand side and initial conditions.
+expansions, and reproducible random fields.  Allen--Cahn's reaction is a
+pointwise function for :func:`nlsphere.timestep.pseudospectral`; the
+Brusselator's is a coefficient-space nonlinearity that transforms only
+its one product u^2 v and forms its linear terms from the coefficients.
+A model config holds only physical constants; the kernel, degree, step
+size and step count belong to the spectrum, the grid and `evolve`.  The
+built-in fields are the command line's right-hand side and initial
+conditions.
 """
 
 import math
@@ -18,6 +22,7 @@ import numpy as np
 from .spectrum import KernelParams, local_spectrum
 from .spectrum import spectrum as _spectrum
 from .sht import SphereGrid, _degree, _layout, _parity_parts, _per_degree, _write_csv
+from .timestep import pseudospectral
 
 __all__ = [
     "solve_poisson",
@@ -25,7 +30,7 @@ __all__ = [
     "BrusselatorConfig",
     "allen_cahn_nonlinearity",
     "allen_cahn_operator",
-    "brusselator_nonlinearities",
+    "brusselator_nonlinearity",
     "brusselator_operators",
     "build_spectrum",
     "ginzburg_landau_energy",
@@ -160,14 +165,28 @@ def allen_cahn_operator(cfg, spec):
     return cfg.epsilon**2 * np.asarray(spec, dtype=float)
 
 
-def brusselator_nonlinearities(u, v, cfg):
-    """Reaction terms (N_u, N_v) on grid values, the -u decay in N_u."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    uuv = u * u * v
-    n_u = cfg.epsilon**2 * cfg.E + cfg.f * uuv - u
-    n_v = (u - uuv) / (cfg.tau * cfg.epsilon**2)
-    return n_u, n_v
+def brusselator_nonlinearity(cfg, grid):
+    """Reaction terms (N_u, N_v) as a coefficient-space nonlinearity on
+    ``grid`` for `evolve`: N_u = eps^2 E + f w - u and
+    N_v = (u - w) / (tau eps^2), with w = u^2 v and the -u decay in N_u.
+
+    Only w needs the grid: each call synthesizes (u, v) and analyzes w
+    alone (see :func:`nlsphere.timestep.pseudospectral`).  The other terms
+    are formed from the state's own coefficients; the constant eps^2 E is
+    its mean mode, slot (0, 0), times sqrt(4 pi).
+    """
+    product = pseudospectral(lambda u, v: u * u * v, grid)
+    source = cfg.epsilon**2 * cfg.E * math.sqrt(4.0 * math.pi)
+    tau_eps2 = cfg.tau * cfg.epsilon**2
+
+    def nonlinearity(state):
+        (w,) = product(state)
+        u = state[0]
+        n_u = cfg.f * w - u
+        n_u[0, 0] += source
+        return np.stack([n_u, (u - w) / tau_eps2])
+
+    return nonlinearity
 
 
 def brusselator_operators(cfg, spec):

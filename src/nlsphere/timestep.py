@@ -194,14 +194,21 @@ def etdrk4_step(state, tables, nonlinearity, step_index=None):
     """One ETDRK4 step (Cox--Matthews stages with half-step exponentials).
 
     ``state`` is a (k, n+1, 2n+1) coefficient array of k fields and
-    ``tables`` their stacked coefficients.  ``nonlinearity`` maps such an
-    array to one of the same shape -- wrap a pointwise grid-space function
-    with :func:`pseudospectral` to obtain one.  Returns the new state;
-    raises BlowUpError when any output coefficient is non-finite.
+    ``tables`` their stacked coefficients.  ``nonlinearity`` must map such
+    an array to one of the same shape (another output shape raises
+    ValueError) -- wrap a pointwise grid-space function with
+    :func:`pseudospectral` to obtain one.  Returns the new state; raises
+    BlowUpError when any output coefficient is non-finite.
     """
     _check_shape(state, tables)
     t = tables
     n_u = nonlinearity(state)
+    # a stack of another field count would broadcast against the tables
+    if np.shape(n_u) != state.shape:
+        raise ValueError(
+            f"nonlinearity returned shape {np.shape(n_u)} for a state of "
+            f"shape {state.shape}"
+        )
     decayed = t.exp_half * state
     a = decayed + t.stage * n_u
     n_a = nonlinearity(a)
@@ -248,23 +255,20 @@ def evolve(initial, operators, nonlinearity, h, steps, observers=()):
 def pseudospectral(pointwise, grid):
     """Lift a pointwise grid function to a coefficient-space nonlinearity.
 
-    The result maps a (k, n+1, 2n+1) coefficient array to one of the same
-    shape.  The k fields are synthesized on ``grid`` in one stacked
+    The result maps a (k, n+1, 2n+1) coefficient array to a (j, n+1, 2n+1)
+    one.  The k fields are synthesized on ``grid`` in one stacked
     transform; ``pointwise`` receives the k value arrays as positional
-    arguments and returns a tuple of k arrays (a single field may return
-    a bare array), which are analyzed back in one stacked transform.  No
-    dealiasing is applied.
+    arguments and returns a tuple of j arrays (j = 1 may return a bare
+    array), which are analyzed back in one stacked transform.  j need not
+    be k: a model whose reaction is linear but for one product returns
+    that product alone and forms the linear terms from the coefficients.
+    No dealiasing is applied.
     """
 
     def coefficient_nonlinearity(state):
         outs = pointwise(*synthesis(state, grid))
         if not isinstance(outs, tuple):
             outs = (outs,)
-        if len(outs) != len(state):
-            raise TypeError(
-                f"pointwise function returned {len(outs)} arrays "
-                f"for {len(state)} fields"
-            )
         return analysis(np.stack(outs), grid)
 
     return coefficient_nonlinearity

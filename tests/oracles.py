@@ -68,3 +68,12 @@ def north_south_step(degree):
         )
         c[slot(degree, ell, 0)] = 2.0 * half_int * math.sqrt(2.0 * math.pi * (2 * ell + 1) / 2.0)
     return c
+
+
+def brusselator_reactions(u, v, cfg):
+    """Brusselator reaction terms (N_u, N_v) on grid values: every term,
+    the constant and the linear ones too, formed pointwise."""
+    uuv = u * u * v
+    n_u = cfg.epsilon**2 * cfg.E + cfg.f * uuv - u
+    n_v = (u - uuv) / (cfg.tau * cfg.epsilon**2)
+    return n_u, n_v

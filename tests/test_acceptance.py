@@ -243,7 +243,7 @@ def test_criterion_11_brusselator_equilibrium():
     cfg = M.BrusselatorConfig(E=4.0, epsilon=0.075, tau=7.8125, f=0.8)
     spec = M.build_spectrum(n, KernelParams(0.0, 1.0))
     grid = SphereGrid(n)
-    nl = pseudospectral(lambda u, v: M.brusselator_nonlinearities(u, v, cfg), grid)
+    nl = M.brusselator_nonlinearity(cfg, grid)
     u_e, v_e = cfg.equilibrium()
     u0 = np.zeros((n + 1, 2 * n + 1))
     v0 = np.zeros((n + 1, 2 * n + 1))

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from nlsphere import models as M
+from nlsphere import timestep as T
 from nlsphere.spectrum import KernelParams, local_spectrum
 from nlsphere.sht import SphereGrid, _is_prime, _layout, _per_degree, analysis, slot, synthesis
 from nlsphere.specfun import assoc_legendre_table
 from nlsphere.timestep import evolve, pseudospectral
-from oracles import integrate_grid, north_south_step
+from oracles import brusselator_reactions, integrate_grid, north_south_step, relative_error_2norm
 
 GL_QUARTIC_U20 = 2.6842234419179793
 
@@ -146,21 +147,59 @@ def test_brusselator_equilibrium_values():
     assert v_e == pytest.approx(1.0 / 0.1125, rel=1e-12)
 
 
+def brusselator_state(cfg, n, scale, seed):
+    """(2, n+1, 2n+1) state: the equilibrium plus N(0, scale^2) coefficients."""
+    state = np.stack([M.random_coeffs(n, n, scale, seed + f) for f in range(2)])
+    for field, mean in zip(state, cfg.equilibrium()):
+        field[slot(n, 0, 0)] += mean * math.sqrt(4.0 * math.pi)
+    return state
+
+
 def test_brusselator_nonlinearity_zero_at_equilibrium():
+    n = 8
     cfg = brusselator_cfg()
-    u_e, v_e = cfg.equilibrium()
-    n_u, n_v = M.brusselator_nonlinearities(
-        np.full((3, 2), u_e), np.full((3, 2), v_e), cfg
-    )
-    assert np.abs(n_u).max() <= 1e-12
-    assert np.abs(n_v).max() <= 1e-12
+    out = M.brusselator_nonlinearity(cfg, SphereGrid(n))(brusselator_state(cfg, n, 0.0, 0))
+    assert out.shape == (2, n + 1, 2 * n + 1)
+    assert np.abs(out).max() <= 1e-12
 
 
 def test_brusselator_nonlinearity_at_zero():
+    # u = 0: the product and the linear terms vanish, only the source is left
+    n = 8
     cfg = brusselator_cfg()
-    n_u, n_v = M.brusselator_nonlinearities(np.zeros(4), np.full(4, 9.9), cfg)
-    np.testing.assert_allclose(n_u, cfg.epsilon**2 * cfg.E, rtol=0, atol=0)
-    assert np.all(n_v == 0.0)
+    state = np.stack([np.zeros((n + 1, 2 * n + 1)), M.random_coeffs(n, n, 1.0, 3)])
+    n_u, n_v = M.brusselator_nonlinearity(cfg, SphereGrid(n))(state)
+    expected = np.zeros((n + 1, 2 * n + 1))
+    expected[slot(n, 0, 0)] = cfg.epsilon**2 * cfg.E * math.sqrt(4.0 * math.pi)
+    np.testing.assert_array_equal(n_u, expected)
+    np.testing.assert_array_equal(n_v, 0.0)
+
+
+@pytest.mark.parametrize("n", [31, 127])
+def test_brusselator_nonlinearity_matches_grid_formula(n):
+    # against every term formed on the grid: the linear ones round-trip
+    # through the transforms there, so the two agree to rounding
+    cfg = brusselator_cfg()
+    grid = SphereGrid(n)
+    new = M.brusselator_nonlinearity(cfg, grid)
+    reference = pseudospectral(lambda u, v: brusselator_reactions(u, v, cfg), grid)
+    for seed, scale in ((0, 0.01), (2, 0.01), (4, 1.0)):
+        state = brusselator_state(cfg, n, scale, seed)
+        assert relative_error_2norm(new(state), reference(state)) <= 1e-14
+
+
+def test_brusselator_nonlinearity_analyses_one_product(monkeypatch):
+    n = 12
+    cfg = brusselator_cfg()
+    shapes = []
+
+    def recording_analysis(values, grid):
+        shapes.append(np.shape(values))
+        return analysis(values, grid)
+
+    monkeypatch.setattr(T, "analysis", recording_analysis)
+    M.brusselator_nonlinearity(cfg, SphereGrid(n))(brusselator_state(cfg, n, 0.01, 0))
+    assert shapes == [(1, n + 1, 2 * n + 1)]
 
 
 def test_brusselator_operator_prefactors():
@@ -172,7 +211,7 @@ def test_brusselator_operator_prefactors():
     # the second operator multiplies by the reciprocal of tau, bit for bit
     np.testing.assert_array_equal(op_v, (1.0 / cfg.tau) * spec)
     # operators of another degree than the state are refused by evolve
-    nl = pseudospectral(lambda u, v: M.brusselator_nonlinearities(u, v, cfg), SphereGrid(8))
+    nl = M.brusselator_nonlinearity(cfg, SphereGrid(8))
     with pytest.raises(ValueError, match=r"state shape \(2, 9, 17\) does not match"):
         evolve(np.zeros((2, 9, 17)), M.brusselator_operators(cfg, local_spectrum(9)), nl, 0.1, 1)
 
@@ -183,7 +222,7 @@ def test_brusselator_equilibrium_is_fixed_point():
     spec = M.build_spectrum(n, KernelParams(0.0, 1.0))
     ops = M.brusselator_operators(cfg, spec)
     grid = SphereGrid(n)
-    nl = pseudospectral(lambda u, v: M.brusselator_nonlinearities(u, v, cfg), grid)
+    nl = M.brusselator_nonlinearity(cfg, grid)
     u_e, v_e = cfg.equilibrium()
     u0 = np.zeros((n + 1, 2 * n + 1))
     v0 = np.zeros((n + 1, 2 * n + 1))

@@ -439,6 +439,26 @@ def test_pseudospectral_coupled_contract():
     ou, ov = nl(stacked(u, v))
     assert ou[slot(n, 0, 0)] == pytest.approx(2.0, rel=1e-13)
     assert ov[slot(n, 0, 0)] == pytest.approx(1.0, rel=1e-13)
-    bad = pseudospectral(lambda a, b: a, grid)
-    with pytest.raises(TypeError):
-        bad(stacked(u, v))
+
+
+def test_pseudospectral_maps_two_fields_to_one_product():
+    n = 6
+    grid = SphereGrid(n)
+    rng = np.random.default_rng(4)
+    u, v = (analysis(rng.standard_normal((n + 1, 2 * n + 1)), grid) for _ in range(2))
+    out = pseudospectral(lambda a, b: a * b, grid)(stacked(u, v))
+    assert out.shape == (1, n + 1, 2 * n + 1)
+    np.testing.assert_array_equal(out[0], analysis(synthesis(u, grid) * synthesis(v, grid), grid))
+
+
+@pytest.mark.parametrize("make", [
+    lambda grid: (lambda state: state[:1]),
+    lambda grid: pseudospectral(lambda a, b: a * b, grid),
+], ids=["hand-written", "pseudospectral"])
+def test_evolve_refuses_a_nonlinearity_of_another_shape(make):
+    # a (1, n+1, 2n+1) stack for two fields would broadcast against the tables
+    n = 4
+    grid = SphereGrid(n)
+    op = np.asarray(local_spectrum(n))
+    with pytest.raises(ValueError, match=r"shape \(1, 5, 9\) for a state of shape \(2, 5, 9\)"):
+        evolve(stacked(zeros(n), zeros(n)), [op, op], make(grid), h=0.1, steps=1)
