@@ -15,8 +15,8 @@ timestep   ETDRK4 exponential time stepping for diagonal stiff systems.
 models     Poisson, Allen--Cahn, Brusselator, energy, Cesaro smoothing.
 cli        ``nlsphere`` command line front end.
 
-Every public name is on a path that the command line or the README's
-library usage runs; the tests keep their own reference oracles.
+Every public name and parameter is on a path that the command line or the
+README's library usage runs; the tests keep their own reference oracles.
 
 Imports here are lazy (PEP 562) so that the command line front end can cap
 BLAS/OpenMP thread counts via the ``NLSPHERE_THREADS`` environment variable
@@ -34,7 +34,6 @@ _EXPORTS = {
     "eigenvalue": "spectrum",
     "local_spectrum": "spectrum",
     # quadrature
-    "CCRule": "quadrature",
     "GLRule": "quadrature",
     "cc_weights": "quadrature",
     "gauss_legendre": "quadrature",

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectrum import KernelParams, local_spectrum
+from .spectrum import local_spectrum
 from .spectrum import spectrum as _spectrum
 from .sht import SphereGrid, _degree, _layout, _parity_parts, _per_degree, _write_csv
 from .timestep import pseudospectral
@@ -49,8 +49,6 @@ def build_spectrum(degree, kernel=None):
     if kernel is None: a read-only float array of shape (degree+1,)."""
     if kernel is None:
         return local_spectrum(degree)
-    if not isinstance(kernel, KernelParams):
-        raise TypeError(f"kernel must be KernelParams or None, got {kernel!r}")
     return _spectrum(degree, kernel)
 
 
@@ -220,24 +218,22 @@ def _refined_grid(degree):
     return SphereGrid(degree, longitudes=_fft_length(2 * degree + 1))
 
 
-def ginzburg_landau_energy(u, spec, epsilon, grid=None):
+def ginzburg_landau_energy(u, spec, epsilon):
     """Free energy -(eps^2/2) sum lambda (u_l^m)^2 + (1/4) int (u^2-1)^2.
 
     The diffusion term reduces to a coefficient sum by orthonormality,
     summed per degree.  The quartic term has band limit 4n, so it is
-    integrated on the degree-2n colatitudes with the smallest 5-smooth
-    longitude count >= 4n+1 (built on demand; the four most recent are
-    cached) unless a grid is supplied; a supplied grid needs degree >= 2n
-    for the quadrature to be exact, and a coarser one raises ValueError.
-    The quartic is summed from the synthesis's hemisphere parity parts
-    (see :func:`nlsphere.sht._parity_parts`), never from the values: a
-    northern node with even part e and odd part o and its southern mirror
-    hold e + o and e - o, and together contribute
-    2 [(e^2 + o^2 - 1)^2 + (2 e o)^2]; the equator node of an even-degree
-    grid has no mirror and contributes ((e + o)^2 - 1)^2.  The synthesis
-    uses only the orders and degrees <= n of that grid.  ``u`` is one
-    field's (n+1, 2n+1) coefficient array and ``spec`` its (n+1,)
-    eigenvalues.
+    integrated exactly on the degree-2n colatitudes with the smallest
+    5-smooth longitude count >= 4n+1 (built on demand; the four most
+    recent are cached).  The quartic is summed from the synthesis's
+    hemisphere parity parts (see :func:`nlsphere.sht._parity_parts`),
+    never from the values: a northern node with even part e and odd part
+    o and its southern mirror hold e + o and e - o, and together
+    contribute 2 [(e^2 + o^2 - 1)^2 + (2 e o)^2]; the equator node, which
+    the even degree 2n always has, has no mirror and contributes
+    ((e + o)^2 - 1)^2.  The synthesis uses only the orders and degrees
+    <= n of that grid.  ``u`` is one field's (n+1, 2n+1) coefficient
+    array and ``spec`` its (n+1,) eigenvalues.
     """
     n = _degree(u)
     lam = _check_spectrum(spec, n, "coefficients")
@@ -247,19 +243,14 @@ def ginzburg_landau_energy(u, spec, epsilon, grid=None):
     squares = np.multiply(u, u, out=np.zeros_like(u), where=valid)
     linear = -0.5 * epsilon**2 * float(
         lam @ np.bincount(deg.ravel(), weights=squares.ravel(), minlength=n + 1))
-    if grid is None:
-        grid = _refined_grid(2 * n)
-    elif grid.degree < 2 * n:
-        raise ValueError(f"grid degree {grid.degree} is below 2n = {2 * n}, the least that "
-                         f"integrates the quartic of a degree-{n} field exactly")
+    grid = _refined_grid(2 * n)
     even, odd = _parity_parts(u[None], grid)[0]
-    north, paired = grid.north, grid.degree + 1 - grid.north
-    e, o = even[:paired], odd[:paired]
+    # degree 2n: the n paired northern rows, then the equator row n
+    e, o = even[:n], odd[:n]
     rows = 2.0 * ((e * e + o * o - 1.0) ** 2 + (2.0 * e * o) ** 2).sum(axis=1)
-    if paired < north:
-        equator = (even[paired] + odd[paired]) ** 2 - 1.0
-        rows = np.append(rows, equator @ equator)
-    integral = float(grid.colat_weights[:north] @ rows) * (2.0 * np.pi / grid.lon_nodes.size)
+    equator = (even[n] + odd[n]) ** 2 - 1.0
+    rows = np.append(rows, equator @ equator)
+    integral = float(grid.colat_weights[: n + 1] @ rows) * (2.0 * np.pi / grid.lon_nodes.size)
     return linear + 0.25 * integral
 
 

@@ -2,9 +2,9 @@
 
 Two families are provided:
 
-* modified Clenshaw--Curtis rules that absorb a Jacobi weight
-  ``(1-x)^alpha (1+x)^beta`` into the weights, built from the modified
-  Chebyshev moments of that weight (``jacobi_moments``), and
+* modified Clenshaw--Curtis rules that absorb the weight ``(1-x)^alpha``
+  into the weights, built from the modified Chebyshev moments of that
+  weight (``jacobi_moments``), and
 * classical Gauss--Legendre rules computed by Newton iteration on the
   Legendre recurrence.
 
@@ -24,34 +24,11 @@ import numpy as np
 from .specfun import _legendre_pair
 
 __all__ = [
-    "CCRule",
     "GLRule",
     "cc_weights",
     "gauss_legendre",
     "jacobi_moments",
 ]
-
-
-@dataclass(frozen=True)
-class CCRule:
-    """Modified Clenshaw--Curtis rule for the weight (1-x)^alpha (1+x)^beta.
-
-    ``nodes`` are the n+1 Chebyshev points cos(k pi / n), k = 0..n, in
-    descending order from +1 to -1; ``weights`` integrate polynomial
-    integrands against the Jacobi weight, exactly through degree n.
-    """
-
-    alpha: float
-    beta: float
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def __len__(self):
-        return self.nodes.size
 
 
 @dataclass(frozen=True)
@@ -65,59 +42,47 @@ class GLRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def __len__(self):
-        return self.nodes.size
 
+def jacobi_moments(alpha, count):
+    """Modified Chebyshev moments of the weight (1-x)^alpha.
 
-def _check_exponent(name, value):
-    value = float(value)
-    if not math.isfinite(value) or value <= -1.0:
-        raise ValueError(f"{name} must be a finite number > -1, got {value!r}")
-    return value
+    Returns ``mu[k] = integral_{-1}^{1} T_k(x) (1-x)^alpha dx`` for
+    k = 0..count-1, computed by the three-term forward recurrence
 
+        mu_{l+1} = -(2 alpha mu_l + (alpha-l+2) mu_{l-1}) / (alpha+l+2),
 
-def jacobi_moments(alpha, beta, count):
-    """Modified Chebyshev moments of the Jacobi weight.
-
-    Returns ``mu[k] = integral_{-1}^{1} T_k(x) (1-x)^alpha (1+x)^beta dx``
-    for k = 0..count-1, computed by the three-term forward recurrence
-
-        mu_{l+1} = -(2 (alpha-beta) mu_l + (alpha+beta-l+2) mu_{l-1})
-                   / (alpha+beta+l+2),
-
-    seeded with mu_0 = 2^(alpha+beta+1) B(alpha+1, beta+1) and
-    mu_1 = (beta-alpha) mu_0 / (alpha+beta+2).  The recurrence is mildly
+    seeded with mu_0 = 2^(alpha+1) B(alpha+1, 1) and
+    mu_1 = -alpha mu_0 / (alpha+2).  The recurrence is mildly
     forward-stable here: against the same recurrence in 40-digit arithmetic
-    (beta = 0, alpha in {-0.9, -0.5, 0.3, 0.9}) the relative error grows
-    about like 0.3 k eps, worst at alpha = -0.5 with 151 / 607 / 1516 eps
-    through k = 511 / 2000 / 5000 (3.4e-13 at k = 5000).
+    (alpha in {-0.9, -0.5, 0.3, 0.9}) the relative error grows about like
+    0.3 k eps, worst at alpha = -0.5 with 151 / 607 / 1516 eps through
+    k = 511 / 2000 / 5000 (3.4e-13 at k = 5000).
     """
-    alpha = _check_exponent("alpha", alpha)
-    beta = _check_exponent("beta", beta)
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha <= -1.0:
+        raise ValueError(f"alpha must be a finite number > -1, got {alpha!r}")
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     mu = np.empty(int(count))
-    lg = (
-        math.lgamma(alpha + 1.0)
-        + math.lgamma(beta + 1.0)
-        - math.lgamma(alpha + beta + 2.0)
-    )
-    mu[0] = math.exp((alpha + beta + 1.0) * math.log(2.0) + lg)
+    lg = math.lgamma(alpha + 1.0) - math.lgamma(alpha + 2.0)
+    mu[0] = math.exp((alpha + 1.0) * math.log(2.0) + lg)
     if count == 1:
         return mu
-    mu[1] = (beta - alpha) / (alpha + beta + 2.0) * mu[0]
+    # 0.0 - alpha, not -alpha: mu_1 of alpha = 0 is +0.0
+    mu[1] = (0.0 - alpha) / (alpha + 2.0) * mu[0]
     for k in range(1, int(count) - 1):
         mu[k + 1] = -(
-            2.0 * (alpha - beta) * mu[k] + (alpha + beta - k + 2.0) * mu[k - 1]
-        ) / (alpha + beta + k + 2.0)
+            2.0 * alpha * mu[k] + (alpha - k + 2.0) * mu[k - 1]
+        ) / (alpha + k + 2.0)
     return mu
 
 
-def cc_weights(alpha, beta, n):
-    """Modified Clenshaw--Curtis rule with n+1 nodes for the Jacobi weight.
+def cc_weights(alpha, n):
+    """Weights of the modified Clenshaw--Curtis rule with n+1 nodes for
+    the weight (1-x)^alpha, as a read-only array.
 
-    ``n`` is the number of Chebyshev panels; the rule consists of the
-    nodes cos(k pi / n) with weights
+    ``n`` is the number of Chebyshev panels; the weights belong to the
+    nodes cos(k pi / n), k = 0..n, and are
 
         w_j = c_j / n * (mu_0 + (-1)^j mu_n
                          + 2 sum_{k=1}^{n-1} mu_k cos(pi j k / n)),
@@ -130,7 +95,7 @@ def cc_weights(alpha, beta, n):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"panel count must be a positive integer, got {n!r}")
     n = int(n)
-    mu = jacobi_moments(alpha, beta, n + 1)
+    mu = jacobi_moments(alpha, n + 1)
     # DCT-I via an even extension of length 2n; rfft of a real even
     # sequence is real up to roundoff
     ext = np.concatenate([mu, mu[-2:0:-1]])
@@ -138,8 +103,8 @@ def cc_weights(alpha, beta, n):
     w = bracket / n
     w[0] *= 0.5
     w[n] *= 0.5
-    nodes = np.cos(np.pi * np.arange(n + 1) / n)
-    return CCRule(alpha=float(alpha), beta=float(beta), nodes=nodes, weights=w)
+    w.setflags(write=False)
+    return w
 
 
 def gauss_legendre(n):

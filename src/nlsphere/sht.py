@@ -40,11 +40,12 @@ odd rows, and the two parities are summed separately and then combined
 into the two hemispheres.  Each table piece and parity is one batched
 matrix product over the piece's orders, whose 2k columns are the real and
 imaginary parts of the k fields.  Up to grid degree 300 the pieces are
-blocks of 32 orders with all their rows, cached on the grid; above it
-they are 16 rows of every order at once, streamed from the Legendre
-recurrence as the products consume them and never stored.  ``synthesis``
-and ``analysis`` accept that leading axis of k fields, which share every
-table read.
+blocks of 32 orders with all their rows, which
+``SphereGrid.legendre_table`` builds once and caches on the grid; above
+it the transforms look up no block: the pieces are 16 rows of every order
+at once, streamed from the Legendre recurrence as the products consume
+them and never stored.  ``synthesis`` and ``analysis`` accept that
+leading axis of k fields, which share every table read.
 
 Synthesis is two steps: ``_parity_parts`` runs the Legendre and longitude
 stages and returns the even and odd parts at the northern nodes, and the
@@ -76,9 +77,9 @@ __all__ = [
     "write_grid_values",
 ]
 
-#: Legendre tables are cached on the grid object up to this degree
-#: (memory for all orders together grows like degree^3 / 4 doubles, 123 MB
-#: at degree 383); above it the transforms stream the table rows.
+#: The transforms read the grid's cached Legendre tables up to this grid
+#: degree (memory for all orders together grows like degree^3 / 4
+#: doubles, 123 MB at degree 383); above it they stream the table rows.
 _TABLE_CACHE_MAX_DEGREE = 300
 
 #: Orders per Legendre table block: one batched matrix product per block
@@ -141,13 +142,13 @@ class SphereGrid:
     There are 2n+1 longitudes unless ``longitudes`` asks for more; any
     count of at least 2n+1 keeps analysis exact.  Legendre tables cover
     the ``north`` = ceil((n+1)/2) northern colatitudes and come in blocks
-    of up to ``_ORDER_BLOCK`` orders, built on demand.  Up to grid degree
-    ``_TABLE_CACHE_MAX_DEGREE`` they are cached on the grid instance and
-    the transforms read them.  Above it the transforms read no table:
-    they stream the recurrence rows of all orders a few rows at a time,
-    and a lookup here builds its block afresh.  A grid with a prime
-    longitude count, whose FFT is slow, runs its longitude stage as a
-    dense product with the DFT matrix instead, and caches that matrix.
+    of up to ``_ORDER_BLOCK`` orders, built on demand and cached on the
+    grid instance.  The transforms read them up to grid degree
+    ``_TABLE_CACHE_MAX_DEGREE``; above it they look up no table and
+    stream the recurrence rows of all orders a few rows at a time.  A grid
+    with a prime longitude count, whose FFT is slow, runs its longitude
+    stage as a dense product with the DFT matrix instead, and caches that
+    matrix.
     """
 
     def __init__(self, degree, longitudes=None):
@@ -175,9 +176,9 @@ class SphereGrid:
         self._tables = {}
         self._dft = None
 
-    def legendre_table(self, block, degree=None):
-        """Block ``block`` of the Legendre table up to ``degree`` (default:
-        the grid degree) at the northern colatitudes, split by parity.
+    def legendre_table(self, block, degree):
+        """Block ``block`` of the Legendre table up to ``degree`` at the
+        northern colatitudes, split by parity, cached on the grid.
 
         The block holds orders m = ``_ORDER_BLOCK * block`` onwards, at most
         ``_ORDER_BLOCK`` of them and none above ``degree``.  Returns the
@@ -185,22 +186,14 @@ class SphereGrid:
         Ptilde_{m_j+2i}^{m_j} and of ``odd`` Ptilde_{m_j+2i+1}^{m_j}, zero
         above ``degree`` (see :func:`nlsphere.specfun.assoc_legendre_table`).
         """
-        degree = self.degree if degree is None else int(degree)
-        first = _ORDER_BLOCK * block
-        if not 0 <= first <= degree <= self.degree:
-            raise ValueError(
-                f"no order block {block} of degree {degree} on a degree-{self.degree} grid"
-            )
         tables = self._tables.get((block, degree))
         if tables is None:
+            first = _ORDER_BLOCK * block
             orders = np.arange(first, min(first + _ORDER_BLOCK, degree + 1))
-            tables = assoc_legendre_table(
-                orders, degree, self.colat_cos[: self.north], parity=True
-            )
+            tables = assoc_legendre_table(orders, degree, self.colat_cos[: self.north])
             for table in tables:
                 table.setflags(write=False)
-            if self.degree <= _TABLE_CACHE_MAX_DEGREE:
-                self._tables[(block, degree)] = tables
+            self._tables[(block, degree)] = tables
         return tables
 
     def _dft_bases(self):

@@ -181,49 +181,36 @@ def _legendre_rows(ms, degree, t):
         yield first, ring[: min(chunk, total - first), :top]
 
 
-def assoc_legendre_table(m, degree, t, parity=False):
-    """Table of normalized associated Legendre functions.
+def assoc_legendre_table(orders, degree, t):
+    """Table of normalized associated Legendre functions, split by parity.
 
-    For one order ``m`` returns an array of shape ``(degree - m + 1,
-    len(t))`` whose row ``i`` holds ``Ptilde_{m+i}^m(t)``, normalized so
-    that the square integrates to 1 over [-1, 1].  For a 1-D array of
-    orders returns the block of shape ``(len(m), degree - min(m) + 1,
-    len(t))`` whose entry ``[j, i]`` holds ``Ptilde_{m_j+i}^{m_j}(t)``
-    and is zero where ``m_j + i > degree``; each order's rows equal the
-    one-order table bit for bit.  Requires ``0 <= m <= degree``.  No
-    Condon-Shortley phase is applied.
-
-    With ``parity=True`` the rows come as two contiguous arrays instead,
-    ``(even, odd)``, holding rows ``0, 2, 4, ...`` and ``1, 3, 5, ...``
-    of that table.
+    For a 1-D array of ascending orders returns the pair ``(even, odd)``
+    of shapes ``(len(orders), (rows + 1) // 2, len(t))`` and ``(len(orders),
+    rows // 2, len(t))``, rows = degree - orders[0] + 1: entry ``[j, i]``
+    of ``even`` holds ``Ptilde_{m_j+2i}^{m_j}(t)`` and of ``odd``
+    ``Ptilde_{m_j+2i+1}^{m_j}(t)``, zero where the degree exceeds
+    ``degree``.  Each is normalized so that its square integrates to 1 over
+    [-1, 1].  Requires ``0 <= orders <= degree``.  No Condon-Shortley
+    phase is applied.
     """
-    orders = np.asarray(m)
-    if (orders.ndim > 1 or orders.size == 0 or orders.dtype.kind not in "iu"
-            or np.any(orders < 0)):
+    ms = np.asarray(orders)
+    if (ms.ndim != 1 or ms.size == 0 or ms.dtype.kind not in "iu" or np.any(ms < 0)
+            or np.any(ms[1:] < ms[:-1])):
         raise ValueError(
-            f"order m must be a non-negative integer or a 1-D array of them, got {m!r}"
+            f"orders must be a 1-D array of ascending non-negative integers, got {orders!r}"
         )
-    degree = _check_degree(degree, minimum=int(orders.max()))
+    degree = _check_degree(degree, minimum=int(ms[-1]))
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.abs(t) > 1.0 + 4.0 * _EPS):
         raise ValueError("argument must lie in [-1, 1]")
-    ms = np.atleast_1d(orders).astype(np.int64)
-    sort = np.argsort(ms, kind="stable")
-    rows = degree - int(ms.min()) + 1
-    # row i of the table goes to row i // len(parts) of parts[i % len(parts)]
-    if parity:
-        parts = (np.zeros((ms.size, (rows + 1) // 2, t.size)),
-                 np.zeros((ms.size, rows // 2, t.size)))
-    else:
-        parts = (np.zeros((ms.size, rows, t.size)),)
-    step = len(parts)
-    for first, chunk in _legendre_rows(ms[sort], degree, t):
+    ms = ms.astype(np.int64)
+    rows = degree - int(ms[0]) + 1
+    # row i of the table goes to row i // 2 of parts[i % 2]
+    parts = (np.zeros((ms.size, (rows + 1) // 2, t.size)),
+             np.zeros((ms.size, rows // 2, t.size)))
+    for first, chunk in _legendre_rows(ms, degree, t):
         for offset, part in enumerate(parts):
-            block = chunk[offset::step].transpose(1, 0, 2)
-            start = (first + offset) // step
+            block = chunk[offset::2].transpose(1, 0, 2)
+            start = (first + offset) // 2
             part[: block.shape[0], start : start + block.shape[1]] = block
-    if np.any(sort[1:] < sort[:-1]):
-        parts = tuple(part[np.argsort(sort)] for part in parts)
-    if orders.ndim == 0:
-        parts = tuple(part[0] for part in parts)
-    return parts if parity else parts[0]
+    return parts

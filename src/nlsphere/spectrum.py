@@ -36,8 +36,7 @@ class KernelParams:
     ``alpha`` in (-1, 1) sets the strength of the algebraic singularity
     of the kernel at zero separation; ``delta`` in (0, 2] is the horizon,
     measured as chordal distance, so ``delta = 2`` couples every pair of
-    points on the sphere.  The derived quantity ``d = 1 - delta^2/2`` is
-    the cosine of the geodesic interaction radius.
+    points on the sphere.
     """
 
     alpha: float
@@ -50,10 +49,6 @@ class KernelParams:
             raise ValueError(f"alpha must lie in (-1, 1), got {self.alpha!r}")
         if not (math.isfinite(self.delta) and 0.0 < self.delta <= 2.0):
             raise ValueError(f"delta must lie in (0, 2], got {self.delta!r}")
-
-    @property
-    def d(self) -> float:
-        return 1.0 - 0.5 * self.delta * self.delta
 
 
 def _check_ell(ell):
@@ -89,14 +84,14 @@ def spectrum(n, params):
     """
     n = _check_ell(n)
     if not isinstance(params, KernelParams):
-        raise TypeError("params must be a KernelParams instance")
+        raise TypeError(f"params must be a KernelParams instance, got {params!r}")
     values = np.zeros(n + 1)
     panels = max(n + 1, 8)
-    rule = cc_weights(params.alpha, 0.0, panels)
+    weights = cc_weights(params.alpha, panels)
     q = _node_haversine(params.delta, panels)
     for first, g in _m1_over_hav_rows(q, n):
         # (P - 1)/(1 - x) = (delta^2/8) g folds delta out of the constant factor
-        values[first : first + g.shape[0]] = g @ rule.weights
+        values[first : first + g.shape[0]] = g @ weights
     values[1:] *= (1.0 + params.alpha) * 2.0 ** (-1.0 - params.alpha)
     values.setflags(write=False)
     return values

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from nlsphere.sht import slot
+from nlsphere.specfun import assoc_legendre_table
 
 
 def relative_error_2norm(a, b):
@@ -26,6 +27,19 @@ def relative_error_2norm(a, b):
     if denom == 0.0:
         raise ValueError("reference has zero norm")
     return float(np.linalg.norm(a - b) / denom)
+
+
+def legendre_rows(orders, degree, t):
+    """The (even, odd) pair of :func:`assoc_legendre_table` interleaved
+    back into one table: for one order m, shape (degree - m + 1, len(t))
+    with row i holding Ptilde_{m+i}^m(t); for a 1-D array of ascending
+    orders, shape (len(orders), degree - orders[0] + 1, len(t)) with entry
+    [j, i] holding Ptilde_{m_j+i}^{m_j}(t), zero where m_j + i > degree."""
+    even, odd = assoc_legendre_table(np.atleast_1d(orders), degree, t)
+    table = np.empty((even.shape[0], even.shape[1] + odd.shape[1], even.shape[2]))
+    table[:, 0::2] = even
+    table[:, 1::2] = odd
+    return table[0] if np.ndim(orders) == 0 else table
 
 
 def integrate_grid(values, grid):

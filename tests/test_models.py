@@ -16,9 +16,14 @@ from nlsphere import models as M
 from nlsphere import timestep as T
 from nlsphere.spectrum import KernelParams, local_spectrum
 from nlsphere.sht import SphereGrid, _is_prime, _layout, _per_degree, analysis, slot, synthesis
-from nlsphere.specfun import assoc_legendre_table
 from nlsphere.timestep import evolve, pseudospectral
-from oracles import brusselator_reactions, integrate_grid, north_south_step, relative_error_2norm
+from oracles import (
+    brusselator_reactions,
+    integrate_grid,
+    legendre_rows,
+    north_south_step,
+    relative_error_2norm,
+)
 
 GL_QUARTIC_U20 = 2.6842234419179793
 
@@ -259,9 +264,6 @@ def test_energy_single_mode_example():
     want = 0.03 + GL_QUARTIC_U20
     got = M.ginzburg_landau_energy(c, spec, 0.1)
     assert got == pytest.approx(want, rel=1e-13)
-    # a finer explicit grid gives the same value (integrand is band-limited)
-    got_fine = M.ginzburg_landau_energy(c, spec, 0.1, grid=SphereGrid(20))
-    assert got_fine == pytest.approx(want, rel=1e-13)
 
 
 def test_energy_validation():
@@ -270,21 +272,7 @@ def test_energy_validation():
     with pytest.raises(ValueError):
         M.ginzburg_landau_energy(c, local_spectrum(5), 0.1)
     with pytest.raises(ValueError):
-        M.ginzburg_landau_energy(c, spec, 0.1, grid=SphereGrid(3))
-
-
-def test_energy_refuses_grids_below_twice_the_field_degree():
-    # the quartic has band limit 4n, exact on degree >= 2n colatitudes;
-    # here degree n and 2n - 1 grids were off by 1.8e-2 and 1.2e-6
-    n = 16
-    spec = M.build_spectrum(n, KernelParams(-0.5, 1.0))
-    u = M.random_coeffs(n, n, 0.3, seed=n)
-    for degree in (n, 2 * n - 1):
-        grid = SphereGrid(degree)
-        with pytest.raises(ValueError, match=f"grid degree {degree} is below 2n = {2 * n}"):
-            M.ginzburg_landau_energy(u, spec, 0.1, grid=grid)
-    exact = M.ginzburg_landau_energy(u, spec, 0.1, grid=SphereGrid(2 * n))
-    assert exact == pytest.approx(M.ginzburg_landau_energy(u, spec, 0.1), rel=1e-13, abs=0)
+        M.ginzburg_landau_energy(np.zeros((5, 8)), spec, 0.1)  # not (n+1, 2n+1)
 
 
 def _energy_by_embedding(u, spec, epsilon, grid):
@@ -299,28 +287,26 @@ def _energy_by_embedding(u, spec, epsilon, grid):
 def test_energy_band_n_synthesis_matches_embedding(n):
     spec = M.build_spectrum(n, KernelParams(-0.5, 1.0))
     u = M.random_coeffs(n, n, 0.3, seed=n)
-    for grid in (None, SphereGrid(2 * n + 3)):
-        want = _energy_by_embedding(u, spec, 0.1, grid or SphereGrid(2 * n))
-        got = M.ginzburg_landau_energy(u, spec, 0.1, grid=grid)
-        assert got == pytest.approx(want, rel=1e-13, abs=0)
+    want = _energy_by_embedding(u, spec, 0.1, SphereGrid(2 * n))
+    got = M.ginzburg_landau_energy(u, spec, 0.1)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("n", [1, 6, 31])
-def test_energy_from_parity_parts_matches_embedding_on_supplied_grids(n):
-    # degree 2n has an unpaired equator row and degree 2n+1 none; a prime
-    # longitude count takes the dense-DFT longitude stage
+def test_energy_from_parity_parts_matches_embedding_on_supplied_grids(monkeypatch, n):
+    # the energy integrates on _refined_grid(2n); degree-2n grids with other
+    # longitude counts stand in for it here, one prime (the dense-DFT
+    # longitude stage); degree 2n has n paired rows and the equator row
     spec = M.build_spectrum(n, KernelParams(-0.5, 1.0))
     u = M.random_coeffs(n, n, 0.3, seed=n + 100)
     prime = next(c for c in range(4 * n + 2, 8 * n + 8) if _is_prime(c))
-    grids = (SphereGrid(2 * n, longitudes=4 * n + 2), SphereGrid(2 * n + 1),
-             SphereGrid(2 * n, longitudes=prime))
-    assert [g.north for g in grids] == [n + 1, n + 1, n + 1]
-    assert [g.degree + 1 - g.north for g in grids] == [n, n + 1, n]
-    assert [g._dense_longitudes for g in grids] == [False, _is_prime(4 * n + 3), True]
+    grids = (SphereGrid(2 * n, longitudes=4 * n + 2), SphereGrid(2 * n, longitudes=prime))
+    assert [g.north for g in grids] == [n + 1, n + 1]
+    assert [g._dense_longitudes for g in grids] == [False, True]
     for grid in grids:
+        monkeypatch.setattr(M, "_refined_grid", lambda degree, grid=grid: grid)
         want = _energy_by_embedding(u, spec, 0.1, grid)
-        assert M.ginzburg_landau_energy(u, spec, 0.1, grid=grid) == pytest.approx(
-            want, rel=1e-13, abs=0)
+        assert M.ginzburg_landau_energy(u, spec, 0.1) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_energy_ignores_values_below_the_stored_triangle():
@@ -340,7 +326,7 @@ def _dense_values(u, grid):
     n, phi = len(u) - 1, grid.lon_nodes
     values = np.zeros((grid.degree + 1, phi.size))
     for m in range(n + 1):
-        table = assoc_legendre_table(m, n, grid.colat_cos)
+        table = legendre_rows(m, n, grid.colat_cos)
         cos = u[: n - m + 1, 2 * m] @ table
         if m == 0:
             values += cos[:, None] / math.sqrt(2.0 * math.pi)

@@ -16,7 +16,6 @@ import scipy.special
 
 from nlsphere import models as M
 from nlsphere.cli import main
-from nlsphere.specfun import assoc_legendre_table
 from nlsphere.spectrum import local_spectrum
 from nlsphere.sht import (
     _TABLE_CACHE_MAX_DEGREE,
@@ -33,7 +32,7 @@ from nlsphere.sht import (
     write_coeffs,
     write_grid_values,
 )
-from oracles import relative_error_2norm
+from oracles import legendre_rows, relative_error_2norm
 
 
 def random_coeffs(n, seed):
@@ -580,36 +579,25 @@ def test_legendre_table_blocks():
     n = 40
     grid = SphereGrid(n)
     north = grid.colat_cos[: grid.north]
-    first = grid.legendre_table(1)
+    first = grid.legendre_table(1, n)
     even, odd = first
     # orders 32..40: rows ell - m = 0..8 split into 0, 2, .., 8 and 1, 3, .., 7
     assert even.shape == (9, 5, grid.north) and odd.shape == (9, 4, grid.north)
     assert even.flags.c_contiguous and odd.flags.c_contiguous
     assert not even.flags.writeable and not odd.flags.writeable
-    assert grid.legendre_table(1) is first  # cached below the limit
-    sub_even, sub_odd = grid.legendre_table(0, degree=20)  # orders 0..20, degrees <= 20
+    assert grid.legendre_table(1, n) is first  # cached
+    sub_even, sub_odd = grid.legendre_table(0, 20)  # orders 0..20, degrees <= 20
     assert sub_even.shape == (21, 11, grid.north) and sub_odd.shape == (21, 10, grid.north)
     for j, m in enumerate(range(32, n + 1)):
-        rows = assoc_legendre_table(m, n, north)
+        rows = legendre_rows(m, n, north)
         assert even[j, : (n - m) // 2 + 1].tobytes() == rows[0::2].tobytes()
         assert odd[j, : (n - m + 1) // 2].tobytes() == rows[1::2].tobytes()
         assert not even[j, (n - m) // 2 + 1 :].any() and not odd[j, (n - m + 1) // 2 :].any()
-    rows = assoc_legendre_table(3, 20, north)
+    rows = legendre_rows(3, 20, north)
     np.testing.assert_array_equal(sub_even[3, :9], rows[0::2])
     np.testing.assert_array_equal(sub_odd[3, :9], rows[1::2])
     with pytest.raises(ValueError):
-        grid.legendre_table(2)  # first order 64 > 40
-    with pytest.raises(ValueError):
-        grid.legendre_table(0, degree=n + 1)
-
-
-def test_legendre_tables_are_rebuilt_above_the_cache_limit():
-    grid = SphereGrid(_TABLE_CACHE_MAX_DEGREE + 1)
-    first = grid.legendre_table(9)
-    again = grid.legendre_table(9)
-    assert again is not first and grid._tables == {}
-    for built, rebuilt in zip(first, again):
-        assert built.tobytes() == rebuilt.tobytes()
+        grid.legendre_table(2, n)  # first order 64 > 40
 
 
 def test_round_trip_above_cache_limit_keeps_no_tables():
@@ -704,8 +692,8 @@ FFT_SIDES = [62, 63, 64, 127, 255]
 def dense_synthesis(data, grid):
     """The dense-product transform of the first version of the northern
     tables: one matmul with the (2n+1)-point trigonometric basis, tables
-    from assoc_legendre_table.  (k, n+1, 2n+1) coefficients of degree n <=
-    grid degree to (k, n+1, 2n+1) grid values; the reference here."""
+    from oracles.legendre_rows.  (k, n+1, 2n+1) coefficients of degree
+    n <= grid degree to (k, n+1, 2n+1) grid values; the reference here."""
     k, rows, _ = data.shape
     n, nodes, north = rows - 1, grid.degree + 1, grid.north
     mphi = np.arange(n + 1)[None, :] * grid.lon_nodes[:, None]
@@ -720,7 +708,7 @@ def dense_synthesis(data, grid):
     south_part = profiles[..., ::-1][..., :north].transpose(1, 0, 2, 3)
     for first in range(0, n + 1, 32):
         orders = np.arange(first, min(first + 32, n + 1))
-        table = assoc_legendre_table(orders, n, grid.colat_cos[:north])[:, None]
+        table = legendre_rows(orders, n, grid.colat_cos[:north])[:, None]
         m = slice(first, first + orders.size)
         c = by_order[m, :, :, : table.shape[2]]
         even = c[..., 0::2] @ table[:, :, 0::2]
@@ -750,7 +738,7 @@ def dense_analysis(values, grid):
     sums, diffs = sums.transpose(2, 0, 1, 3), diffs.transpose(2, 0, 1, 3)
     for first in range(0, n + 1, 32):
         orders = np.arange(first, min(first + 32, n + 1))
-        table = assoc_legendre_table(orders, n, grid.colat_cos[:north])[:, None]
+        table = legendre_rows(orders, n, grid.colat_cos[:north])[:, None]
         m, length = slice(first, first + orders.size), table.shape[2]
         by_order[m, :, 0:length:2] = table[:, :, 0::2] @ sums[m]
         by_order[m, :, 1:length:2] = table[:, :, 1::2] @ diffs[m]

@@ -22,6 +22,7 @@ from nlsphere.specfun import (
     _m1_over_hav_rows,
     assoc_legendre_table,
 )
+from oracles import legendre_rows
 
 # ----------------------------------------------------------------------
 # Legendre polynomials: the three-term recurrence of the Gauss--Legendre
@@ -76,19 +77,19 @@ def test_legendre_rec_accepts_endpoint_roundoff_slack():
     # the Legendre tables take arguments up to four epsilons outside
     # [-1, 1], the slack of floating-point cosines
     eps = np.finfo(float).eps
-    assoc_legendre_table(0, 5, 1.0 + 4 * eps)
-    assoc_legendre_table(0, 5, -(1.0 + 4 * eps))
+    legendre_rows(0, 5, 1.0 + 4 * eps)
+    legendre_rows(0, 5, -(1.0 + 4 * eps))
     with pytest.raises(ValueError):
-        assoc_legendre_table(0, 5, 1.0 + 16 * eps)
+        legendre_rows(0, 5, 1.0 + 16 * eps)
     with pytest.raises(ValueError):
-        assoc_legendre_table(0, 5, np.array([0.0, 2.0]))
+        legendre_rows(0, 5, np.array([0.0, 2.0]))
 
 
 def test_legendre_rec_rejects_bad_degree():
     with pytest.raises(TypeError):
-        assoc_legendre_table(0, 2.0, 0.5)
+        legendre_rows(0, 2.0, 0.5)
     with pytest.raises(ValueError):
-        assoc_legendre_table(0, -1, 0.5)
+        legendre_rows(0, -1, 0.5)
 
 
 def test_legendre_rec_scalar_and_array_agree():
@@ -262,7 +263,7 @@ ASSOC_REF = [
 def test_assoc_legendre_matches_high_precision(ell, m, t, ref):
     # the table holds orders m >= 0; the reference of a negative order is
     # Ptilde_ell^{-m} = (-1)^m Ptilde_ell^m
-    value = assoc_legendre_table(abs(m), ell, t)[-1, 0]
+    value = legendre_rows(abs(m), ell, t)[-1, 0]
     assert value == pytest.approx(ref if m >= 0 else (-1) ** m * ref, rel=1e-12)
 
 
@@ -271,35 +272,35 @@ def test_assoc_legendre_orthonormal_rows():
     # integrates products of degree <= 2*8 exactly with 9+ nodes
     x, w = np.polynomial.legendre.leggauss(12)
     for m in (0, 1, 4):
-        table = assoc_legendre_table(m, 8, x)
+        table = legendre_rows(m, 8, x)
         gram = (table * w) @ table.T
         np.testing.assert_allclose(gram, np.eye(table.shape[0]), atol=5e-15)
 
 
 def test_assoc_legendre_table_layout():
     t = np.linspace(-1, 1, 5)
-    table = assoc_legendre_table(2, 6, t)
+    table = legendre_rows(2, 6, t)
     assert table.shape == (5, 5)
     for i, ell in enumerate(range(2, 7)):
         # a table's rows are the last rows of the smaller tables
-        np.testing.assert_array_equal(table[i], assoc_legendre_table(2, ell, t)[-1])
+        np.testing.assert_array_equal(table[i], legendre_rows(2, ell, t)[-1])
 
 
 def test_assoc_legendre_constant_term():
     # Ptilde_0^0 = 1/sqrt(2) everywhere
     t = np.linspace(-1, 1, 9)
     np.testing.assert_array_equal(
-        assoc_legendre_table(0, 0, t)[-1], np.full(9, 1.0 / math.sqrt(2.0))
+        legendre_rows(0, 0, t)[-1], np.full(9, 1.0 / math.sqrt(2.0))
     )
 
 
 def test_assoc_legendre_rejects_bad_order():
     with pytest.raises(ValueError):
-        assoc_legendre_table(-4, 3, 0.5)
+        legendre_rows(-4, 3, 0.5)
     with pytest.raises(ValueError):
-        assoc_legendre_table(-1, 3, 0.5)
+        legendre_rows(-1, 3, 0.5)
     with pytest.raises(ValueError):
-        assoc_legendre_table(4, 3, 0.5)
+        legendre_rows(4, 3, 0.5)
 
 
 def _one_order_rows(m, degree, t):
@@ -328,13 +329,13 @@ def test_assoc_legendre_table_order_array_matches_one_order_rows(n):
     t = np.polynomial.legendre.leggauss(n + 1)[0]
     t = np.concatenate([t, [-1.0, 0.0, 1.0]])
     orders = np.arange(n + 1)
-    full = assoc_legendre_table(orders, n, t)
+    full = legendre_rows(orders, n, t)
     assert full.shape == (n + 1, n + 1, t.size)
     for start in range(0, n + 1, 5):  # blocks that do not start at order 0
-        block = assoc_legendre_table(orders[start : start + 5], n, t)
+        block = legendre_rows(orders[start : start + 5], n, t)
         assert block.shape == (min(5, n + 1 - start), n - start + 1, t.size)
         for j, m in enumerate(orders[start : start + 5]):
-            rows = assoc_legendre_table(int(m), n, t)
+            rows = legendre_rows(int(m), n, t)
             # bit for bit, signs of zeros included
             assert rows.tobytes() == _one_order_rows(int(m), n, t).tobytes()
             assert block[j, : n - m + 1].tobytes() == rows.tobytes()
@@ -347,17 +348,24 @@ def test_assoc_legendre_table_order_array_matches_one_order_rows(n):
 def test_assoc_legendre_table_parity_halves_are_the_table_rows(n):
     t = np.concatenate([np.polynomial.legendre.leggauss(n + 1)[0], [-1.0, 0.0, 1.0]])
     for orders in (np.arange(n + 1), np.arange(n // 2, n + 1)):
-        full = assoc_legendre_table(orders, n, t)
-        even, odd = assoc_legendre_table(orders, n, t, parity=True)
+        even, odd = assoc_legendre_table(orders, n, t)
+        rows = n - int(orders[0]) + 1
+        assert even.shape == (orders.size, (rows + 1) // 2, t.size)
+        assert odd.shape == (orders.size, rows // 2, t.size)
         assert even.flags.c_contiguous and odd.flags.c_contiguous
-        # bit for bit, the zeros above the degree included
-        assert even.tobytes() == np.ascontiguousarray(full[:, 0::2]).tobytes()
-        assert odd.tobytes() == np.ascontiguousarray(full[:, 1::2]).tobytes()
-    even, odd = assoc_legendre_table(n, n, t, parity=True)  # one order
-    assert even.shape == (1, t.size) and odd.shape == (0, t.size)
+        for j, m in enumerate(orders.tolist()):
+            one = _one_order_rows(m, n, t)
+            # bit for bit, the zeros above the degree included
+            assert even[j, : (n - m) // 2 + 1].tobytes() == one[0::2].tobytes()
+            assert odd[j, : (n - m + 1) // 2].tobytes() == one[1::2].tobytes()
+            assert not even[j, (n - m) // 2 + 1 :].any() and not odd[j, (n - m + 1) // 2 :].any()
+    even, odd = assoc_legendre_table(np.array([n]), n, t)  # one order
+    assert even.shape == (1, 1, t.size) and odd.shape == (1, 0, t.size)
 
 
 def test_assoc_legendre_table_order_array_validation():
+    with pytest.raises(ValueError):
+        assoc_legendre_table(2, 3, 0.5)  # a scalar order
     with pytest.raises(ValueError):
         assoc_legendre_table(np.array([0, 4]), 3, 0.5)
     with pytest.raises(ValueError):
@@ -366,3 +374,10 @@ def test_assoc_legendre_table_order_array_validation():
         assoc_legendre_table(np.array([1.0, 2.0]), 3, 0.5)
     with pytest.raises(ValueError):
         assoc_legendre_table(np.zeros((2, 2), dtype=int), 3, 0.5)
+
+
+def test_assoc_legendre_table_rejects_non_ascending_orders():
+    t = np.linspace(-1.0, 1.0, 5)
+    for orders in ([1, 0], [0, 3, 2], [4, 4, 1]):
+        with pytest.raises(ValueError, match="ascending"):
+            assoc_legendre_table(np.array(orders), 4, t)
