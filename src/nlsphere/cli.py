@@ -85,6 +85,7 @@ def run(args):
     from .spectrum import KernelParams, write_spectrum
     from .sht import (
         SphereGrid,
+        _keep_tables,
         analysis,
         read_coeffs,
         synthesis,
@@ -165,6 +166,8 @@ def run(args):
 
     if args.command == "poisson":
         if args.rhs == "death-star":
+            # analysis, then synthesis, on one grid
+            _keep_tables(grid, n)
             rhs = analysis(M.death_star_rhs(grid), grid)
         solution = M.solve_poisson(rhs, spec)
         write_coeffs(solution, out("solution_coeffs.csv"))
@@ -175,10 +178,11 @@ def run(args):
     # evolve
     observers = []
     if args.model == "allen-cahn":
+        # first, so that the grid keeps its tables for the cos10xy analysis
+        nonlinearity = pseudospectral(M.allen_cahn_nonlinearity, grid)
         if state is None:
             state = [analysis(M.cos10xy(grid), grid)]
         operators = [M.allen_cahn_operator(cfg, spec)]
-        nonlinearity = pseudospectral(M.allen_cahn_nonlinearity, grid)
         recorder = M.EnergyRecorder(spec, cfg.epsilon)
         observers.append(recorder)
     else:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .spectrum import local_spectrum
 from .spectrum import spectrum as _spectrum
-from .sht import SphereGrid, _degree, _layout, _parity_parts, _per_degree, _write_csv
+from .sht import (SphereGrid, _degree, _keep_tables, _layout, _parity_parts, _per_degree,
+                  _write_csv)
 from .timestep import pseudospectral
 
 __all__ = [
@@ -214,8 +215,12 @@ def _fft_length(count):
 @lru_cache(maxsize=4)
 def _refined_grid(degree):
     """Degree-``degree`` colatitudes with an FFT-friendly longitude count
-    >= 2 degree + 1, which keeps the quadrature exact."""
-    return SphereGrid(degree, longitudes=_fft_length(2 * degree + 1))
+    >= 2 degree + 1, which keeps the quadrature exact.  The energy
+    synthesizes degree-``degree // 2`` fields on it at every step, so it
+    keeps the tables of that degree."""
+    grid = SphereGrid(degree, longitudes=_fft_length(2 * degree + 1))
+    _keep_tables(grid, degree // 2)
+    return grid
 
 
 def ginzburg_landau_energy(u, spec, epsilon):

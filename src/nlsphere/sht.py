@@ -39,13 +39,15 @@ ell - m, so tables hold only the northern nodes, as contiguous even and
 odd rows, and the two parities are summed separately and then combined
 into the two hemispheres.  Each table piece and parity is one batched
 matrix product over the piece's orders, whose 2k columns are the real and
-imaginary parts of the k fields.  Up to grid degree 300 the pieces are
+imaginary parts of the k fields.  By default the pieces are 16 rows of
+every order at once, streamed from the Legendre recurrence as the
+products consume them and never stored, which is the cheapest way to run
+a transform once.  A caller that repeats transforms on a grid keeps its
+tables (``_keep_tables``, up to grid degree 300): there the pieces are
 blocks of 32 orders with all their rows, which
-``SphereGrid.legendre_table`` builds once and caches on the grid; above
-it the transforms look up no block: the pieces are 16 rows of every order
-at once, streamed from the Legendre recurrence as the products consume
-them and never stored.  ``synthesis`` and ``analysis`` accept that
-leading axis of k fields, which share every table read.
+``SphereGrid.legendre_table`` builds on first use and caches on the grid.
+``synthesis`` and ``analysis`` accept that leading axis of k fields,
+which share every table read.
 
 Synthesis is two steps: ``_parity_parts`` runs the Legendre and longitude
 stages and returns the even and odd parts at the northern nodes, and the
@@ -77,9 +79,10 @@ __all__ = [
     "write_grid_values",
 ]
 
-#: The transforms read the grid's cached Legendre tables up to this grid
+#: ``_keep_tables`` keeps a grid's Legendre tables only up to this grid
 #: degree (memory for all orders together grows like degree^3 / 4
-#: doubles, 123 MB at degree 383); above it they stream the table rows.
+#: doubles, 123 MB at degree 383); above it every transform streams the
+#: table rows.
 _TABLE_CACHE_MAX_DEGREE = 300
 
 #: Orders per Legendre table block: one batched matrix product per block
@@ -143,12 +146,13 @@ class SphereGrid:
     count of at least 2n+1 keeps analysis exact.  Legendre tables cover
     the ``north`` = ceil((n+1)/2) northern colatitudes and come in blocks
     of up to ``_ORDER_BLOCK`` orders, built on demand and cached on the
-    grid instance.  The transforms read them up to grid degree
-    ``_TABLE_CACHE_MAX_DEGREE``; above it they look up no table and
-    stream the recurrence rows of all orders a few rows at a time.  A grid
-    with a prime longitude count, whose FFT is slow, runs its longitude
-    stage as a dense product with the DFT matrix instead, and caches that
-    matrix.
+    grid instance.  The transforms read them only at the degrees a caller
+    that repeats transforms has kept (``_keep_tables``, up to grid degree
+    ``_TABLE_CACHE_MAX_DEGREE``); at any other degree they look up no
+    table and stream the recurrence rows of all orders a few rows at a
+    time, storing nothing.  A grid with a prime longitude count, whose FFT
+    is slow, runs its longitude stage as a dense product with the DFT
+    matrix instead, and caches that matrix.
     """
 
     def __init__(self, degree, longitudes=None):
@@ -174,6 +178,8 @@ class SphereGrid:
         # L alone picks the longitude stage: the FFT, or the dense DFT product
         self._dense_longitudes = _is_prime(count)
         self._tables = {}
+        # degrees whose transforms read the cached tables (_keep_tables)
+        self._kept = set()
         self._dft = None
 
     def legendre_table(self, block, degree):
@@ -226,18 +232,27 @@ def _check_stack(arr, rows, cols, what):
     return arr.reshape(-1, rows, cols)
 
 
+def _keep_tables(grid, degree):
+    """Have the degree-``degree`` transforms on ``grid`` read its cached
+    Legendre tables, for a caller that repeats them: each order block is
+    built on its first lookup and kept with the grid.  A grid above degree
+    ``_TABLE_CACHE_MAX_DEGREE`` keeps nothing and streams every time."""
+    if grid.degree <= _TABLE_CACHE_MAX_DEGREE:
+        grid._kept.add(degree)
+
+
 def _legendre_tables(grid, degree):
     """The grid's Legendre tables up to ``degree`` as ``(orders, first,
     (even, odd))``: for the j-th order m of the slice ``orders``,
     ``even[j, r]`` holds row ell - m = first + 2 r and ``odd[j, r]`` row
     first + 2 r + 1 at the northern nodes, zero above ``degree``.
 
-    Up to grid degree ``_TABLE_CACHE_MAX_DEGREE`` these are the grid's
-    cached order blocks, all rows of 32 orders at a time.  Above it the
-    row recurrence streams ``_ROW_CHUNK`` rows of every order still
-    active at a time, so no table outlives its step.
+    At a degree kept by ``_keep_tables`` these are the grid's cached order
+    blocks, all rows of 32 orders at a time.  Otherwise the row recurrence
+    streams ``_ROW_CHUNK`` rows of every order still active at a time, so
+    no table outlives its step.
     """
-    if grid.degree <= _TABLE_CACHE_MAX_DEGREE:
+    if degree in grid._kept:
         for block, first in enumerate(range(0, degree + 1, _ORDER_BLOCK)):
             even, odd = grid.legendre_table(block, degree)
             yield slice(first, first + even.shape[0]), 0, (even, odd)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sht import _layout, analysis, synthesis
+from .sht import _keep_tables, _layout, analysis, synthesis
 
 __all__ = [
     "BlowUpError",
@@ -262,8 +262,10 @@ def pseudospectral(pointwise, grid):
     array), which are analyzed back in one stacked transform.  j need not
     be k: a model whose reaction is linear but for one product returns
     that product alone and forms the linear terms from the coefficients.
-    No dealiasing is applied.
+    No dealiasing is applied.  The result transforms at every evaluation,
+    so ``grid`` keeps its Legendre tables.
     """
+    _keep_tables(grid, grid.degree)
 
     def coefficient_nonlinearity(state):
         outs = pointwise(*synthesis(state, grid))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from nlsphere import models as M
+from nlsphere import sht
 from nlsphere.cli import CliError, _apply_thread_cap, build_parser, main, run
 from nlsphere.sht import SphereGrid, _layout, analysis, read_coeffs, slot, write_coeffs
 from nlsphere.spectrum import KernelParams
@@ -133,6 +134,31 @@ def test_evolve_allen_cahn_outputs(tmp_path):
     u0 = M.cesaro_apply(analysis(M.cos10xy(grid), grid), 2)
     snap = read_coeffs(tmp_path / "snapshot_u_000000.csv")
     np.testing.assert_array_equal(snap, u0)
+
+
+def test_evolve_cos10xy_streams_no_rows_and_builds_each_block_once(tmp_path, monkeypatch):
+    # the nonlinearity keeps the grid's tables before the cos10xy analysis,
+    # so that analysis reads the blocks every step then reuses
+    def no_stream(*args):
+        raise AssertionError("streamed Legendre rows in an evolve run")
+
+    builds, table = [], sht.assoc_legendre_table
+
+    def counted(orders, degree, t):
+        builds.append((int(orders[0]), degree, t.size))
+        return table(orders, degree, t)
+
+    monkeypatch.setattr(sht, "_legendre_rows", no_stream)
+    monkeypatch.setattr(sht, "assoc_legendre_table", counted)
+    M._refined_grid.cache_clear()
+    n = 40
+    rc = main(["evolve", "--model", "allen-cahn", "--degree", str(n), "--dt", "0.01",
+               "--t-final", "0.02", "--ic", "cos10xy", "--output-dir", str(tmp_path)])
+    M._refined_grid.cache_clear()
+    assert rc == 0
+    # orders 0..31 and 32..40 at the 21 northern nodes of the degree-40 grid
+    # and at the 41 of the energy's degree-80 grid
+    assert sorted(builds) == [(0, n, 21), (0, n, 41), (32, n, 21), (32, n, 41)]
 
 
 def test_evolve_brusselator_equilibrium_fixed_point(tmp_path):

@@ -16,11 +16,12 @@ import scipy.special
 
 from nlsphere import models as M
 from nlsphere.cli import main
-from nlsphere.spectrum import local_spectrum
+from nlsphere.spectrum import KernelParams, local_spectrum
 from nlsphere.sht import (
     _TABLE_CACHE_MAX_DEGREE,
     SphereGrid,
     _is_prime,
+    _keep_tables,
     _layout,
     _parity_parts,
     _per_degree,
@@ -32,6 +33,7 @@ from nlsphere.sht import (
     write_coeffs,
     write_grid_values,
 )
+from nlsphere.timestep import pseudospectral
 from oracles import legendre_rows, relative_error_2norm
 
 
@@ -606,6 +608,7 @@ def test_round_trip_above_cache_limit_keeps_no_tables():
     data = rng.standard_normal((n + 1, 2 * n + 1))
     data[~_layout(n)[1]] = 0.0
     grid = SphereGrid(n)
+    _keep_tables(grid, n)  # refused above the cap
     back = analysis(synthesis(data, grid), grid)
     assert np.max(np.abs(back - data)) <= 1e-12
     assert grid._tables == {}
@@ -614,8 +617,10 @@ def test_round_trip_above_cache_limit_keeps_no_tables():
 @pytest.mark.parametrize("degree,field_degree", [(301, 200), (302, 151), (383, 191)])
 def test_streamed_rows_match_the_cached_tables(monkeypatch, degree, field_degree):
     # above the cache limit the transforms stream the row recurrence of all
-    # orders and look up no table; the reference is the cached-table path
+    # orders and look up no table, even where a caller keeps tables; the
+    # reference is the cached-table path, kept with the limit raised
     streamed = SphereGrid(degree)
+    _keep_tables(streamed, degree)
 
     def no_lookup(*args, **kwargs):
         raise AssertionError("table lookup above the cache limit")
@@ -633,6 +638,8 @@ def test_streamed_rows_match_the_cached_tables(monkeypatch, degree, field_degree
     monkeypatch.undo()
     monkeypatch.setattr("nlsphere.sht._TABLE_CACHE_MAX_DEGREE", degree)
     cached = SphereGrid(degree)
+    _keep_tables(cached, degree)
+    _keep_tables(cached, field_degree)
     tol = 2e-15 * degree
     for full, part, values, part_values, coeffs in runs.values():
         for got, want in ((values, synthesis(full, cached)),
@@ -646,8 +653,10 @@ def test_streamed_rows_match_the_cached_tables(monkeypatch, degree, field_degree
 def test_synthesis_is_the_hemisphere_assembly_of_the_parity_parts(degree):
     # northern node i holds even + odd and its southern mirror n - i
     # even - odd; an even degree's equator row is northern and unpaired.
-    # Degrees 31 and 32 read cached tables, the third streams its rows.
+    # Degrees 31 and 32 keep and read cached tables, the third is above the
+    # cap and streams its rows.
     grid = SphereGrid(degree)
+    _keep_tables(grid, degree)
     paired = degree + 1 - grid.north
     for k in (1, 2):
         data = random_stack(k, degree, seed=degree + k)
@@ -667,6 +676,7 @@ def test_streamed_transform_memory(transform):
     n = 383
     assert n > _TABLE_CACHE_MAX_DEGREE
     grid = SphereGrid(n)
+    _keep_tables(grid, n)  # refused above the cap
     data = random_stack(1, n, seed=n)[0]
     values = synthesis(data, grid)
     tracemalloc.start()
@@ -679,6 +689,61 @@ def test_streamed_transform_memory(transform):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+def test_one_shot_synthesis_streams_and_keeps_no_tables():
+    # a grid no caller keeps streams 16 rows of all orders at a time; the
+    # 32-order blocks built and cached for one synthesis peaked at 39.1 MiB
+    n = 255
+    grid = SphereGrid(n)
+    data = random_stack(1, n, seed=n)[0]
+    tracemalloc.start()
+    try:
+        synthesis(data, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert grid._tables == {}
+
+
+def _no_streamed_rows(*args):
+    raise AssertionError("streamed Legendre rows on a grid that keeps its tables")
+
+
+def test_repeating_callers_keep_their_tables(monkeypatch, tmp_path):
+    # pseudospectral, the energy's refined grid and the death-star Poisson
+    # solve read cached tables, bit for bit those of a grid kept by hand
+    n = 40
+    monkeypatch.setattr("nlsphere.sht._legendre_rows", _no_streamed_rows)
+    state = random_stack(2, n, seed=n)
+    product = lambda u, v: u * u * v  # noqa: E731
+    grid = SphereGrid(n)
+    got = pseudospectral(product, grid)(state)
+    assert grid._tables
+    ref = SphereGrid(n)
+    _keep_tables(ref, n)
+    np.testing.assert_array_equal(got[0], analysis(product(*synthesis(state, ref)), ref))
+
+    spec = M.build_spectrum(n, KernelParams(-0.5, 1.0))  # the CLI's default kernel
+    M._refined_grid.cache_clear()
+    energy = M.ginzburg_landau_energy(state[0], spec, 0.1)
+    kept = M._refined_grid(2 * n)
+    M._refined_grid.cache_clear()
+    assert kept._tables
+    fine = SphereGrid(2 * n, longitudes=kept.lon_nodes.size)
+    _keep_tables(fine, n)
+    monkeypatch.setattr(M, "_refined_grid", lambda degree: fine)
+    assert M.ginzburg_landau_energy(state[0], spec, 0.1) == energy
+
+    assert main(["poisson", "--degree", str(n), "--output-dir", str(tmp_path)]) == 0
+    ref = SphereGrid(n)
+    _keep_tables(ref, n)
+    solution = M.solve_poisson(analysis(M.death_star_rhs(ref), ref), spec)
+    np.testing.assert_array_equal(read_coeffs(tmp_path / "solution_coeffs.csv"), solution)
+    values = np.loadtxt(tmp_path / "solution_grid.csv", delimiter=",", comments="#",
+                        skiprows=2, usecols=2)
+    np.testing.assert_array_equal(values, synthesis(solution, ref).ravel())
 
 
 # ----------------------------------------------------------------------
