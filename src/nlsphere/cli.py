@@ -170,6 +170,7 @@ def run(args):
             _keep_tables(grid, n)
             rhs = analysis(M.death_star_rhs(grid), grid)
         solution = M.solve_poisson(rhs, spec)
+        del rhs  # not held through the synthesis
         write_coeffs(solution, out("solution_coeffs.csv"))
         write_grid_values(synthesis(solution, grid), grid, out("solution_grid.csv"))
         written += [out("solution_coeffs.csv"), out("solution_grid.csv")]

@@ -42,7 +42,9 @@ matrix product over the piece's orders, whose 2k columns are the real and
 imaginary parts of the k fields.  By default the pieces are 16 rows of
 every order at once, streamed from the Legendre recurrence as the
 products consume them and never stored, which is the cheapest way to run
-a transform once.  A caller that repeats transforms on a grid keeps its
+a transform once: it holds that 16-row ring, the arrays it returns and
+the buffers of the stage at hand, and frees each full-size buffer after
+its last read.  A caller that repeats transforms on a grid keeps its
 tables (``_keep_tables``, up to grid degree 300): there the pieces are
 blocks of 32 orders with all their rows, which
 ``SphereGrid.legendre_table`` builds on first use and caches on the grid.
@@ -339,13 +341,20 @@ def _parity_parts(data, grid):
     # parity, the k fields' real and imaginary parts its 2k columns
     spectra = np.empty((n + 1, 2, north, k), complex)
     coeffs_r, spectra_r = coeffs.view(float), spectra.view(float)
+    # streamed chunks after the first accumulate through one buffer, sized
+    # for the second chunk, whose orders are the most
+    product = None
     for m, first, tables in _legendre_tables(grid, n):
         for parity, table in enumerate(tables):
-            product = np.matmul(table.transpose(0, 2, 1),
-                                coeffs_r[m, first + parity : first + 2 * table.shape[1] : 2],
-                                out=spectra_r[m, parity] if first == 0 else None)
-            if first:
-                spectra_r[m, parity] += product
+            rows = coeffs_r[m, first + parity : first + 2 * table.shape[1] : 2]
+            if first == 0:
+                np.matmul(table.transpose(0, 2, 1), rows, out=spectra_r[m, parity])
+                continue
+            if product is None:
+                product = np.empty((table.shape[0], north, 2 * k))
+            np.matmul(table.transpose(0, 2, 1), rows, out=product[: table.shape[0]])
+            spectra_r[m, parity] += product[: table.shape[0]]
+    del coeffs, coeffs_r, product
     # the tables are real, so the complex factor commutes with them
     spectra *= _order_factors(n, count)[0][:, None, None, None]
     return _irfft(spectra.transpose(3, 1, 2, 0), grid, np.empty((k, 2, north, count)))
@@ -383,6 +392,7 @@ def _analyze(values, grid):
     # (order, parity, northern node, field), as in synthesis
     spectra = np.empty((count // 2 + 1, 2, north, k), complex)
     _rfft(folded, grid, spectra.transpose(3, 1, 2, 0))
+    del folded
     spectra = spectra[: n + 1]
     spectra *= _order_factors(n, count)[1][:, None, None, None]
     coeffs = np.zeros((n + 1, n + 1, k), complex)

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nlsphere import models as M
 from nlsphere import timestep as T
@@ -236,6 +237,77 @@ def test_brusselator_equilibrium_is_fixed_point():
     fu, fv = evolve(np.stack([u0, v0]), ops, nl, 0.1, 10)
     assert np.abs(fu - u0).max() <= 1e-12
     assert np.abs(fv - v0).max() <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# Linear stability: a small perturbation of a constant state against the
+# exact per-degree propagator
+# ----------------------------------------------------------------------
+
+PERTURBATION = 1e-7
+
+
+def _linear_error(start, operators, nonlinearity, exact, ells, field, h, t_final):
+    """Largest error, relative to PERTURBATION, of an evolve run from
+    ``start`` with slot (ell, ell // 2) of ``field`` perturbed, over that
+    slot of every field and over ``ells``; ``exact(ell, t)`` is the
+    propagator of degree ell over time t."""
+    degree = start.shape[1] - 1
+    kick = np.zeros(len(start))
+    kick[field] = PERTURBATION
+    worst = 0.0
+    for ell in ells:
+        where = (slice(None), *slot(degree, ell, ell // 2))
+        state = start.copy()
+        state[where] += kick
+        final = evolve(state, operators, nonlinearity, h, round(t_final / h))
+        want = start[where] + exact(ell, t_final) @ kick
+        worst = max(worst, np.abs(final[where] - want).max() / PERTURBATION)
+    return worst
+
+
+def test_brusselator_linear_stability_against_the_exact_propagator():
+    # J_ell = [[eps^2 lam + 2f - 1, f u_e^2], [-1/(tau eps^2), lam/tau -
+    # u_e^2/(tau eps^2)]] about the equilibrium; degree 5 is the most
+    # unstable.  The inhibitor v is perturbed: a kick to u drives a v
+    # response 40-180x its size, which the error would carry along
+    n, t_final = 31, 5.0
+    cfg = brusselator_cfg()
+    spec = M.build_spectrum(n, KernelParams(0.0, 1.0))
+    u_e, v_e = cfg.equilibrium()
+    start = np.zeros((2, n + 1, 2 * n + 1))
+    start[:, 0, 0] = np.array([u_e, v_e]) * math.sqrt(4.0 * math.pi)
+    args = (start, M.brusselator_operators(cfg, spec),
+            M.brusselator_nonlinearity(cfg, SphereGrid(n)))
+    tau_eps2 = cfg.tau * cfg.epsilon**2
+
+    def exact(ell, t):
+        lam = spec[ell]
+        jac = np.array([[cfg.epsilon**2 * lam + 2.0 * cfg.f - 1.0, cfg.f * u_e**2],
+                        [-1.0 / tau_eps2, lam / cfg.tau - u_e**2 / tau_eps2]])
+        return expm(jac * t)
+
+    coarse, fine = (_linear_error(*args, exact, (1, 5, n), 1, h, t_final) for h in (0.1, 0.05))
+    assert coarse <= 2e-6
+    # ETDRK4 is fourth order: 16x in the limit, 15-16x measured
+    assert coarse >= 12.0 * fine
+
+
+def test_allen_cahn_linear_stability_against_the_exact_propagator():
+    # about u = 0 degree ell grows or decays at sigma = eps^2 lam + 1
+    n, t_final = 63, 2.0
+    cfg = M.AllenCahnConfig(epsilon=0.1)
+    spec = M.build_spectrum(n, KernelParams(-0.5, 1.0))
+    args = (np.zeros((1, n + 1, 2 * n + 1)), [M.allen_cahn_operator(cfg, spec)],
+            pseudospectral(M.allen_cahn_nonlinearity, SphereGrid(n)))
+
+    def exact(ell, t):
+        return np.array([[math.exp((cfg.epsilon**2 * spec[ell] + 1.0) * t)]])
+
+    coarse, fine = (_linear_error(*args, exact, (1, 10, 40, n), 0, h, t_final)
+                    for h in (0.1, 0.05))
+    assert coarse <= 2e-5
+    assert coarse >= 12.0 * fine
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ phase-free convention for m >= 0.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from nlsphere.specfun import (
     _SERIES_HAV_MAX,
     _SERIES_OSC_MAX,
     _legendre_pair,
+    _legendre_rows,
     _m1_over_hav_rows,
     assoc_legendre_table,
 )
@@ -324,7 +326,9 @@ def _one_order_rows(m, degree, t):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 127, 383])
+# at degrees 15, 16, 17, 32 and 33 the n + 1 rows fill their last 16-row
+# chunk exactly or leave 1 or 2 rows in it
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 15, 16, 17, 32, 33, 64, 127, 383])
 def test_assoc_legendre_table_order_array_matches_one_order_rows(n):
     t = np.polynomial.legendre.leggauss(n + 1)[0]
     t = np.concatenate([t, [-1.0, 0.0, 1.0]])
@@ -342,6 +346,20 @@ def test_assoc_legendre_table_order_array_matches_one_order_rows(n):
             assert full[m, : n - m + 1].tobytes() == rows.tobytes()
             assert np.all(block[j, n - m + 1 :] == 0.0)
             assert np.all(full[m, n - m + 1 :] == 0.0)
+
+
+def test_streamed_rows_hold_one_chunk_of_coefficients():
+    # the recurrence coefficients of one chunk of rows, not of all n rows
+    # of every order, which peaked at 46 MiB here
+    t = np.polynomial.legendre.leggauss(8)[0]
+    tracemalloc.start()
+    try:
+        for _ in _legendre_rows(np.arange(1001), 1000, t):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
