@@ -181,9 +181,15 @@ def brusselator_nonlinearity(cfg, grid):
     def nonlinearity(state):
         (w,) = product(state)
         u = state[0]
-        n_u = cfg.f * w - u
+        # both terms written into one output, with no temporary
+        out = np.empty_like(state)
+        n_u, n_v = out
+        np.multiply(cfg.f, w, out=n_u)
+        n_u -= u
         n_u[0, 0] += source
-        return np.stack([n_u, (u - w) / tau_eps2])
+        np.subtract(u, w, out=n_v)
+        n_v /= tau_eps2
+        return out
 
     return nonlinearity
 

@@ -21,6 +21,13 @@ The integrator state is one float array of shape (k, n+1, 2n+1): k
 fields (k = 1 for a single field), each in the coefficient layout of
 :mod:`nlsphere.sht`.  The tables are stacked the same way, so a step is
 the same vector formula for every k.
+
+A step forms its stages in place, in three buffers, with the operands and
+the order of the literal formulas, so its numbers are theirs bit for bit.
+A nonlinearity may return its argument or a view of it: the step copies
+such an output before it overwrites the buffer, and never writes into
+what a nonlinearity returns.  Each step returns a fresh state array, which
+observers may keep.
 """
 
 from __future__ import annotations
@@ -190,6 +197,14 @@ def _check_shape(state, tables):
         )
 
 
+def _apart(out, *buffers):
+    """``out``, or a copy of it when it shares memory with one of the
+    ``buffers``, which the step overwrites later."""
+    if any(np.may_share_memory(out, buf) for buf in buffers):
+        return np.array(out)
+    return out
+
+
 def etdrk4_step(state, tables, nonlinearity, step_index=None):
     """One ETDRK4 step (Cox--Matthews stages with half-step exponentials).
 
@@ -197,8 +212,11 @@ def etdrk4_step(state, tables, nonlinearity, step_index=None):
     ``tables`` their stacked coefficients.  ``nonlinearity`` must map such
     an array to one of the same shape (another output shape raises
     ValueError) -- wrap a pointwise grid-space function with
-    :func:`pseudospectral` to obtain one.  Returns the new state; raises
-    BlowUpError when any output coefficient is non-finite.
+    :func:`pseudospectral` to obtain one.  It may return its argument, a
+    view of it or an array of its own, which the step never writes into.
+    The stages are formed in place (see the module docstring).  Returns
+    the new state, a fresh array; raises BlowUpError when any output
+    coefficient is non-finite.
     """
     _check_shape(state, tables)
     t = tables
@@ -209,17 +227,27 @@ def etdrk4_step(state, tables, nonlinearity, step_index=None):
             f"nonlinearity returned shape {np.shape(n_u)} for a state of "
             f"shape {state.shape}"
         )
-    decayed = t.exp_half * state
-    a = decayed + t.stage * n_u
-    n_a = nonlinearity(a)
-    b = decayed + t.stage * n_a
-    # no later stage reads it; held through them, it raised the peak RSS
-    # of a two-field degree-127 run by about 0.6 MB
-    del decayed
-    n_b = nonlinearity(b)
-    c = t.exp_half * a + t.stage * (2.0 * n_b - n_u)
-    n_c = nonlinearity(c)
-    new = t.exp_full * state + t.f1 * n_u + 2.0 * t.f2 * (n_a + n_b) + t.f3 * n_c
+    # a = e^{h/2 L} u + stage N(u), b = e^{h/2 L} u + stage N(a)
+    decayed = np.multiply(t.exp_half, state)
+    a = np.multiply(t.stage, n_u)
+    a += decayed
+    n_a = _apart(nonlinearity(a), a)
+    b = np.multiply(t.stage, n_a)
+    b += decayed
+    n_b = _apart(nonlinearity(b), a, b)
+    # c = e^{h/2 L} a + stage (2 N(b) - N(u)), built in decayed
+    c = np.multiply(2.0, n_b, out=decayed)
+    c -= n_u
+    c *= t.stage
+    c += np.multiply(t.exp_half, a, out=b)
+    n_c = _apart(nonlinearity(c), a, b)
+    # new = e^{hL} u + f1 N(u) + 2 f2 (N(a) + N(b)) + f3 N(c), a and b scratch
+    new = np.multiply(t.exp_full, state)
+    new += np.multiply(t.f1, n_u, out=a)
+    scaled = np.multiply(2.0, t.f2, out=a)
+    scaled *= np.add(n_a, n_b, out=b)
+    new += scaled
+    new += np.multiply(t.f3, n_c, out=a)
     if not np.all(np.isfinite(new)):
         raise BlowUpError(step_index if step_index is not None else "?")
     return new
@@ -271,6 +299,8 @@ def pseudospectral(pointwise, grid):
         outs = pointwise(*synthesis(state, grid))
         if not isinstance(outs, tuple):
             outs = (outs,)
-        return analysis(np.stack(outs), grid)
+        # one output is analyzed as it stands, not copied into a stack
+        values = np.asarray(outs[0])[None] if len(outs) == 1 else np.stack(outs)
+        return analysis(values, grid)
 
     return coefficient_nonlinearity

@@ -194,6 +194,24 @@ def test_brusselator_nonlinearity_matches_grid_formula(n):
         assert relative_error_2norm(new(state), reference(state)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [31, 127])
+def test_brusselator_nonlinearity_matches_its_stacked_formula_bit_for_bit(n):
+    # the terms written into one output are the stacked formula's numbers
+    cfg = brusselator_cfg()
+    grid = SphereGrid(n)
+    new = M.brusselator_nonlinearity(cfg, grid)
+    product = pseudospectral(lambda u, v: u * u * v, grid)
+    source = cfg.epsilon**2 * cfg.E * math.sqrt(4.0 * math.pi)
+    for seed, scale in ((0, 0.01), (4, 1.0)):
+        state = brusselator_state(cfg, n, scale, seed)
+        (w,) = product(state)
+        u = state[0]
+        n_u = cfg.f * w - u
+        n_u[0, 0] += source
+        want = np.stack([n_u, (u - w) / (cfg.tau * cfg.epsilon**2)])
+        np.testing.assert_array_equal(new(state), want)
+
+
 def test_brusselator_nonlinearity_analyses_one_product(monkeypatch):
     n = 12
     cfg = brusselator_cfg()

@@ -383,6 +383,11 @@ def test_evolve_stacked_fields_do_not_mix():
     # and a step is the literal Cox--Matthews formula, bit for bit
     react = pseudospectral(lambda a, b: (react_u(a), react_v(b)), grid)
     t, state = etdrk4_tables([op_u, op_v], h), stacked(u, v)
+    np.testing.assert_array_equal(etdrk4_step(state, t, react), cox_matthews(state, t, react))
+
+
+def cox_matthews(state, t, react):
+    """One ETDRK4 step by the literal formulas, every stage a new array."""
     n_u = react(state)
     a = t.exp_half * state + t.stage * n_u
     n_a = react(a)
@@ -390,8 +395,26 @@ def test_evolve_stacked_fields_do_not_mix():
     n_b = react(b)
     c = t.exp_half * a + t.stage * (2.0 * n_b - n_u)
     n_c = react(c)
-    want = t.exp_full * state + t.f1 * n_u + 2.0 * t.f2 * (n_a + n_b) + t.f3 * n_c
-    np.testing.assert_array_equal(etdrk4_step(state, t, react), want)
+    return t.exp_full * state + t.f1 * n_u + 2.0 * t.f2 * (n_a + n_b) + t.f3 * n_c
+
+
+def test_step_with_a_nonlinearity_that_returns_its_input_or_a_kept_array():
+    # the stages are formed in place: a nonlinearity that returns its
+    # argument, a view of it or one array of its own on every call must
+    # see the same step as the literal formula, and its array unchanged
+    n = 6
+    rng = np.random.default_rng(3)
+    state = rng.standard_normal((2, n + 1, 2 * n + 1))
+    t = etdrk4_tables([0.5 * local_spectrum(n), np.linspace(0.0, -3.0, n + 1)], 0.1)
+    kept = rng.standard_normal(state.shape)
+    before = kept.copy()
+    for react in (
+        lambda s: s,            # its argument
+        lambda s: s[::-1],      # a view of it, the two fields swapped
+        lambda s: kept,         # one array of its own
+    ):
+        np.testing.assert_array_equal(etdrk4_step(state, t, react), cox_matthews(state, t, react))
+    np.testing.assert_array_equal(kept, before)
 
 
 def test_evolve_validation():
