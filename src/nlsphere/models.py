@@ -21,8 +21,8 @@ import numpy as np
 
 from .spectrum import local_spectrum
 from .spectrum import spectrum as _spectrum
-from .sht import (SphereGrid, _degree, _keep_tables, _layout, _parity_parts, _per_degree,
-                  _write_csv)
+from .sht import (SphereGrid, _csv_body, _degree, _keep_tables, _layout, _parity_parts,
+                  _per_degree, _write_csv)
 from .timestep import pseudospectral
 
 __all__ = [
@@ -281,8 +281,8 @@ class EnergyRecorder:
             ginzburg_landau_energy(state[0], self.spec, self.epsilon))
 
     def write(self, path):
-        rows = ("%.17g,%.17g\n" % row for row in zip(self.times, self.energies))
-        _write_csv(path, ["# t,energy"], rows)
+        table = np.array([self.times, self.energies], dtype=float).T
+        _write_csv(path, ["# t,energy"], _csv_body(table))
 
 
 # ----------------------------------------------------------------------

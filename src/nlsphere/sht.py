@@ -433,17 +433,219 @@ def analysis(values, grid):
 
 
 # ----------------------------------------------------------------------
-# file formats: UTF-8 CSV, "\n" line ends, "#" head lines first.  Writers
-# stream one "%"-formatted text row per data row (2n+1 lines per grid row);
-# "%.17g" round-trips every double and gives the bytes f"{x:.17g}" gives.
+# file formats: UTF-8 CSV, "\n" line ends, "#" head lines first.  Every
+# number is written as the bytes '%.17g' % x gives, which round-trip every
+# double.  ``_g17`` computes them for a whole chunk of values in numpy and
+# leaves to "%" itself only the values it cannot settle exactly, of which
+# the program's own outputs have none.  Writers format and write a file
+# ``_CSV_CHUNK`` values at a time.
 # ----------------------------------------------------------------------
 
-def _write_csv(path, head, rows):
+#: values formatted per chunk of a CSV body (a few hundred kB of buffers)
+_CSV_CHUNK = 4096
+
+#: columns of one value in a ``_g17`` buffer: the sign, "0." and three
+#: zeros (fixed notation below 1), 17 digits each followed by a slot for
+#: the point, and "e", the exponent's sign and up to three digits
+_G17_WIDTH = 44
+
+#: magnitudes the fast path formats: inside them 10^(16-e) and its low
+#: half are normal doubles and the Dekker products neither overflow nor
+#: underflow
+_G17_RANGE = (1e-280, 1e280)
+
+#: a scaled value whose fraction is within this of 1/2 is left to "%":
+#: the pair product errs by less than 2^-47 (see ``_scaled17``), so
+#: outside the band the rounding direction is certain, and exact ties,
+#: which "%" rounds to even, all fall inside it
+_G17_TIE = 2.0**-44
+
+#: Veltkamp's splitter: x * (2^27 + 1) splits a double into two halves of
+#: at most 26 significant bits, whose pairwise products are exact
+_SPLITTER = 134217729.0
+
+
+@lru_cache(maxsize=1024)
+def _pow10(k):
+    """10^k as a pair of doubles (hi, lo): hi the double nearest 10^k and
+    lo the double nearest 10^k - hi, so hi + lo is within 2^-106 of 10^k
+    relative.  Python's int-to-float conversion and int / int division
+    round correctly, and hi's exact ratio gives the rest in integers."""
+    if k >= 0:
+        hi = float(10**k)
+        return hi, float(10**k - int(hi))
+    hi = 1 / 10**-k
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * 10**-k) / (den * 10**-k)
+
+
+def _split(x):
+    """Veltkamp halves (hi, lo) of x, hi + lo = x exactly."""
+    scaled = _SPLITTER * x
+    hi = scaled - (scaled - x)
+    return hi, x - hi
+
+
+def _scaled17(a, e):
+    """Integer parts of s = a 10^(16-e) for positive doubles ``a`` in
+    ``_G17_RANGE`` and integer arrays ``e``: (floor(s), s rounded to the
+    nearest integer, whether s is too near a tie to round).
+
+    a 10^(16-e) is a (hi, lo) pair times a: a * hi exactly by Dekker's
+    two-product, plus a * lo rounded.  In the decade of e, 10^16 <= s <
+    10^17 < 2^57, the error is below 2^-47: 2^-106 s from the pair,
+    2^-106 s from rounding a * lo and 2^-49 from adding the low parts,
+    which stay below 32.  There the high part of the product is an
+    integer (s > 2^53), so the low parts alone hold the fraction.  Outside
+    it floor(s) is outside [10^16, 10^17) too, and the caller redoes it."""
+    k = 16 - e
+    first = int(k.min())
+    his, los = np.array([_pow10(i) for i in range(first, int(k.max()) + 1)]).T
+    hi, lo = his.take(k - first), los.take(k - first)
+    high = a * hi
+    a_hi, a_lo = _split(a)
+    hi_hi, hi_lo = _split(hi)
+    low = (((a_hi * hi_hi - high) + a_hi * hi_lo) + a_lo * hi_hi) + a_lo * hi_lo
+    low += a * lo
+    whole = np.floor(low)
+    frac = low - whole
+    floor = high.astype(np.int64) + whole.astype(np.int64)
+    return floor, floor + (frac > 0.5), np.abs(frac - 0.5) < _G17_TIE
+
+
+def _g17(values, out):
+    """Write the bytes of '%.17g' % v for each double of the 1-d array
+    ``values`` into the zeroed (len(values), _G17_WIDTH) uint8 array
+    ``out``, in order, with zero pad bytes between them.
+
+    The fast path takes the exponent e from log10, rounds |v| 10^(16-e)
+    half to even to a 17-digit integer (``_scaled17``) and lays out its
+    digits as %g does: fixed notation for -4 <= e < 17, otherwise
+    d.ddde+XX, without trailing zeros or a bare point.  Columns: 0 the
+    sign; 1-5 "0." and up to three zeros before the digits of fixed
+    notation below 1; 6-38 the 17 digits, each followed by a slot that
+    holds the point after the last digit of the integer part; 39-43 "e",
+    the exponent's sign and its digits.  Zeros are a constant case.
+    Non-finite values, magnitudes outside ``_G17_RANGE`` and values
+    within the error bound of a rounding tie are formatted with "%".
+    """
+    mag = np.abs(values)
+    fast = (mag >= _G17_RANGE[0]) & (mag < _G17_RANGE[1])
+    if fast.all():
+        left = _g17_fast(values, out)
+    else:
+        # the fast path runs on its values alone: a coefficient file is
+        # about half structural zeros
+        rows = np.flatnonzero(fast)
+        part = np.zeros((rows.size, _G17_WIDTH), np.uint8)
+        left = rows[_g17_fast(values[rows], part)]
+        out[rows] = part
+        zero = np.flatnonzero(mag == 0.0)
+        out[zero, 0] = np.signbit(values[zero]) * np.uint8(ord("-"))
+        out[zero, 6] = ord("0")
+        left = np.concatenate([left, np.flatnonzero(~fast & (mag != 0.0))])
+    for i in left:
+        text = b"%.17g" % values[i]
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+
+
+#: digit positions 0..16 of a (17, count) digit array
+_DIGIT_INDEX = np.arange(17, dtype=np.uint8)[:, None]
+
+
+def _g17_fast(values, out):
+    """``_g17`` for values whose magnitudes lie in ``_G17_RANGE``; returns
+    the indices of the values it leaves to "%": those within the error
+    bound of a rounding tie."""
+    count = values.size
+    if not count:  # a chunk without a value in range
+        return np.zeros(0, np.intp)
+    mag = np.abs(values)
+    exp = np.floor(np.log10(mag)).astype(np.int64)
+    floor, num, tie = _scaled17(mag, exp)
+    # log10 can be one decade off next to a power of ten: redo those
+    off = np.flatnonzero((floor < 10**16) | (floor >= 10**17))
+    if off.size:
+        exp[off] += np.where(floor[off] < 10**16, -1, 1)
+        floor[off], num[off], tie[off] = _scaled17(mag[off], exp[off])
+    # rounding up to 10^17 carries into the next decade
+    carry = num == 10**17
+    num[carry] = 10**16
+    exp += carry
+    # the 17 digits, most significant first: the leading one, then pairs
+    # of the two 8-digit halves of the rest
+    digits = np.empty((17, count), np.uint8)
+    lead = num // 10**16
+    digits[0] = lead
+    rest = num - lead * 10**16
+    upper = rest // 10**8
+    row = 1
+    for half in (upper.astype(np.uint32), (rest - upper * 10**8).astype(np.uint32)):
+        quad = half // 10000
+        for group in (quad, half - quad * 10000):
+            high = group // 100
+            for pair in (high, group - high * 100):
+                tens = pair // 10
+                digits[row], digits[row + 1] = tens, pair - tens * 10
+                row += 2
+    last = ((digits != 0) * _DIGIT_INDEX).max(axis=0)  # the last nonzero digit
+    exp = exp.astype(np.int16)
+    fixed = (exp >= -4) & (exp < 17)
+    below_one = fixed & (exp < 0)
+    # digits 0..whole are the integer part (only the first in %e form)
+    whole = np.where(fixed & ~below_one, exp, 0).astype(np.uint8)
+    digits += ord("0")
+    digits *= _DIGIT_INDEX <= np.maximum(last, whole)
+    out[:, 0] = np.signbit(values) * np.uint8(ord("-"))
+    out[:, 6:39:2] = digits.T
+    point = np.flatnonzero((last > whole) & ~below_one)
+    out[point, 7 + 2 * whole[point]] = ord(".")
+    if below_one.any():
+        out[:, 1] = below_one * np.uint8(ord("0"))
+        out[:, 2] = below_one * np.uint8(ord("."))
+        for i in range(3):
+            out[:, 3 + i] = (below_one & (exp < -1 - i)) * np.uint8(ord("0"))
+    if not fixed.all():
+        large = ~fixed
+        power = np.abs(exp)
+        hundreds, tens = power // 100, power // 10
+        out[:, 39] = large * np.uint8(ord("e"))
+        out[:, 40] = large * np.where(exp < 0, np.uint8(ord("-")), np.uint8(ord("+")))
+        out[:, 41] = (large & (hundreds > 0)) * (hundreds + ord("0"))
+        out[:, 42] = large * (tens - 10 * hundreds + ord("0"))
+        out[:, 43] = large * (power - 10 * tens + ord("0"))
+    return np.flatnonzero(tie | (num < 10**16) | (num >= 10**17))
+
+
+def _text_buffer(shape):
+    """A zeroed uint8 array of ``shape`` and the bytearray it views, whose
+    ``translate(None, b"\\0")`` drops the pad bytes without another copy."""
+    raw = bytearray(math.prod(shape))
+    return raw, np.frombuffer(raw, np.uint8).reshape(shape)
+
+
+def _csv_body(table):
+    """The CSV rows of a 2-d float table, each value formatted '%.17g',
+    joined by "," and ended by a newline: bytes chunks of about
+    ``_CSV_CHUNK`` values."""
+    rows, cols = table.shape
+    step = max(1, _CSV_CHUNK // cols)
+    for start in range(0, rows, step):
+        block = table[start : start + step]
+        raw, buf = _text_buffer(block.shape + (_G17_WIDTH + 1,))
+        buf[..., -1] = ord(",")
+        buf[:, -1, -1] = ord("\n")
+        _g17(block.ravel(), buf.reshape(-1, _G17_WIDTH + 1)[:, :-1])
+        yield raw.translate(None, b"\0")
+
+
+def _write_csv(path, head, body):
     """Write the ``head`` lines, skipping empty or None ones (an absent
-    comment), then the formatted ``rows``, each ending in a newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{line}\n" for line in head if line)
-        fh.writelines(rows)
+    comment), then the bytes chunks of ``body``."""
+    with open(path, "wb") as fh:
+        fh.writelines(f"{line}\n".encode() for line in head if line)
+        fh.writelines(body)
 
 
 def write_coeffs(coeffs, path, comment=None):
@@ -454,8 +656,7 @@ def write_coeffs(coeffs, path, comment=None):
     """
     coeffs = np.asarray(coeffs, dtype=float)
     head = [f"# sht-coeffs v1 degree={_degree(coeffs)}", comment and f"# {comment}"]
-    fmt = ",".join(["%.17g"] * coeffs.shape[1]) + "\n"
-    _write_csv(path, head, (fmt % tuple(row.tolist()) for row in coeffs))
+    _write_csv(path, head, _csv_body(coeffs))
 
 
 def read_coeffs(path):
@@ -537,8 +738,28 @@ def write_grid_values(values, grid, path):
             f"values shape {values.shape} does not match grid degree {n}"
         )
     head = [f"# sht-grid v1 degree={n}", "theta,phi,value"]
-    # the lines of one colatitude: theta goes in at "\0", the values at "%.17g"
-    block = "".join([f"\0,{phi:.17g},%.17g\n" for phi in grid.lon_nodes.tolist()])
-    rows = (block.replace("\0", f"{theta:.17g}") % tuple(row.tolist())
-            for theta, row in zip(grid.colat_nodes.tolist(), values))
-    _write_csv(path, head, rows)
+    _write_csv(path, head, _grid_body(values, grid))
+
+
+def _grid_body(values, grid):
+    """The "theta,phi,value" lines of a grid file: bytes chunks of whole
+    colatitude rows, about ``_CSV_CHUNK`` values each.  theta and phi are
+    formatted once and copied into each line."""
+    thetas, phis = (_padded_texts(nodes) for nodes in (grid.colat_nodes, grid.lon_nodes))
+    head = thetas.shape[1] + phis.shape[1]
+    step = max(1, _CSV_CHUNK // phis.shape[0])
+    for start in range(0, values.shape[0], step):
+        block = values[start : start + step]
+        raw, buf = _text_buffer(block.shape + (head + _G17_WIDTH + 1,))
+        buf[..., : thetas.shape[1]] = thetas[start : start + step, None]
+        buf[..., thetas.shape[1] : head] = phis
+        buf[..., -1] = ord("\n")
+        _g17(block.ravel(), buf.reshape(-1, buf.shape[-1])[:, head:-1])
+        yield raw.translate(None, b"\0")
+
+
+def _padded_texts(values):
+    """The text of each value and a comma, as the rows of a uint8 array,
+    zero-padded to the longest."""
+    lines = b"".join(_csv_body(values[:, None])).replace(b"\n", b",\n").splitlines()
+    return np.array(lines).view(np.uint8).reshape(values.size, -1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import cc_weights
-from .sht import _write_csv
+from .sht import _csv_body, _write_csv
 from .specfun import _m1_over_hav_rows
 
 __all__ = [
@@ -115,5 +115,7 @@ def write_spectrum(values, path, comment=None):
     metadata line.  The output is deterministic: identical spectra produce
     byte-identical files.
     """
-    rows = ("%d,%.17g\n" % row for row in enumerate(np.asarray(values, dtype=float).tolist()))
-    _write_csv(path, [comment and f"# {comment}", "ell,lambda"], rows)
+    values = np.asarray(values, dtype=float)
+    # ell as a float: '%.17g' writes an integer below 10^17 as "%d" does
+    table = np.column_stack([np.arange(values.size, dtype=float), values])
+    _write_csv(path, [comment and f"# {comment}", "ell,lambda"], _csv_body(table))

@@ -9,17 +9,23 @@ not use, hence the (-1)^m factor in the oracle).
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsphere import models as M
 from nlsphere.cli import main
 from nlsphere.spectrum import KernelParams, local_spectrum
 from nlsphere.sht import (
+    _CSV_CHUNK,
+    _G17_RANGE,
     _TABLE_CACHE_MAX_DEGREE,
     SphereGrid,
+    _csv_body,
     _is_prime,
     _keep_tables,
     _layout,
@@ -392,8 +398,34 @@ def _old_write_energy(times, energies, path):
             fh.write(f"{t:.17g},{e:.17g}\n")
 
 
-#: values whose text is not a plain 17-digit mantissa
-SPECIAL_VALUES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]
+#: values whose text is not a plain 17-digit mantissa, or that the
+#: numpy formatter cannot settle on its fast path
+SPECIAL_VALUES = [
+    -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    # exact ties, rounded half to even down and up
+    26215 / 2**18, 26217 / 2**18,
+    # the fixed / exponent switch points and their neighbours
+    1e-4, math.nextafter(1e-4, 0), 1e17, math.nextafter(1e17, 0),
+    # doubles just below a power of ten whose 17 digits carry into its decade
+    1e-14, -1e-70, 1e98, 1e-243, 1e220,
+    # the largest and smallest normals, and subnormals
+    1.7976931348623157e308, -2.2250738585072014e-308, 2.225073858507201e-308, 1e-310,
+    # just inside and just outside the fast path's magnitudes
+    _G17_RANGE[0], math.nextafter(_G17_RANGE[0], 0),
+    -math.nextafter(_G17_RANGE[1], 0), _G17_RANGE[1],
+]
+
+
+def test_hard_values_have_the_expected_text():
+    # pins a few of them, so that the oracle is checked as well
+    texts = {26215 / 2**18: "0.10000228881835938", 26217 / 2**18: "0.10000991821289062",
+             1e-4: "0.0001", math.nextafter(1e-4, 0): "9.9999999999999991e-05",
+             1e17: "1e+17", math.nextafter(1e17, 0): "99999999999999984",
+             1e-14: "1e-14", -1e-70: "-1e-70", -0.0: "-0"}
+    assert _formatted(list(texts)).decode() == "".join(f"{text}\n" for text in texts.values())
+    assert [f"{v:.17g}" for v in texts] == list(texts.values())
+    # 1e-14 is a carry: the double lies below 10^-14
+    assert Fraction(1e-14) < Fraction(1, 10**14)
 
 
 @pytest.mark.parametrize("n", [0, 3, 16, 127])
@@ -412,6 +444,53 @@ def test_writers_match_per_value_formatting(tmp_path, n):
     write_grid_values(vals, grid, tmp_path / "new_g.csv")
     _old_write_grid_values(vals, grid, tmp_path / "old_g.csv")
     assert (tmp_path / "new_g.csv").read_bytes() == (tmp_path / "old_g.csv").read_bytes()
+
+
+def _formatted(values):
+    """The formatter's text of each value, one per line."""
+    return b"".join(_csv_body(np.asarray(values, dtype=float).reshape(-1, 1)))
+
+
+def _per_value(values):
+    return "".join("%.17g\n" % v for v in values).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_formatter_matches_percent_formatting(values):
+    # st.floats() draws nan, +-inf, +-0, subnormals and the extremes too
+    assert _formatted(values) == _per_value(values)
+
+
+def test_formatter_matches_percent_formatting_on_random_bit_patterns():
+    bits = np.random.default_rng(20231).integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    assert _formatted(values) == _per_value(values.tolist())
+
+
+@pytest.mark.parametrize("writer", ["coeffs", "grid"])
+def test_writers_span_chunks_with_fallback_values_on_a_boundary(tmp_path, writer):
+    n = 100
+    rows = _CSV_CHUNK // (2 * n + 1)  # rows per chunk of either writer
+    assert n + 1 > 2 * rows
+    if writer == "coeffs":
+        data = random_coeffs(n, seed=4)
+    else:
+        grid = SphereGrid(n)
+        data = synthesis(random_coeffs(n, seed=4), grid)
+    # a tie ends the first chunk and NaN starts the second; column 0 of a
+    # coefficient row is always a valid slot
+    data[rows - 1, -1] = 26215 / 2**18
+    data[rows, 0] = math.nan
+    data[2 * rows, 0] = -0.0
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    if writer == "coeffs":
+        write_coeffs(data, new)
+        _old_write_coeffs(data, old)
+    else:
+        write_grid_values(data, grid, new)
+        _old_write_grid_values(data, grid, old)
+    assert new.read_bytes() == old.read_bytes()
 
 
 def _reemit(path, out):
@@ -460,7 +539,7 @@ def test_cli_outputs_match_per_value_formatting(tmp_path):
 
 
 def test_read_coeffs_matches_per_token_float(tmp_path):
-    n = 3
+    n = 5  # enough valid slots for every token below
     c = random_coeffs(n, seed=3)
     rows = [[f"{v:.17g}" for v in row] for row in c.tolist()]
     # every special value, and other spellings float() reads, in valid slots
@@ -523,6 +602,26 @@ def test_grid_writer_streams(tmp_path):
         tracemalloc.stop()
     # the whole file as text is about 15 MB at this degree
     assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("writer", ["coeffs", "grid"])
+def test_writers_hold_one_chunk(tmp_path, writer):
+    # each chunk's text buffer and the formatter's arrays for about 4096
+    # values peak near 0.9 MiB; the whole degree-383 grid file is 17 MB
+    n = 383
+    grid = SphereGrid(n)
+    coeffs = random_coeffs(n, seed=n)
+    values = synthesis(coeffs, grid)
+    tracemalloc.start()
+    try:
+        if writer == "coeffs":
+            write_coeffs(coeffs, tmp_path / "c.csv")
+        else:
+            write_grid_values(values, grid, tmp_path / "g.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 # ----------------------------------------------------------------------
