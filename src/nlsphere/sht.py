@@ -438,7 +438,9 @@ def analysis(values, grid):
 # double.  ``_g17`` computes them for a whole chunk of values in numpy and
 # leaves to "%" itself only the values it cannot settle exactly, of which
 # the program's own outputs have none.  Writers format and write a file
-# ``_CSV_CHUNK`` values at a time.
+# ``_CSV_CHUNK`` values at a time.  A coefficient file formats only its
+# stored triangle, in whole rows of about ``_CSV_CHUNK`` stored values, and
+# writes an all-+0.0 structural tail as the constant text ",0" per slot.
 # ----------------------------------------------------------------------
 
 #: values formatted per chunk of a CSV body (a few hundred kB of buffers)
@@ -640,11 +642,48 @@ def _csv_body(table):
         yield raw.translate(None, b"\0")
 
 
+def _coeff_body(coeffs):
+    """The CSV rows of an (n+1, 2n+1) coefficient array, as ``_csv_body``
+    writes them, formatting only the stored triangle.  Row r stores its
+    first 2(n-r)+1 slots and then has 2r structural ones.  Chunks are whole
+    rows holding about ``_CSV_CHUNK`` stored values; when a chunk's
+    structural slots are all +0.0 (bit for bit: -0.0 prints "-0"), each
+    row's tail is the constant text ",0" per slot.  Any other chunk goes
+    through ``_csv_body``."""
+    rows, cols = coeffs.shape
+    stop = 0
+    while stop < rows:
+        start, count = stop, 0
+        # a plain loop: np.unique's first call imports numpy.ma, over 10 ms
+        # and 1 MB of RSS in every command
+        while stop < rows and count < _CSV_CHUNK:
+            count += cols - 2 * stop
+            stop += 1
+        block = coeffs[start:stop]
+        stored = cols - 2 * np.arange(start, stop)
+        valid = np.arange(cols) < stored[:, None]
+        if block[~valid].view(np.uint64).any():
+            yield from _csv_body(block)
+            continue
+        raw, buf = _text_buffer((count, _G17_WIDTH + 1))
+        buf[:, -1] = ord(",")
+        buf[np.cumsum(stored) - 1, -1] = ord("\n")
+        _g17(block[valid], buf[:, :-1])
+        lines = raw.translate(None, b"\0").split(b"\n")
+        yield b"".join(line + b",0" * (2 * row) + b"\n"
+                       for row, line in enumerate(lines[:-1], start))
+
+
 def _write_csv(path, head, body):
     """Write the ``head`` lines, skipping empty or None ones (an absent
-    comment), then the bytes chunks of ``body``."""
+    comment), then the bytes chunks of ``body``.  A head line holding a
+    line break raises ValueError before the file is opened."""
+    head = [line for line in head if line]
+    for line in head:
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"a head line must be one line, got {line!r}")
     with open(path, "wb") as fh:
-        fh.writelines(f"{line}\n".encode() for line in head if line)
+        fh.writelines(f"{line}\n".encode() for line in head)
         fh.writelines(body)
 
 
@@ -652,11 +691,12 @@ def write_coeffs(coeffs, path, comment=None):
     """Write one field's (n+1, 2n+1) coefficient array as CSV rows.
 
     The first line is the format header ``# sht-coeffs v1 degree=<n>``;
-    an optional extra ``#`` comment line follows.  Deterministic output.
+    an optional extra ``#`` comment line follows (a comment holding a line
+    break raises ValueError).  Deterministic output.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     head = [f"# sht-coeffs v1 degree={_degree(coeffs)}", comment and f"# {comment}"]
-    _write_csv(path, head, _csv_body(coeffs))
+    _write_csv(path, head, _coeff_body(coeffs))
 
 
 def read_coeffs(path):

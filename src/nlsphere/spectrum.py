@@ -112,7 +112,8 @@ def write_spectrum(values, path, comment=None):
     17 significant digits.
 
     ``comment`` (if given) is emitted first as a single ``#``-prefixed
-    metadata line.  The output is deterministic: identical spectra produce
+    metadata line; one holding a line break raises ValueError.  The
+    output is deterministic: identical spectra produce
     byte-identical files.
     """
     values = np.asarray(values, dtype=float)

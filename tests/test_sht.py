@@ -18,14 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsphere import models as M
+from nlsphere import sht
 from nlsphere.cli import main
-from nlsphere.spectrum import KernelParams, local_spectrum
+from nlsphere.spectrum import KernelParams, local_spectrum, write_spectrum
 from nlsphere.sht import (
     _CSV_CHUNK,
     _G17_RANGE,
     _TABLE_CACHE_MAX_DEGREE,
     SphereGrid,
     _csv_body,
+    _g17,
     _is_prime,
     _keep_tables,
     _layout,
@@ -468,29 +470,89 @@ def test_formatter_matches_percent_formatting_on_random_bit_patterns():
     assert _formatted(values) == _per_value(values.tolist())
 
 
+def _coeff_chunks(n):
+    """(start, stop) rows of each chunk of a degree-n coefficient file:
+    whole rows until they hold ``_CSV_CHUNK`` stored values, row r storing
+    2(n-r)+1 of them."""
+    chunks, start, count = [], 0, 0
+    for row in range(n + 1):
+        count += 2 * (n - row) + 1
+        if count >= _CSV_CHUNK or row == n:
+            chunks.append((start, row + 1))
+            start, count = row + 1, 0
+    return chunks
+
+
+@pytest.mark.parametrize("n", [0, 1, 100, 383])
+def test_coeff_writer_formats_only_the_stored_triangle(tmp_path, monkeypatch, n):
+    sizes = []
+
+    def recording(values, out):
+        sizes.append(values.size)
+        return _g17(values, out)
+
+    monkeypatch.setattr(sht, "_g17", recording)
+    c = random_coeffs(n, seed=n)
+    write_coeffs(c, tmp_path / "c.csv")
+    assert sum(sizes) == (n + 1) ** 2
+    # one call per chunk of whole rows
+    assert sizes == [sum(2 * (n - row) + 1 for row in range(start, stop))
+                     for start, stop in _coeff_chunks(n)]
+    _old_write_coeffs(c, tmp_path / "old.csv")
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 @pytest.mark.parametrize("writer", ["coeffs", "grid"])
 def test_writers_span_chunks_with_fallback_values_on_a_boundary(tmp_path, writer):
-    n = 100
-    rows = _CSV_CHUNK // (2 * n + 1)  # rows per chunk of either writer
-    assert n + 1 > 2 * rows
-    if writer == "coeffs":
-        data = random_coeffs(n, seed=4)
-    else:
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    if writer == "grid":
+        n = 100
+        rows = _CSV_CHUNK // (2 * n + 1)  # rows per chunk
+        assert n + 1 > 2 * rows
         grid = SphereGrid(n)
         data = synthesis(random_coeffs(n, seed=4), grid)
-    # a tie ends the first chunk and NaN starts the second; column 0 of a
-    # coefficient row is always a valid slot
-    data[rows - 1, -1] = 26215 / 2**18
-    data[rows, 0] = math.nan
-    data[2 * rows, 0] = -0.0
-    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    if writer == "coeffs":
-        write_coeffs(data, new)
-        _old_write_coeffs(data, old)
-    else:
+        # a tie ends the first chunk, NaN starts the second and -0 the third
+        data[rows - 1, -1] = 26215 / 2**18
+        data[rows, 0] = math.nan
+        data[2 * rows, 0] = -0.0
         write_grid_values(data, grid, new)
         _old_write_grid_values(data, grid, old)
-    assert new.read_bytes() == old.read_bytes()
+        assert new.read_bytes() == old.read_bytes()
+        return
+    for n in (100, 383):
+        chunks = _coeff_chunks(n)
+        assert len(chunks) >= 3
+        data = random_coeffs(n, seed=4)
+        # stored slots: a tie ends the first chunk (the last stored slot of
+        # its last row), NaN starts the second and -0 the third
+        last = chunks[0][1] - 1
+        data[last, 2 * (n - last)] = 26215 / 2**18
+        data[chunks[1][0], 0] = math.nan
+        data[chunks[2][0], 0] = -0.0
+        for structural in (False, True):
+            if structural:
+                # -0, 1 and NaN below the triangle in the first, a middle and
+                # the last chunk, and a tie beside the NaN
+                data[last, -1] = -0.0
+                data[chunks[len(chunks) // 2][0], -1] = 1.0
+                data[n, -1] = math.nan
+                data[n, 1] = 26215 / 2**18
+            write_coeffs(data, new)
+            _old_write_coeffs(data, old)
+            assert new.read_bytes() == old.read_bytes(), (n, structural)
+
+
+@pytest.mark.parametrize("writer", ["coeffs", "spectrum"])
+@pytest.mark.parametrize("brk", ["\n", "\r"])
+def test_comment_with_a_line_break_is_refused(tmp_path, writer, brk):
+    # the file could not be read back: its second line would be a body row
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="one line"):
+        if writer == "coeffs":
+            write_coeffs(np.zeros((2, 3)), path, comment=f"t=1{brk}run 2")
+        else:
+            write_spectrum(local_spectrum(3), path, comment=f"t=1{brk}run 2")
+    assert not path.exists()
 
 
 def _reemit(path, out):
