@@ -103,11 +103,8 @@ def solve_poisson(rhs, spectrum):
             f"eigenvalue at degree {bad} is zero; the kernel is degenerate and "
             "the Poisson problem is singular beyond the mean mode"
         )
-    denom = _per_degree(lam)
-    denom[0, 0] = 1.0
-    _, valid = _layout(n)
-    denom[~valid] = 1.0  # keep structural zeros as 0/1
-    return rhs / denom
+    # the mean slot and the structural zeros are divided by 1
+    return rhs / _per_degree(np.concatenate(([1.0], lam[1:])), 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +306,7 @@ def cesaro_weights(degree, kappa):
 def cesaro_apply(coeffs, kappa):
     """Scale the degree-l coefficients of an (n+1, 2n+1) array by
     A_{n-l}^kappa / A_n^kappa into a new array; kappa = 0 copies it."""
-    return coeffs * _per_degree(cesaro_weights(_degree(coeffs), kappa))
+    return coeffs * _per_degree(cesaro_weights(_degree(coeffs), kappa), 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +350,9 @@ def _grid_xyz(grid):
 
 def death_star_rhs(grid):
     """Gaussian dimple plus an equatorial band, evaluated on the grid."""
-    x, y, z = _grid_xyz(grid)
+    x, y, _ = _grid_xyz(grid)
+    # z is constant along a grid row: its factors are computed per row
+    z = grid.colat_cos[:, None]
     bump = np.exp(
         -30.0 * ((x - 0.25) ** 2 + (y - math.sqrt(11.0) / 4.0) ** 2 + (z - 0.25) ** 2)
     )

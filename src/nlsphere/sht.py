@@ -107,16 +107,22 @@ def _layout(degree):
     return deg, valid
 
 
-def _per_degree(values):
-    """Per-degree values of shape (..., n+1) broadcast over the coefficient
-    layout, (..., n+1, 2n+1): every slot of degree ell gets values[..., ell],
-    and the slots below the stored triangle get 0.  Returns a new array."""
+def _per_degree(values, structural):
+    """Per-degree values of shape (..., n+1) viewed over the coefficient
+    layout, (..., n+1, 2n+1): every slot of degree ell reads values[..., ell]
+    and the slots below the stored triangle read ``structural`` (the ETDRK4
+    tables read their z = 0 limits there, the Poisson divisor 1 and the
+    Cesaro taper 0).  The result is a read-only view of O(n) numbers per
+    field, never a copy of the layout."""
     values = np.asarray(values, dtype=float)
-    deg, valid = _layout(values.shape[-1] - 1)
-    out = np.take(values, deg, axis=-1)
-    # putmask: a boolean index after an ellipsis takes about 4x as long
-    np.putmask(out, np.broadcast_to(~valid, out.shape), 0.0)
-    return out
+    n = values.shape[-1] - 1
+    tail = np.full(values.shape[:-1] + (n,), float(structural))
+    # slot (r, c) reads entry (2r + c + 1) // 2 of the values followed by n
+    # structural ones (its degree, or past n the tail): with every entry
+    # repeated twice, row r is the window that starts at 2r + 1
+    doubled = np.repeat(np.concatenate([values, tail], axis=-1), 2, axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(doubled, 2 * n + 1, axis=-1)
+    return windows[..., 1::2, :]
 
 
 def slot(degree, ell, m):

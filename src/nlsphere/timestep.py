@@ -3,7 +3,7 @@
 The PDEs handled here have the form u_t = L u + N(u) where L is diagonal
 in the spherical harmonic basis and N is a bounded nonlinearity.  L is
 given as a plain float array of shape (n+1,), one eigenvalue per degree,
-which the tables broadcast over the orders.  ETDRK4 treats L exactly
+which the tables view over the orders.  ETDRK4 treats L exactly
 through per-mode exponentials and integrates N with a fourth-order
 Runge--Kutta-like rule whose coefficients are the matrix functions
 
@@ -19,11 +19,17 @@ of each other at the seam.
 
 The integrator state is one float array of shape (k, n+1, 2n+1): k
 fields (k = 1 for a single field), each in the coefficient layout of
-:mod:`nlsphere.sht`.  The tables are stacked the same way, so a step is
-the same vector formula for every k.
+:mod:`nlsphere.sht`.  The tables have that shape too, as read-only
+views of their per-degree values (``sht._per_degree``), so a step is the
+same vector formula for every k and the tables hold O(k n) numbers.
 
 A step forms its stages in place, in three buffers, with the operands and
 the order of the literal formulas, so its numbers are theirs bit for bit.
+It multiplies by a contiguous copy of each table, made in one scratch
+array that ``evolve`` allocates once for all steps: numpy multiplies by a
+strided view through its buffered iterator, which allocates on every
+call, and with that churn (or with a scratch array per step) the heap
+sometimes grew, and faulted in fresh pages, tens of steps into a run.
 A nonlinearity may return its argument or a view of it: the step copies
 such an output before it overwrites the buffer, and never writes into
 what a nonlinearity returns.  Each step returns a fresh state array, which
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sht import _keep_tables, _layout, analysis, synthesis
+from .sht import _keep_tables, _per_degree, analysis, synthesis
 
 __all__ = [
     "BlowUpError",
@@ -75,7 +81,11 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class ETDRK4Tables:
-    """Precomputed per-mode ETDRK4 coefficients of k stacked operators at h."""
+    """Precomputed per-mode ETDRK4 coefficients of k stacked operators at h.
+
+    Each table has the (k, n+1, 2n+1) shape of the state and is read-only;
+    ``etdrk4_tables`` makes them views of per-degree values, not copies.
+    """
 
     exp_full: np.ndarray
     exp_half: np.ndarray
@@ -127,8 +137,10 @@ def _phi_taylor(z):
 
 def etdrk4_tables(operators, h):
     """Coefficient tables for k diagonal operators of one degree n at step
-    size h, stacked to shape (k, n+1, 2n+1) in one pass (they are
-    elementwise in z = h lambda).
+    size h, of shape (k, n+1, 2n+1): each function is evaluated once per
+    degree and once at z = 0, and each table is a read-only view of those
+    values over the coefficient layout (``sht._per_degree``), whose
+    structural-zero slots read the z = 0 limit.
 
     ``operators`` holds one per-degree array lambda[ell], ell = 0..n, per
     field, which must stack to a (k, n+1) float array; anything else, a
@@ -161,8 +173,7 @@ def etdrk4_tables(operators, h):
             StabilityWarning,
             stacklevel=2,
         )
-    # every function once per degree, then over the coefficient layout; the
-    # structural-zero slots read an appended z = 0 and keep its exact limits
+    # the appended z = 0 column gives the structural slots' exact limits
     z = np.concatenate([z_deg, np.zeros((lam.shape[0], 1))], axis=1)
     small = np.abs(z) < _Z_STAR
     parts = [np.empty_like(z) for _ in range(4)]
@@ -173,10 +184,8 @@ def etdrk4_tables(operators, h):
     if big.any():
         for dst, src in zip(parts, _phi_direct(z[big])):
             dst[big] = src
-    deg, valid = _layout(lam.shape[1] - 1)
-    slots = np.where(valid, deg, lam.shape[1])
     exp_full, exp_half, stage, f1, f2, f3 = (
-        np.take(p, slots, axis=-1)
+        _per_degree(p[:, :-1], p[0, -1])
         for p in (np.exp(z), np.exp(0.5 * z), *(h * p for p in parts))
     )
     return ETDRK4Tables(
@@ -205,7 +214,7 @@ def _apart(out, *buffers):
     return out
 
 
-def etdrk4_step(state, tables, nonlinearity, step_index=None):
+def etdrk4_step(state, tables, nonlinearity, step_index=None, scratch=None):
     """One ETDRK4 step (Cox--Matthews stages with half-step exponentials).
 
     ``state`` is a (k, n+1, 2n+1) coefficient array of k fields and
@@ -214,12 +223,16 @@ def etdrk4_step(state, tables, nonlinearity, step_index=None):
     ValueError) -- wrap a pointwise grid-space function with
     :func:`pseudospectral` to obtain one.  It may return its argument, a
     view of it or an array of its own, which the step never writes into.
-    The stages are formed in place (see the module docstring).  Returns
-    the new state, a fresh array; raises BlowUpError when any output
-    coefficient is non-finite.
+    The stages are formed in place (see the module docstring).
+    ``scratch``, a float array of the state's shape that the step
+    overwrites, receives a contiguous copy of each table before its
+    products; the step allocates one when none is given.  Returns the new
+    state, a fresh array; raises BlowUpError when any output coefficient
+    is non-finite.
     """
     _check_shape(state, tables)
     t = tables
+    table = np.empty_like(state) if scratch is None else scratch
     n_u = nonlinearity(state)
     # a stack of another field count would broadcast against the tables
     if np.shape(n_u) != state.shape:
@@ -228,26 +241,33 @@ def etdrk4_step(state, tables, nonlinearity, step_index=None):
             f"shape {state.shape}"
         )
     # a = e^{h/2 L} u + stage N(u), b = e^{h/2 L} u + stage N(a)
-    decayed = np.multiply(t.exp_half, state)
-    a = np.multiply(t.stage, n_u)
+    np.copyto(table, t.exp_half)
+    decayed = np.multiply(table, state)
+    np.copyto(table, t.stage)
+    a = np.multiply(table, n_u)
     a += decayed
     n_a = _apart(nonlinearity(a), a)
-    b = np.multiply(t.stage, n_a)
+    b = np.multiply(table, n_a)
     b += decayed
     n_b = _apart(nonlinearity(b), a, b)
     # c = e^{h/2 L} a + stage (2 N(b) - N(u)), built in decayed
     c = np.multiply(2.0, n_b, out=decayed)
     c -= n_u
-    c *= t.stage
-    c += np.multiply(t.exp_half, a, out=b)
+    c *= table
+    np.copyto(table, t.exp_half)
+    c += np.multiply(table, a, out=b)
     n_c = _apart(nonlinearity(c), a, b)
     # new = e^{hL} u + f1 N(u) + 2 f2 (N(a) + N(b)) + f3 N(c), a and b scratch
-    new = np.multiply(t.exp_full, state)
-    new += np.multiply(t.f1, n_u, out=a)
-    scaled = np.multiply(2.0, t.f2, out=a)
+    np.copyto(table, t.exp_full)
+    new = np.multiply(table, state)
+    np.copyto(table, t.f1)
+    new += np.multiply(table, n_u, out=a)
+    np.copyto(table, t.f2)
+    scaled = np.multiply(2.0, table, out=a)
     scaled *= np.add(n_a, n_b, out=b)
     new += scaled
-    new += np.multiply(t.f3, n_c, out=a)
+    np.copyto(table, t.f3)
+    new += np.multiply(table, n_c, out=a)
     if not np.all(np.isfinite(new)):
         raise BlowUpError(step_index if step_index is not None else "?")
     return new
@@ -273,8 +293,9 @@ def evolve(initial, operators, nonlinearity, h, steps, observers=()):
     # observers get read-only views: broadcast_to never returns a writable one
     for obs in observers:
         obs(0, 0.0, np.broadcast_to(state, state.shape))
+    scratch = np.empty_like(state)
     for k in range(1, int(steps) + 1):
-        state = etdrk4_step(state, tables, nonlinearity, step_index=k)
+        state = etdrk4_step(state, tables, nonlinearity, step_index=k, scratch=scratch)
         for obs in observers:
             obs(k, k * h, np.broadcast_to(state, state.shape))
     return state

@@ -70,8 +70,13 @@ def test_poisson_single_mode_local():
 def test_poisson_mean_condition():
     f = np.zeros((3, 5))
     f[slot(2, 0, 0)] = 7.0
+    # a -0 structural zero, which a --rhs file can hold, stays -0
+    f[2, 4] = -0.0
     u = M.solve_poisson(f, local_spectrum(2))
     assert u[slot(2, 0, 0)] == 7.0
+    assert u[2, 4] == 0.0 and math.copysign(1.0, u[2, 4]) == -1.0
+    np.testing.assert_array_equal(u.view(np.uint64)[~_layout(2)[1]],
+                                  f.view(np.uint64)[~_layout(2)[1]])
 
 
 def test_poisson_degenerate_kernel_raises():
@@ -367,7 +372,7 @@ def test_energy_validation():
 
 def _energy_by_embedding(u, spec, epsilon, grid):
     # the zero-padded route: degree-2n coefficients and degree-2n tables
-    lam = _per_degree(spec)
+    lam = _per_degree(spec, 0.0)
     linear = -0.5 * epsilon**2 * float(np.sum(lam * u * u))
     vals = synthesis(M.embed(u, grid.degree), grid)
     return linear + 0.25 * integrate_grid((vals * vals - 1.0) ** 2, grid)
@@ -435,7 +440,7 @@ def test_energy_matches_a_dense_evaluation_on_the_2n_grid(n):
     assert grid.degree == 2 * n and grid.lon_nodes.size == M._fft_length(4 * n + 1)
     spec = M.build_spectrum(n, KernelParams(-0.5, 1.0))
     u = M.random_coeffs(n, n, 0.3, seed=n)
-    lam = _per_degree(spec)
+    lam = _per_degree(spec, 0.0)
     fine = SphereGrid(2 * n)
     vals = _dense_values(u, fine)
     quartic = float(fine.colat_weights @ ((vals * vals - 1.0) ** 2).sum(axis=1))

@@ -99,35 +99,47 @@ def test_slot_bounds_checked():
         slot(4, 2, -3)
 
 
-def _dense_reference(values, prefactor=1.0):
+def _dense_reference(values, prefactor=1.0, structural=0.0):
     """Reference broadcast of per-degree values over the layout:
-    ``prefactor * values[ell]`` in every slot of degree ell, 0 below the
-    stored triangle."""
+    ``prefactor * values[ell]`` in every slot of degree ell, ``structural``
+    below the stored triangle."""
     deg, valid = _layout(values.size - 1)
     out = prefactor * values[deg]
-    out[~valid] = 0.0
+    out[~valid] = structural
     return out
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 63])
+@pytest.mark.parametrize("n", [0, 1, 7, 63, 127])
 def test_per_degree_matches_the_dense_formula(n):
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n + 1)
-    got = _per_degree(values)
-    assert got.shape == (n + 1, 2 * n + 1)
-    np.testing.assert_array_equal(got, _dense_reference(values))
-    # one slot per (ell, m), by the public map
-    for ell in range(n + 1):
-        for m in range(-ell, ell + 1):
-            assert got[slot(n, ell, m)] == values[ell]
-    assert np.count_nonzero(got) == (n + 1) ** 2
-    # a (k, n+1) stack broadcasts field by field; the input is not written
     stack = np.stack([values, 0.5 * values, -values])
     stack.setflags(write=False)
-    got = _per_degree(stack)
-    assert got.shape == (3, n + 1, 2 * n + 1)
-    for field, prefactor in enumerate((1.0, 0.5, -1.0)):
-        np.testing.assert_array_equal(got[field], _dense_reference(values, prefactor))
+    for structural in (0.0, 1.0, -0.0):
+        got = _per_degree(values, structural)
+        assert got.shape == (n + 1, 2 * n + 1)
+        # bit for bit, so the sign of a zero counts
+        np.testing.assert_array_equal(
+            got.view(np.uint64), _dense_reference(values, 1.0, structural).view(np.uint64))
+        # one slot per (ell, m), by the public map
+        for ell in range(n + 1):
+            for m in range(-ell, ell + 1):
+                assert got[slot(n, ell, m)] == values[ell]
+        assert np.count_nonzero(got != structural) == (n + 1) ** 2
+        # a read-only view of O(n) numbers, not a copy of the layout
+        low, high = np.lib.array_utils.byte_bounds(got)
+        assert high - low <= 8 * (4 * n + 2)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 2.0
+        # a (k, n+1) stack broadcasts field by field; the input is not written
+        got = _per_degree(stack, structural)
+        assert got.shape == (3, n + 1, 2 * n + 1)
+        for field, prefactor in enumerate((1.0, 0.5, -1.0)):
+            np.testing.assert_array_equal(
+                got[field].view(np.uint64),
+                _dense_reference(values, prefactor, structural).view(np.uint64))
+        with pytest.raises(ValueError, match="read-only"):
+            got[2, n, 2 * n] = 2.0
 
 
 def test_structural_zeros_enforced_on_construction(tmp_path):

@@ -9,6 +9,7 @@ being tested and the closed form.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from nlsphere.sht import SphereGrid, _per_degree, analysis, slot, synthesis
 from nlsphere.spectrum import KernelParams, local_spectrum, spectrum
 from nlsphere.timestep import (
     BlowUpError,
+    ETDRK4Tables,
     StabilityWarning,
     _phi_direct,
     _phi_taylor,
@@ -134,7 +136,7 @@ def test_tables_refuse_non_finite_h_lambda(values, h):
 
 def test_operator_dense_layout():
     op = 0.5 * np.array([0.0, -2.0, -6.0])
-    dense = _per_degree(op)
+    dense = _per_degree(op, 0.0)
     assert dense.shape == (3, 5)
     assert dense[0, 0] == 0.0
     assert dense[1, 0] == -1.0      # ell=1 scaled by 0.5
@@ -149,7 +151,7 @@ def test_operator_dense_layout():
 def _tables_per_slot(operators, h):
     """(exp_full, exp_half, stage, f1, f2, f3) with every (k, n+1, 2n+1)
     slot evaluated on its own, structural zeros at z = 0."""
-    z = _per_degree(h * np.asarray(operators, dtype=float))
+    z = _per_degree(h * np.asarray(operators, dtype=float), 0.0)
     small = np.abs(z) < _Z_STAR
     parts = [np.empty_like(z) for _ in range(4)]
     for mask, phi in ((small, _phi_taylor), (~small, _phi_direct)):
@@ -174,12 +176,41 @@ def test_tables_match_per_slot_evaluation(n):
         ([0.075**2 * br - 1.0, (1.0 / 7.8125) * br], 0.1),
         ([local_spectrum(n)], 0.37),
     ]
+    rng = np.random.default_rng(n)
     for operators, h in cases:
         tables = etdrk4_tables(operators, h)
         got = (tables.exp_full, tables.exp_half, tables.stage, tables.f1, tables.f2, tables.f3)
         for mine, ref in zip(got, _tables_per_slot(operators, h)):
             assert mine.shape == ref.shape
             assert np.array_equal(mine, ref)
+            assert not mine.flags.writeable
+        # the tables are self-overlapping views: a step through them equals
+        # a step through contiguous copies bit for bit, with or without a
+        # scratch array that holds garbage
+        copies = ETDRK4Tables(*(np.array(table) for table in got))
+        state = rng.standard_normal(got[0].shape)
+        react = lambda s: s * s - 0.5 * s
+        want = etdrk4_step(state, copies, react).view(np.uint64)
+        np.testing.assert_array_equal(etdrk4_step(state, tables, react).view(np.uint64), want)
+        scratch = np.full(state.shape, np.nan)
+        np.testing.assert_array_equal(
+            etdrk4_step(state, tables, react, scratch=scratch).view(np.uint64), want)
+
+
+def test_tables_retain_per_degree_memory_only():
+    # two fields at degree 383: six dense (2, 384, 767) tables hold 27 MiB,
+    # views of the per-degree values about 0.15 MiB
+    br = spectrum(383, KernelParams(0.0, 1.0))
+    operators = [0.075**2 * br - 1.0, (1.0 / 7.8125) * br]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = etdrk4_tables(operators, 0.1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tables.f3.shape == (2, 384, 767)
+    assert retained <= 0.5 * 2**20
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +228,7 @@ def test_step_linear_exactness():
     op = local_spectrum(n)
     tables = etdrk4_tables([op], 0.37)
     (out,) = etdrk4_step(stacked(c), tables, zero)
-    expected = np.exp(0.37 * _per_degree(op)) * c
+    expected = np.exp(0.37 * _per_degree(op, 0.0)) * c
     np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0)
 
 
