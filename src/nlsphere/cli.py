@@ -113,6 +113,7 @@ def run(args):
 
     from . import models as M
     from .spectrum import KernelParams, write_spectrum
+    from .specfun import _check_count
     from .sht import (
         SphereGrid,
         _keep_tables,
@@ -124,10 +125,8 @@ def run(args):
     )
     from .timestep import BlowUpError, evolve, pseudospectral
 
-    n = args.degree
     kernel = None if args.local else KernelParams(args.alpha, args.delta)
-    if n < 0:
-        raise CliError(f"degree must be a non-negative integer, got {n!r}")
+    n = _check_count(args.degree, "degree")
     if args.command == "poisson" and args.rhs != "death-star":
         rhs = read_coeffs(args.rhs)
         if len(rhs) != n + 1:

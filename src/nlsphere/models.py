@@ -23,6 +23,7 @@ from .spectrum import local_spectrum
 from .spectrum import spectrum as _spectrum
 from .sht import (SphereGrid, _csv_body, _degree, _keep_tables, _layout, _parity_parts,
                   _per_degree, _write_csv)
+from .specfun import _check_count
 from .timestep import pseudospectral
 
 __all__ = [
@@ -290,11 +291,8 @@ def cesaro_weights(degree, kappa):
     """Degreewise taper factors A_{n-l}^kappa / A_n^kappa, l = 0..n, with
     A_l^kappa = C(l + kappa, l) (exact integer ratios), as a read-only
     float array of shape (n+1,)."""
-    if not isinstance(kappa, (int, np.integer)) or kappa < 0:
-        raise ValueError(f"kappa must be a non-negative integer, got {kappa!r}")
-    if not isinstance(degree, (int, np.integer)) or degree < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
-    n, kappa = int(degree), int(kappa)
+    kappa = _check_count(kappa, "kappa")
+    n = _check_count(degree, "degree")
     a_n = math.comb(n + kappa, n)
     factors = np.array(
         [math.comb(n - ell + kappa, n - ell) / a_n for ell in range(n + 1)]
@@ -322,21 +320,19 @@ def random_coeffs(degree_cap, degree, scale, seed):
     block is then zero-padded to the requested degree.  Deterministic
     across runs and platforms.
     """
-    if not isinstance(degree_cap, (int, np.integer)) or degree_cap < 0:
-        raise ValueError(f"degree_cap must be a non-negative integer, got {degree_cap!r}")
-    if degree_cap > degree:
+    cap = _check_count(degree_cap, "degree_cap")
+    degree = _check_count(degree, "degree")
+    if cap > degree:
         raise ValueError(f"degree_cap {degree_cap} exceeds the layout degree {degree}")
     scale = float(scale)
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    cap = int(degree_cap)
-    rng = np.random.Generator(np.random.Philox(int(seed)))
+    seed = _check_count(seed, "seed")
+    rng = np.random.Generator(np.random.Philox(seed))
     draws = rng.standard_normal((cap + 1) ** 2)
     small = np.zeros((cap + 1, 2 * cap + 1))
     small[_layout(cap)[1]] = scale * draws
-    return embed(small, int(degree))
+    return embed(small, degree)
 
 
 def _grid_xyz(grid):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _legendre_pair
+from .specfun import _check_count, _legendre_pair
 
 __all__ = [
     "GLRule",
@@ -61,16 +61,15 @@ def jacobi_moments(alpha, count):
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= -1.0:
         raise ValueError(f"alpha must be a finite number > -1, got {alpha!r}")
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    mu = np.empty(int(count))
+    count = _check_count(count, "count", 1)
+    mu = np.empty(count)
     lg = math.lgamma(alpha + 1.0) - math.lgamma(alpha + 2.0)
     mu[0] = math.exp((alpha + 1.0) * math.log(2.0) + lg)
     if count == 1:
         return mu
     # 0.0 - alpha, not -alpha: mu_1 of alpha = 0 is +0.0
     mu[1] = (0.0 - alpha) / (alpha + 2.0) * mu[0]
-    for k in range(1, int(count) - 1):
+    for k in range(1, count - 1):
         mu[k + 1] = -(
             2.0 * alpha * mu[k] + (alpha - k + 2.0) * mu[k - 1]
         ) / (alpha + k + 2.0)
@@ -92,9 +91,7 @@ def cc_weights(alpha, n):
     by the FFT in O(n log n); the test suite checks it against the
     literal O(n^2) sum.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"panel count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_count(n, "panel count", 1)
     mu = jacobi_moments(alpha, n + 1)
     # DCT-I via an even extension of length 2n; rfft of a real even
     # sequence is real up to roundoff
@@ -117,9 +114,7 @@ def gauss_legendre(n):
     Nodes are returned in descending order and are exactly antisymmetric,
     enforced by averaging each root with its mirror image.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"node count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_count(n, "node count", 1)
     i = np.arange(n)
     x = np.cos(np.pi * (i + 0.75) / (n + 0.5))
     for _ in range(100):

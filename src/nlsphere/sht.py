@@ -69,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import gauss_legendre
-from .specfun import _legendre_rows, assoc_legendre_table
+from .specfun import _check_count, _legendre_rows, assoc_legendre_table
 
 __all__ = [
     "SphereGrid",
@@ -94,14 +94,11 @@ _ORDER_BLOCK = 32
 
 @lru_cache(maxsize=64)
 def _layout(degree):
-    """Per-slot harmonic degree and validity mask of the coefficient matrix."""
-    n = degree
-    row = np.arange(n + 1)[:, None]
-    col = np.arange(2 * n + 1)[None, :]
-    # column 0 holds m = 0; columns 2m-1 and 2m hold order m from row 0
-    deg = row + (col + 1) // 2
-    valid = deg <= n
-    deg[~valid] = 0
+    """Per-slot harmonic degree (0 below the stored triangle) and validity
+    mask of the coefficient matrix: contiguous read-only copies of
+    ``_per_degree`` views, which the energy observer reads every step."""
+    deg = np.array(_per_degree(np.arange(degree + 1), 0))
+    valid = np.array(_per_degree(np.ones(degree + 1, bool), False))
     deg.setflags(write=False)
     valid.setflags(write=False)
     return deg, valid
@@ -113,10 +110,11 @@ def _per_degree(values, structural):
     and the slots below the stored triangle read ``structural`` (the ETDRK4
     tables read their z = 0 limits there, the Poisson divisor 1 and the
     Cesaro taper 0).  The result is a read-only view of O(n) numbers per
-    field, never a copy of the layout."""
-    values = np.asarray(values, dtype=float)
+    field, of the dtype of ``values``, never a copy of the layout; it is the
+    one map from a slot to its degree."""
+    values = np.asarray(values)
     n = values.shape[-1] - 1
-    tail = np.full(values.shape[:-1] + (n,), float(structural))
+    tail = np.full(values.shape[:-1] + (n,), structural, values.dtype)
     # slot (r, c) reads entry (2r + c + 1) // 2 of the values followed by n
     # structural ones (its degree, or past n the tail): with every entry
     # repeated twice, row r is the window that starts at 2r + 1
@@ -164,14 +162,9 @@ class SphereGrid:
     """
 
     def __init__(self, degree, longitudes=None):
-        if not isinstance(degree, (int, np.integer)) or degree < 0:
-            raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
-        n = int(degree)
-        count = 2 * n + 1 if longitudes is None else longitudes
-        if not isinstance(count, (int, np.integer)) or count < 2 * n + 1:
-            raise ValueError(
-                f"longitudes must be an integer >= 2n+1 = {2 * n + 1}, got {longitudes!r}"
-            )
+        n = _check_count(degree, "degree")
+        count = _check_count(2 * n + 1 if longitudes is None else longitudes,
+                             "longitudes", 2 * n + 1)
         rule = gauss_legendre(n + 1)
         self.degree = n
         # GL nodes descend from +1, so colatitudes ascend from the north pole
@@ -444,9 +437,9 @@ def analysis(values, grid):
 # double.  ``_g17`` computes them for a whole chunk of values in numpy and
 # leaves to "%" itself only the values it cannot settle exactly, of which
 # the program's own outputs have none.  Writers format and write a file
-# ``_CSV_CHUNK`` values at a time.  A coefficient file formats only its
-# stored triangle, in whole rows of about ``_CSV_CHUNK`` stored values, and
-# writes an all-+0.0 structural tail as the constant text ",0" per slot.
+# in whole rows of about ``_CSV_CHUNK`` formatted values.  A coefficient
+# file formats only its stored triangle: ``_csv_body`` writes each row's
+# all-+0.0 structural tail as the constant text ",0" per slot.
 # ----------------------------------------------------------------------
 
 #: values formatted per chunk of a CSV body (a few hundred kB of buffers)
@@ -633,51 +626,39 @@ def _text_buffer(shape):
     return raw, np.frombuffer(raw, np.uint8).reshape(shape)
 
 
-def _csv_body(table):
+def _csv_body(table, tails=None):
     """The CSV rows of a 2-d float table, each value formatted '%.17g',
-    joined by "," and ended by a newline: bytes chunks of about
-    ``_CSV_CHUNK`` values."""
+    joined by "," and ended by a newline: bytes chunks of whole rows, about
+    ``_CSV_CHUNK`` formatted values each.
+
+    Row r of a coefficient file (``write_coeffs``) ends in ``tails[r]``
+    structural slots.  When all of a chunk's tail slots are +0.0 (bit for
+    bit: -0.0 prints "-0"), each tail is the constant text ",0" per slot and
+    only the rest of its row is formatted; otherwise the whole rows are."""
     rows, cols = table.shape
-    step = max(1, _CSV_CHUNK // cols)
-    for start in range(0, rows, step):
-        block = table[start : start + step]
-        raw, buf = _text_buffer(block.shape + (_G17_WIDTH + 1,))
-        buf[..., -1] = ord(",")
-        buf[:, -1, -1] = ord("\n")
-        _g17(block.ravel(), buf.reshape(-1, _G17_WIDTH + 1)[:, :-1])
-        yield raw.translate(None, b"\0")
-
-
-def _coeff_body(coeffs):
-    """The CSV rows of an (n+1, 2n+1) coefficient array, as ``_csv_body``
-    writes them, formatting only the stored triangle.  Row r stores its
-    first 2(n-r)+1 slots and then has 2r structural ones.  Chunks are whole
-    rows holding about ``_CSV_CHUNK`` stored values; when a chunk's
-    structural slots are all +0.0 (bit for bit: -0.0 prints "-0"), each
-    row's tail is the constant text ",0" per slot.  Any other chunk goes
-    through ``_csv_body``."""
-    rows, cols = coeffs.shape
+    tails = np.zeros(rows, np.int64) if tails is None else np.asarray(tails)
+    # before[r]: the values formatted in the rows above row r
+    before = np.concatenate([[0], np.cumsum(cols - tails)])
     stop = 0
     while stop < rows:
-        start, count = stop, 0
-        # a plain loop: np.unique's first call imports numpy.ma, over 10 ms
-        # and 1 MB of RSS in every command
-        while stop < rows and count < _CSV_CHUNK:
-            count += cols - 2 * stop
-            stop += 1
-        block = coeffs[start:stop]
-        stored = cols - 2 * np.arange(start, stop)
-        valid = np.arange(cols) < stored[:, None]
-        if block[~valid].view(np.uint64).any():
-            yield from _csv_body(block)
-            continue
-        raw, buf = _text_buffer((count, _G17_WIDTH + 1))
+        # a search per chunk: np.unique's first call imports numpy.ma, over
+        # 10 ms and 1 MB of RSS in every command
+        start = stop
+        stop = min(rows, int(np.searchsorted(before, before[start] + _CSV_CHUNK)))
+        block, tail = table[start:stop], tails[start:stop]
+        stored = np.arange(cols) < (cols - tail)[:, None]
+        if block[~stored].view(np.uint64).any():
+            tail, stored = np.zeros_like(tail), np.ones_like(stored)
+        ends = np.cumsum(cols - tail)
+        raw, buf = _text_buffer((int(ends[-1]), _G17_WIDTH + 1))
         buf[:, -1] = ord(",")
-        buf[np.cumsum(stored) - 1, -1] = ord("\n")
-        _g17(block[valid], buf[:, :-1])
-        lines = raw.translate(None, b"\0").split(b"\n")
-        yield b"".join(line + b",0" * (2 * row) + b"\n"
-                       for row, line in enumerate(lines[:-1], start))
+        buf[ends - 1, -1] = ord("\n")
+        _g17(block[stored], buf[:, :-1])
+        text = raw.translate(None, b"\0")
+        if tail.any():
+            text = b"".join(line + b",0" * count + b"\n"
+                            for line, count in zip(text.split(b"\n"), tail.tolist()))
+        yield text
 
 
 def _write_csv(path, head, body):
@@ -701,8 +682,9 @@ def write_coeffs(coeffs, path, comment=None):
     break raises ValueError).  Deterministic output.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    head = [f"# sht-coeffs v1 degree={_degree(coeffs)}", comment and f"# {comment}"]
-    _write_csv(path, head, _coeff_body(coeffs))
+    n = _degree(coeffs)
+    head = [f"# sht-coeffs v1 degree={n}", comment and f"# {comment}"]
+    _write_csv(path, head, _csv_body(coeffs, 2 * np.arange(n + 1)))
 
 
 def read_coeffs(path):

@@ -46,12 +46,14 @@ _SWEEP_BLOCK = 64
 _ROW_CHUNK = 16
 
 
-def _check_degree(ell, minimum=0):
-    if not isinstance(ell, (int, np.integer)):
-        raise TypeError(f"degree must be an integer, got {type(ell).__name__}")
-    if ell < minimum:
-        raise ValueError(f"degree must be >= {minimum}, got {ell}")
-    return int(ell)
+def _check_count(value, name, minimum=0):
+    """``value`` as a Python int; raises ValueError naming ``name`` for a
+    bool, any other non-integer or a value below ``minimum``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    bound = {0: "a non-negative integer", 1: "a positive integer"}.get(
+        minimum, f"an integer >= {minimum}")
+    raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +211,7 @@ def assoc_legendre_table(orders, degree, t):
         raise ValueError(
             f"orders must be a 1-D array of ascending non-negative integers, got {orders!r}"
         )
-    degree = _check_degree(degree, minimum=int(ms[-1]))
+    degree = _check_count(degree, "degree", int(ms[-1]))
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.abs(t) > 1.0 + 4.0 * _EPS):
         raise ValueError("argument must lie in [-1, 1]")

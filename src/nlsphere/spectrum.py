@@ -19,7 +19,7 @@ import numpy as np
 
 from .quadrature import cc_weights
 from .sht import _csv_body, _write_csv
-from .specfun import _m1_over_hav_rows
+from .specfun import _check_count, _m1_over_hav_rows
 
 __all__ = [
     "KernelParams",
@@ -51,12 +51,6 @@ class KernelParams:
             raise ValueError(f"delta must lie in (0, 2], got {self.delta!r}")
 
 
-def _check_ell(ell):
-    if not isinstance(ell, (int, np.integer)) or ell < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {ell!r}")
-    return int(ell)
-
-
 def _node_haversine(delta, panels):
     """q = delta^2 (1 - x_j) / 8 at the Clenshaw--Curtis nodes x_j =
     cos(j pi / panels), from the node angle: q = (delta^2/4) sin^2(j pi /
@@ -82,7 +76,7 @@ def spectrum(n, params):
     ``values[0]`` is exactly zero (constants are in the kernel of the
     operator) and every entry lies in [-ell(ell+1), 0] up to roundoff.
     """
-    n = _check_ell(n)
+    n = _check_count(n, "degree")
     if not isinstance(params, KernelParams):
         raise TypeError(f"params must be a KernelParams instance, got {params!r}")
     values = np.zeros(n + 1)
@@ -100,7 +94,7 @@ def spectrum(n, params):
 def local_spectrum(n):
     """Eigenvalues -ell(ell+1) of the classical operator through degree
     ``n``, as a read-only float array of shape (n+1,)."""
-    n = _check_ell(n)
+    n = _check_count(n, "degree")
     ells = np.arange(n + 1, dtype=float)
     values = -ells * (ells + 1.0)
     values.setflags(write=False)

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sht import _keep_tables, _per_degree, analysis, synthesis
+from .specfun import _check_count
 
 __all__ = [
     "BlowUpError",
@@ -284,8 +285,7 @@ def evolve(initial, operators, nonlinearity, h, steps, observers=()):
     is the observer's own); their outputs are owned by the caller.  Returns
     the final state array; a BlowUpError carries the failing step.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    steps = _check_count(steps, "steps", 1)
     state = np.asarray(initial, dtype=float)
     h = float(h)
     tables = etdrk4_tables(operators, h)
@@ -294,7 +294,7 @@ def evolve(initial, operators, nonlinearity, h, steps, observers=()):
     for obs in observers:
         obs(0, 0.0, np.broadcast_to(state, state.shape))
     scratch = np.empty_like(state)
-    for k in range(1, int(steps) + 1):
+    for k in range(1, steps + 1):
         state = etdrk4_step(state, tables, nonlinearity, step_index=k, scratch=scratch)
         for obs in observers:
             obs(k, k * h, np.broadcast_to(state, state.shape))

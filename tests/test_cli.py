@@ -393,15 +393,20 @@ def test_usage_errors_exit_1():
 # ----------------------------------------------------------------------
 
 def test_thread_cap_sets_env(monkeypatch):
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("NLSPHERE_THREADS", "3")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # explicit setting wins
-    _apply_thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-    assert os.environ["MKL_NUM_THREADS"] == "3"
+    before = dict(os.environ)
+    with monkeypatch.context() as patch:
+        for name in cli._THREAD_ENV_VARS:
+            # delenv records no undo for an unset name, so the variables that
+            # _apply_thread_cap sets would outlive the test: set each first
+            patch.setenv(name, "")
+            patch.delenv(name)
+        patch.setenv("NLSPHERE_THREADS", "3")
+        patch.setenv("OPENBLAS_NUM_THREADS", "1")  # explicit setting wins
+        _apply_thread_cap()
+        assert os.environ["OMP_NUM_THREADS"] == "3"
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        assert os.environ["MKL_NUM_THREADS"] == "3"
+    assert dict(os.environ) == before
 
 
 @pytest.mark.parametrize("bad", ["abc", "0", "-2"])
@@ -496,3 +501,55 @@ def test_evolve_steps_take_no_page_faults(argv, dt, degree):
     faults = json.loads(proc.stdout)
     assert len(faults) == 30
     assert faults[-1] - faults[-21] <= 20, np.diff(faults)
+
+
+_MEMORY_PROBE = """
+import json, sys, tempfile, tracemalloc
+from nlsphere import cli, timestep
+
+step = timestep.etdrk4_step
+marks = []  # (traced memory, its peak since the mark before) as each step starts
+
+
+def measured(*args, **kwargs):
+    marks.append(tracemalloc.get_traced_memory())
+    tracemalloc.reset_peak()
+    return step(*args, **kwargs)
+
+
+timestep.etdrk4_step = measured
+argv, dt, steps = json.loads(sys.argv[1])
+tracemalloc.start()
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main([*argv, "--dt", repr(dt), "--t-final", repr(steps * dt), "--output-dir", out])
+assert code == 0, code
+print(json.dumps(marks))
+"""
+
+
+@pytest.mark.parametrize("argv,dt,fields,bound", [
+    (["--model", "brusselator", "--alpha", "0", "--epsilon", "0.075",
+      "--ic", "random:63:0.01"], 0.1, 2, 9.5),
+    (["--model", "allen-cahn"], 0.01, 1, 10.5),
+], ids=["brusselator", "allen-cahn"])
+def test_evolve_step_memory_is_bounded(argv, dt, fields, bound):
+    # the tracemalloc peak of steps 10 to 29 of a 31-step degree-127 run,
+    # each from its start to the next step's start (its observers included),
+    # above the memory at its start: 9.01 states (Brusselator) and 10.02
+    # (Allen-Cahn).  Unlike the page faults it does not move with heap
+    # placement, and one more state-sized array held through a step adds
+    # one state.  The memory at a step's start may not grow.
+    n = 127
+    state = fields * (n + 1) * (2 * n + 1) * 8
+    src = os.path.dirname(os.path.dirname(M.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    spec = json.dumps([["evolve", "--degree", str(n), *argv], dt, 31])
+    proc = subprocess.run([sys.executable, "-c", _MEMORY_PROBE, spec], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path, "NLSPHERE_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr.decode()
+    marks = json.loads(proc.stdout)
+    assert len(marks) == 31
+    peaks = [after[1] - start[0] for start, after in zip(marks[10:30], marks[11:31])]
+    assert max(peaks) <= bound * state, [peak / state for peak in peaks]
+    growth = (marks[30][0] - marks[10][0]) / 20
+    assert abs(growth) <= 0.01 * state, growth

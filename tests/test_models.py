@@ -500,6 +500,10 @@ def test_cesaro_factors_small_case():
     w = M.cesaro_weights(2, 2)
     np.testing.assert_allclose(w, [1.0, 0.5, 1.0 / 6.0], rtol=1e-16)
     assert not w.flags.writeable
+    for kappa in (-1, True):
+        with pytest.raises(ValueError,
+                           match=f"kappa must be a non-negative integer, got {kappa!r}"):
+            M.cesaro_weights(2, kappa)
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])
@@ -583,10 +587,16 @@ def test_random_coeffs_zero_scale_and_cap():
     assert all(v != 0.0 for v in filled)
     with pytest.raises(ValueError):
         M.random_coeffs(10, 9, 1.0, 7)
-    with pytest.raises(ValueError):
-        M.random_coeffs(-1, 9, 1.0, 7)
-    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-        M.random_coeffs(3, 9, 1.0, -1)
+    for bad in (-1, True):
+        with pytest.raises(ValueError,
+                           match=f"degree_cap must be a non-negative integer, got {bad!r}"):
+            M.random_coeffs(bad, 9, 1.0, 7)
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {bad!r}"):
+            M.random_coeffs(3, 9, 1.0, bad)
+    # the layout degree too: 2.5 would truncate to 2 and True read as 1
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"degree must be a non-negative integer, got {bad!r}"):
+            M.random_coeffs(0, bad, 1.0, 7)
 
 
 def test_random_coeffs_variance():

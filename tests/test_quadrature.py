@@ -79,8 +79,9 @@ def test_moments_reject_nonintegrable_exponents():
         jacobi_moments(-1.0, 3)
     with pytest.raises(ValueError):
         jacobi_moments(-1.5, 3)
-    with pytest.raises(ValueError):
-        jacobi_moments(0.0, 0)
+    for count in (0, True):
+        with pytest.raises(ValueError, match=f"count must be a positive integer, got {count!r}"):
+            jacobi_moments(0.0, count)
 
 
 # ----------------------------------------------------------------------
@@ -153,8 +154,9 @@ def test_cc_rule_is_frozen():
 
 
 def test_cc_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        cc_weights(0.0, 0)
+    for n in (0, True):
+        with pytest.raises(ValueError, match=f"panel count must be a positive integer, got {n!r}"):
+            cc_weights(0.0, n)
     with pytest.raises(ValueError):
         cc_weights(-1.2, 4)
     with pytest.raises(TypeError):
@@ -201,7 +203,6 @@ def test_gl_nodes_exactly_antisymmetric():
 
 
 def test_gl_rejects_bad_count():
-    with pytest.raises(ValueError):
-        gauss_legendre(0)
-    with pytest.raises(ValueError):
-        gauss_legendre(-3)
+    for n in (0, -3, True):
+        with pytest.raises(ValueError, match=f"node count must be a positive integer, got {n!r}"):
+            gauss_legendre(n)

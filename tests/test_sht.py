@@ -99,6 +99,24 @@ def test_slot_bounds_checked():
         slot(4, 2, -3)
 
 
+@pytest.mark.parametrize("n", [0, 1, 8, 64, 127])
+def test_layout_maps_each_slot_to_its_degree(n):
+    # by the public map: the degree of every stored slot, 0 and invalid below
+    # the stored triangle, in contiguous read-only arrays
+    deg, valid = _layout(n)
+    expected = np.zeros((n + 1, 2 * n + 1), np.intp)
+    stored = np.zeros((n + 1, 2 * n + 1), bool)
+    for ell in range(n + 1):
+        for m in range(-ell, ell + 1):
+            expected[slot(n, ell, m)] = ell
+            stored[slot(n, ell, m)] = True
+    assert deg.dtype == expected.dtype and valid.dtype == bool
+    np.testing.assert_array_equal(deg, expected)
+    np.testing.assert_array_equal(valid, stored)
+    for arr in (deg, valid):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+
+
 def _dense_reference(values, prefactor=1.0, structural=0.0):
     """Reference broadcast of per-degree values over the layout:
     ``prefactor * values[ell]`` in every slot of degree ell, ``structural``
@@ -181,8 +199,10 @@ def test_grid_geometry():
     assert np.all(np.diff(g.colat_nodes) > 0)
     assert g.lon_nodes[0] == 0.0
     assert g.colat_weights.sum() == pytest.approx(2.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        SphereGrid(-1)
+    for degree in (-1, True):
+        with pytest.raises(ValueError,
+                           match=f"degree must be a non-negative integer, got {degree!r}"):
+            SphereGrid(degree)
 
 
 # ----------------------------------------------------------------------
@@ -1068,9 +1088,9 @@ def test_grids_with_more_longitudes_stay_exact(longitudes):
 
 
 def test_grid_longitude_count_checked():
-    with pytest.raises(ValueError):
-        SphereGrid(8, longitudes=16)
-    with pytest.raises(ValueError):
-        SphereGrid(8, longitudes=17.0)
+    for longitudes in (16, 17.0):
+        with pytest.raises(ValueError,
+                           match=f"longitudes must be an integer >= 17, got {longitudes!r}"):
+            SphereGrid(8, longitudes=longitudes)
     with pytest.raises(ValueError):
         analysis(np.zeros((9, 17)), SphereGrid(8, longitudes=18))

@@ -88,10 +88,10 @@ def test_legendre_rec_accepts_endpoint_roundoff_slack():
 
 
 def test_legendre_rec_rejects_bad_degree():
-    with pytest.raises(TypeError):
-        legendre_rows(0, 2.0, 0.5)
-    with pytest.raises(ValueError):
-        legendre_rows(0, -1, 0.5)
+    for degree in (2.0, True, -1):
+        with pytest.raises(ValueError,
+                           match=f"degree must be a non-negative integer, got {degree!r}"):
+            legendre_rows(0, degree, 0.5)
 
 
 def test_legendre_rec_scalar_and_array_agree():
@@ -301,7 +301,8 @@ def test_assoc_legendre_rejects_bad_order():
         legendre_rows(-4, 3, 0.5)
     with pytest.raises(ValueError):
         legendre_rows(-1, 3, 0.5)
-    with pytest.raises(ValueError):
+    # the degree reaches the highest order
+    with pytest.raises(ValueError, match="degree must be an integer >= 4, got 3"):
         legendre_rows(4, 3, 0.5)
 
 

@@ -457,7 +457,7 @@ def test_evolve_validation():
             etdrk4_tables([op], h)
         with pytest.raises(ValueError, match="step size must be positive and finite"):
             evolve(stacked(scalar_state(1.0)), [op], zero, h=h, steps=1)
-    for steps in (-1, 1.5):
+    for steps in (-1, 1.5, True):
         with pytest.raises(ValueError, match="steps must be a positive integer"):
             evolve(stacked(scalar_state(1.0)), [op], zero, h=0.1, steps=steps)
     with pytest.raises(ValueError):
