@@ -93,8 +93,6 @@ def _parse_ic(spec_string):
             scale = float(parts[2])
         except ValueError:
             raise CliError(f"could not parse --ic value {spec_string!r}")
-        if cap < 0:
-            raise CliError(f"random cap must be non-negative, got {cap}")
         return "random", cap, scale
     raise CliError(
         f"unknown --ic value {spec_string!r}; expected cos10xy, equilibrium, "
@@ -103,8 +101,8 @@ def _parse_ic(spec_string):
 
 
 def run(args):
-    """Execute one parsed command line (see `build_parser`); returns the
-    list of files written.  Inputs are all checked before any output."""
+    """Execute one parsed command line (see `build_parser`).  Inputs are
+    all checked before any output."""
     _apply_thread_cap()
     # deferred so the thread cap above precedes the first numpy import
     import numpy as np
@@ -113,7 +111,7 @@ def run(args):
 
     from . import models as M
     from .spectrum import KernelParams, write_spectrum
-    from .specfun import _check_count
+    from .specfun import _check_count, _check_positive
     from .sht import (
         SphereGrid,
         _keep_tables,
@@ -132,15 +130,10 @@ def run(args):
         if len(rhs) != n + 1:
             raise CliError(f"RHS file degree {len(rhs) - 1} does not match --degree {n}")
     elif args.command == "evolve":
-        for flag, value in (("cesaro-kappa", args.cesaro_kappa),
-                            ("snapshot-stride", args.snapshot_stride)):
-            if value < 0:
-                raise CliError(f"{flag} must be non-negative, got {value}")
-        h = args.dt
-        for flag, value in (("--dt", h), ("--t-final", args.t_final)):
-            if not (math.isfinite(value) and value > 0):
-                raise CliError(f"evolve requires a positive {flag}, got {value!r}")
-        ratio = args.t_final / h
+        _check_count(args.cesaro_kappa, "--cesaro-kappa")
+        _check_count(args.snapshot_stride, "--snapshot-stride")
+        h = _check_positive(args.dt, "--dt")
+        ratio = _check_positive(args.t_final, "--t-final") / h
         # above 2**53 the step index k and the time k h are no longer exact
         if not ratio <= 2.0**53:
             raise CliError(
@@ -180,7 +173,6 @@ def run(args):
         level = os.path.dirname(level)
     os.makedirs(args.output_dir, exist_ok=True)
     out = lambda name: os.path.join(args.output_dir, name)
-    written = []
 
     if args.command == "spectrum":
         kernel_desc = (
@@ -188,8 +180,7 @@ def run(args):
             else f"alpha={args.alpha:.17g} delta={args.delta:.17g}"
         )
         write_spectrum(spec, out("spectrum.csv"), comment=f"{kernel_desc} degree={n}")
-        written.append(out("spectrum.csv"))
-        return written
+        return
 
     grid = SphereGrid(n)
 
@@ -202,8 +193,7 @@ def run(args):
         del rhs  # not held through the synthesis
         write_coeffs(solution, out("solution_coeffs.csv"))
         write_grid_values(synthesis(solution, grid), grid, out("solution_grid.csv"))
-        written += [out("solution_coeffs.csv"), out("solution_grid.csv")]
-        return written
+        return
 
     # evolve
     observers = []
@@ -225,9 +215,7 @@ def run(args):
         for tag, coeffs in zip(tags, state):
             if args.cesaro_kappa >= 1:
                 coeffs = M.cesaro_apply(coeffs, args.cesaro_kappa)
-            path = out(f"snapshot_{tag}_{step:06d}.csv")
-            write_coeffs(coeffs, path, comment=f"t={t:.17g}")
-            written.append(path)
+            write_coeffs(coeffs, out(f"snapshot_{tag}_{step:06d}.csv"), comment=f"t={t:.17g}")
 
     if args.snapshot_stride >= 1:
         observers.append(snapshot_observer)
@@ -244,14 +232,10 @@ def run(args):
         raise
     if args.model == "allen-cahn":
         recorder.write(out("energy.csv"))
-        written.append(out("energy.csv"))
 
     for tag, coeffs in zip(tags, final):
-        cpath, gpath = out(f"final_{tag}_coeffs.csv"), out(f"final_{tag}_grid.csv")
-        write_coeffs(coeffs, cpath, comment=f"t={steps * h:.17g}")
-        write_grid_values(synthesis(coeffs, grid), grid, gpath)
-        written += [cpath, gpath]
-    return written
+        write_coeffs(coeffs, out(f"final_{tag}_coeffs.csv"), comment=f"t={steps * h:.17g}")
+        write_grid_values(synthesis(coeffs, grid), grid, out(f"final_{tag}_grid.csv"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -307,7 +291,7 @@ def build_parser():
 def main(argv=None):
     try:
         run(build_parser().parse_args(argv))
-    except (CliError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"nlsphere: error: {err}", file=sys.stderr)
         return 1
     except RuntimeError as err:  # numerical blow-up gets its own exit code

@@ -23,7 +23,7 @@ from .spectrum import local_spectrum
 from .spectrum import spectrum as _spectrum
 from .sht import (SphereGrid, _csv_body, _degree, _keep_tables, _layout, _parity_parts,
                   _per_degree, _write_csv)
-from .specfun import _check_count
+from .specfun import _check_count, _check_positive
 from .timestep import pseudospectral
 
 __all__ = [
@@ -69,6 +69,7 @@ def embed(coeffs, degree):
     """Zero-pad an (n+1, 2n+1) coefficient array into the layout of a
     degree >= n; returns a new array."""
     n = _degree(coeffs)
+    degree = _check_count(degree, "degree")
     if degree < n:
         raise ValueError(f"target degree {degree} is below the input degree {n}")
     out = np.zeros((degree + 1, 2 * degree + 1))
@@ -119,8 +120,7 @@ class AllenCahnConfig:
     epsilon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", _check_positive(self.epsilon, "epsilon"))
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,7 @@ class BrusselatorConfig:
 
     def __post_init__(self):
         for name in ("E", "epsilon", "tau"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive, got {v}")
+            object.__setattr__(self, name, _check_positive(getattr(self, name), name))
         if not (math.isfinite(self.f) and 0.0 < self.f < 1.0):
             raise ValueError(f"f must lie in (0, 1), got {self.f}")
 

@@ -535,8 +535,10 @@ def _g17(values, out):
     if fast.all():
         left = _g17_fast(values, out)
     else:
-        # the fast path runs on its values alone: a coefficient file is
-        # about half structural zeros
+        # the fast path runs on its values alone: chunks of many zeros still
+        # come here (a chunk with -0 structural slots; the step-0 snapshot of
+        # random:63 at degree 127 holds 12 288 zeros in 16 384 stored slots),
+        # and one masked path ran 25-35 % slower on input that is half zeros
         rows = np.flatnonzero(fast)
         part = np.zeros((rows.size, _G17_WIDTH), np.uint8)
         left = rows[_g17_fast(values[rows], part)]

@@ -56,6 +56,15 @@ def _check_count(value, name, minimum=0):
     raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
+def _check_positive(value, name):
+    """``value`` as a Python float; raises ValueError naming ``name`` for a
+    bool, any other non-real, or a value that is not positive and finite."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if real and 0 < value < math.inf:  # NaN fails both comparisons
+        return float(value)
+    raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 # ----------------------------------------------------------------------
 # Legendre polynomials: three-term recurrence
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sht import _keep_tables, _per_degree, analysis, synthesis
-from .specfun import _check_count
+from .specfun import _check_count, _check_positive
 
 __all__ = [
     "BlowUpError",
@@ -157,9 +157,7 @@ def etdrk4_tables(operators, h):
             "operators must be k per-degree arrays of one length n+1 "
             "that stack to a (k, n+1) float array"
         )
-    h = float(h)
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"step size must be positive and finite, got {h!r}")
+    h = _check_positive(h, "step size")
     with np.errstate(over="ignore"):
         z_deg = h * lam
     if not np.all(np.isfinite(z_deg)):

@@ -12,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nlsphere import models as M
 from nlsphere import sht
@@ -183,16 +185,11 @@ def test_evolve_brusselator_snapshots(tmp_path):
             "--dt", "0.05", "--t-final", "0.25", "--ic", "random:4:0.01",
             "--seed", str(seed), "--snapshot-stride", "2", "--cesaro-kappa", "2",
             "--output-dir", str(tmp_path)]
-    written = run(build_parser().parse_args(args))
-    snapshots = [os.path.basename(p) for p in written
-                 if os.path.basename(p).startswith("snapshot_")]
-    assert snapshots == [
-        "snapshot_u_000000.csv", "snapshot_v_000000.csv",
-        "snapshot_u_000002.csv", "snapshot_v_000002.csv",
-        "snapshot_u_000004.csv", "snapshot_v_000004.csv",
+    run(build_parser().parse_args(args))
+    assert sorted(n_ for n_ in os.listdir(tmp_path) if n_.startswith("snapshot_")) == [
+        "snapshot_u_000000.csv", "snapshot_u_000002.csv", "snapshot_u_000004.csv",
+        "snapshot_v_000000.csv", "snapshot_v_000002.csv", "snapshot_v_000004.csv",
     ]
-    assert sorted(n_ for n_ in os.listdir(tmp_path)
-                  if n_.startswith("snapshot_")) == sorted(snapshots)
     # step-0 v snapshot is the Cesaro-smoothed v initial condition
     cfg = M.BrusselatorConfig(E=4.0, epsilon=0.1, tau=7.8125, f=0.8)
     v0 = np.zeros((n + 1, 2 * n + 1))
@@ -305,6 +302,11 @@ VALIDATION_FAILURES = [
     ["evolve", "--model", "allen-cahn", "--degree", "4", "--dt", "1e-300",
      "--t-final", "1e300"],
     ["spectrum", "--alpha", "1", "--delta", "1", "--degree", "4"],
+    AC_ARGS + ["--cesaro-kappa", "-1"],
+    AC_ARGS + ["--snapshot-stride", "-1"],
+    AC_ARGS + ["--t-final", "0"],
+    AC_ARGS + ["--t-final", "nan"],
+    AC_ARGS + ["--dt", "inf"],
 ]
 
 
@@ -376,6 +378,52 @@ def test_negative_seed_error_names_the_seed(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "nlsphere: error: seed must be a non-negative integer, got -1\n"
     )
+
+
+@pytest.mark.parametrize("args, message", [
+    (AC_ARGS + ["--cesaro-kappa", "-1"], "--cesaro-kappa must be a non-negative integer, got -1"),
+    (AC_ARGS + ["--snapshot-stride", "-1"],
+     "--snapshot-stride must be a non-negative integer, got -1"),
+    (AC_ARGS + ["--dt", "inf"], "--dt must be positive and finite, got inf"),
+    (AC_ARGS + ["--t-final", "0"], "--t-final must be positive and finite, got 0.0"),
+    (AC_ARGS + ["--ic", "random:-1:1"], "degree_cap must be a non-negative integer, got -1"),
+    (AC_ARGS + ["--epsilon", "inf"], "epsilon must be positive and finite, got inf"),
+    (["evolve", "--model", "brusselator", "--degree", "4", "--dt", "0.1", "--t-final", "1",
+      "--ic", "equilibrium", "--tau", "-1"], "tau must be positive and finite, got -1.0"),
+])
+def test_refusal_message_names_the_flag(tmp_path, capsys, args, message):
+    assert main(args + ["--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"nlsphere: error: {message}\n"
+
+
+#: every float the command line can be given, and the ends of the step range
+STEP_VALUES = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, 1.0, 2.0**53, 2.0**53 + 2, 1e300])
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dt=STEP_VALUES, t_final=STEP_VALUES)
+def test_input_phase_refuses_exactly_the_bad_step_sizes(tmp_path, dt, t_final):
+    class Reached(Exception):
+        pass
+
+    def build_spectrum(*_):
+        raise Reached  # the input phase passed
+
+    good = all(0 < v < math.inf for v in (dt, t_final)) and t_final / dt <= 2.0**53
+    out = tmp_path / "out"
+    # --flag=value, as argparse reads "-inf" or "-1e-300" after a space as a flag
+    argv = ["evolve", "--model", "allen-cahn", "--degree", "4", f"--dt={dt!r}",
+            f"--t-final={t_final!r}", "--output-dir", str(out)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(M, "build_spectrum", build_spectrum)
+        if good:
+            with pytest.raises(Reached):
+                main(argv)
+        else:
+            assert main(argv) == 1
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1():

@@ -118,8 +118,10 @@ def test_allen_cahn_nonlinearity_values():
 
 def test_allen_cahn_config_validation():
     M.AllenCahnConfig(epsilon=0.1)
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+    # the config stores the checked value as a Python float
+    assert type(M.AllenCahnConfig(epsilon=np.float32(0.5)).epsilon) is float
+    for bad in (0.0, -1.0, math.nan, math.inf, True, "0.1"):
+        with pytest.raises(ValueError, match=f"epsilon must be positive and finite, got {bad!r}"):
             M.AllenCahnConfig(epsilon=bad)
 
 
@@ -143,12 +145,15 @@ def brusselator_cfg(**over):
 
 def test_brusselator_config_validation():
     brusselator_cfg()
-    for bad in (
-        dict(f=1.0), dict(f=0.0), dict(f=-0.2),
-        dict(E=0.0), dict(tau=-1.0), dict(epsilon=0.0),
-    ):
-        with pytest.raises(ValueError):
+    cfg = brusselator_cfg(E=4, epsilon=np.float32(0.5), tau=np.int64(8))
+    assert [type(v) for v in (cfg.E, cfg.epsilon, cfg.tau)] == [float] * 3
+    for bad in (dict(f=1.0), dict(f=0.0), dict(f=-0.2)):
+        with pytest.raises(ValueError, match="f must lie in"):
             brusselator_cfg(**bad)
+    for name, value in (("E", 0.0), ("E", True), ("tau", -1.0), ("tau", math.inf),
+                        ("epsilon", 0.0), ("epsilon", math.nan)):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value!r}"):
+            brusselator_cfg(**{name: value})
 
 
 def test_brusselator_equilibrium_values():
@@ -619,6 +624,9 @@ def test_embed_preserves_modes():
     assert big[slot(9, 7, 3)] == 0.0
     with pytest.raises(ValueError):
         M.embed(big, 4)
+    for bad in (True, 3.5, -1):
+        with pytest.raises(ValueError, match=f"degree must be a non-negative integer, got {bad!r}"):
+            M.embed(np.zeros((1, 1)), bad)
 
 
 def test_integrate_grid_examples():

@@ -457,6 +457,11 @@ def test_evolve_validation():
             etdrk4_tables([op], h)
         with pytest.raises(ValueError, match="step size must be positive and finite"):
             evolve(stacked(scalar_state(1.0)), [op], zero, h=h, steps=1)
+    # the tables take a real step size, not a bool or a string (evolve
+    # passes them float(h))
+    for h in (True, "0.1"):
+        with pytest.raises(ValueError, match=f"step size must be positive and finite, got {h!r}"):
+            etdrk4_tables([op], h)
     for steps in (-1, 1.5, True):
         with pytest.raises(ValueError, match="steps must be a positive integer"):
             evolve(stacked(scalar_state(1.0)), [op], zero, h=0.1, steps=steps)
