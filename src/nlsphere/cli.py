@@ -43,10 +43,6 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
-class CliError(ValueError):
-    """Configuration rejected before any computation started."""
-
-
 def _apply_thread_cap():
     """Export NLSPHERE_THREADS to the BLAS pools, without overriding
     explicit per-library settings."""
@@ -56,9 +52,9 @@ def _apply_thread_cap():
     try:
         value = int(cap)
     except ValueError:
-        raise CliError(f"NLSPHERE_THREADS must be an integer, got {cap!r}")
+        raise ValueError(f"NLSPHERE_THREADS must be an integer, got {cap!r}")
     if value < 1:
-        raise CliError(f"NLSPHERE_THREADS must be positive, got {value}")
+        raise ValueError(f"NLSPHERE_THREADS must be positive, got {value}")
     for name in _THREAD_ENV_VARS:
         os.environ.setdefault(name, str(value))
 
@@ -87,14 +83,15 @@ def _parse_ic(spec_string):
     if spec_string.startswith("random:"):
         parts = spec_string.split(":")
         if len(parts) != 3:
-            raise CliError(f"--ic random takes the form random:<cap>:<scale>, got {spec_string!r}")
+            raise ValueError(
+                f"--ic random takes the form random:<cap>:<scale>, got {spec_string!r}")
         try:
             cap = int(parts[1])
             scale = float(parts[2])
         except ValueError:
-            raise CliError(f"could not parse --ic value {spec_string!r}")
+            raise ValueError(f"could not parse --ic value {spec_string!r}")
         return "random", cap, scale
-    raise CliError(
+    raise ValueError(
         f"unknown --ic value {spec_string!r}; expected cos10xy, equilibrium, "
         "or random:<cap>:<scale>"
     )
@@ -111,7 +108,7 @@ def run(args):
 
     from . import models as M
     from .spectrum import KernelParams, write_spectrum
-    from .specfun import _check_count, _check_positive
+    from .specfun import _check_count, _check_real
     from .sht import (
         SphereGrid,
         _keep_tables,
@@ -128,15 +125,15 @@ def run(args):
     if args.command == "poisson" and args.rhs != "death-star":
         rhs = read_coeffs(args.rhs)
         if len(rhs) != n + 1:
-            raise CliError(f"RHS file degree {len(rhs) - 1} does not match --degree {n}")
+            raise ValueError(f"RHS file degree {len(rhs) - 1} does not match --degree {n}")
     elif args.command == "evolve":
         _check_count(args.cesaro_kappa, "--cesaro-kappa")
         _check_count(args.snapshot_stride, "--snapshot-stride")
-        h = _check_positive(args.dt, "--dt")
-        ratio = _check_positive(args.t_final, "--t-final") / h
+        h = _check_real(args.dt, "--dt", 0, math.inf)
+        ratio = _check_real(args.t_final, "--t-final", 0, math.inf) / h
         # above 2**53 the step index k and the time k h are no longer exact
         if not ratio <= 2.0**53:
-            raise CliError(
+            raise ValueError(
                 f"--t-final {args.t_final!r} / --dt {h!r} is more than 2**53 steps"
             )
         steps = max(round(ratio), 1)
@@ -144,7 +141,7 @@ def run(args):
         if args.model == "allen-cahn":
             cfg = M.AllenCahnConfig(epsilon=args.epsilon)
             if kind == "equilibrium":
-                raise CliError("--ic equilibrium applies only to the brusselator model")
+                raise ValueError("--ic equilibrium applies only to the brusselator model")
             tags = ("u",)
             state = None  # cos10xy is sampled on the grid the compute phase builds
             if kind == "random":
@@ -152,7 +149,7 @@ def run(args):
         else:
             cfg = M.BrusselatorConfig(E=args.E, epsilon=args.epsilon, tau=args.tau, f=args.f)
             if kind == "cos10xy":
-                raise CliError(
+                raise ValueError(
                     "--ic for the brusselator model must be equilibrium or random:<cap>:<scale>"
                 )
             tags = ("u", "v")

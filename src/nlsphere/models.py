@@ -23,7 +23,7 @@ from .spectrum import local_spectrum
 from .spectrum import spectrum as _spectrum
 from .sht import (SphereGrid, _csv_body, _degree, _keep_tables, _layout, _parity_parts,
                   _per_degree, _write_csv)
-from .specfun import _check_count, _check_positive
+from .specfun import _check_count, _check_real
 from .timestep import pseudospectral
 
 __all__ = [
@@ -120,7 +120,7 @@ class AllenCahnConfig:
     epsilon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", _check_positive(self.epsilon, "epsilon"))
+        object.__setattr__(self, "epsilon", _check_real(self.epsilon, "epsilon", 0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,8 @@ class BrusselatorConfig:
     f: float
 
     def __post_init__(self):
-        for name in ("E", "epsilon", "tau"):
-            object.__setattr__(self, name, _check_positive(getattr(self, name), name))
-        if not (math.isfinite(self.f) and 0.0 < self.f < 1.0):
-            raise ValueError(f"f must lie in (0, 1), got {self.f}")
+        for name, high in (("E", math.inf), ("epsilon", math.inf), ("tau", math.inf), ("f", 1)):
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, 0, high))
 
     def equilibrium(self):
         """Spatially constant steady state (u_e, v_e = 1/u_e)."""
@@ -322,9 +320,7 @@ def random_coeffs(degree_cap, degree, scale, seed):
     degree = _check_count(degree, "degree")
     if cap > degree:
         raise ValueError(f"degree_cap {degree_cap} exceeds the layout degree {degree}")
-    scale = float(scale)
-    if not math.isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale}")
+    scale = _check_real(scale, "scale", -math.inf, math.inf)
     seed = _check_count(seed, "seed")
     rng = np.random.Generator(np.random.Philox(seed))
     draws = rng.standard_normal((cap + 1) ** 2)

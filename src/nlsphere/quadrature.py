@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _check_count, _legendre_pair
+from .specfun import _check_count, _check_real, _legendre_pair
 
 __all__ = [
     "GLRule",
@@ -58,9 +58,7 @@ def jacobi_moments(alpha, count):
     0.3 k eps, worst at alpha = -0.5 with 151 / 607 / 1516 eps through
     k = 511 / 2000 / 5000 (3.4e-13 at k = 5000).
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= -1.0:
-        raise ValueError(f"alpha must be a finite number > -1, got {alpha!r}")
+    alpha = _check_real(alpha, "alpha", -1, math.inf)
     count = _check_count(count, "count", 1)
     mu = np.empty(count)
     lg = math.lgamma(alpha + 1.0) - math.lgamma(alpha + 2.0)

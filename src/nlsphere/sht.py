@@ -125,8 +125,11 @@ def _per_degree(values, structural):
 
 def slot(degree, ell, m):
     """(row, column) of coefficient (ell, m) in the degree-``degree`` layout;
-    raises ValueError outside it."""
-    if not 0 <= abs(m) <= ell <= degree:
+    raises ValueError outside it or for a non-integer."""
+    degree = _check_count(degree, "degree")
+    ell = _check_count(ell, "ell")
+    m = _check_count(m, "m", -ell)
+    if not m <= ell <= degree:
         raise ValueError(
             f"coefficient (ell={ell}, m={m}) outside degree-{degree} layout"
         )

@@ -56,13 +56,20 @@ def _check_count(value, name, minimum=0):
     raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
-def _check_positive(value, name):
+def _check_real(value, name, low, high, closed=False):
     """``value`` as a Python float; raises ValueError naming ``name`` for a
-    bool, any other non-real, or a value that is not positive and finite."""
+    bool, any other non-real, NaN, +-inf, or a value outside (low, high),
+    or outside (low, high] when ``closed``."""
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if real and 0 < value < math.inf:  # NaN fails both comparisons
-        return float(value)
-    raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    # the float is what the caller stores, so the float is what is checked
+    if math.isfinite(x) and low < x and (x <= high if closed else x < high):
+        return x
+    raise ValueError(f"{name} must be a finite number in ({low}, {high}{']' if closed else ')'}, "
+                     f"got {value!r}")
 
 
 # ----------------------------------------------------------------------

@@ -12,14 +12,13 @@ singular factor.  The integrand has one evaluation, the recurrence
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import cc_weights
 from .sht import _csv_body, _write_csv
-from .specfun import _check_count, _m1_over_hav_rows
+from .specfun import _check_count, _check_real, _m1_over_hav_rows
 
 __all__ = [
     "KernelParams",
@@ -43,12 +42,8 @@ class KernelParams:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "delta", float(self.delta))
-        if not (math.isfinite(self.alpha) and -1.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (-1, 1), got {self.alpha!r}")
-        if not (math.isfinite(self.delta) and 0.0 < self.delta <= 2.0):
-            raise ValueError(f"delta must lie in (0, 2], got {self.delta!r}")
+        object.__setattr__(self, "alpha", _check_real(self.alpha, "alpha", -1, 1))
+        object.__setattr__(self, "delta", _check_real(self.delta, "delta", 0, 2, closed=True))
 
 
 def _node_haversine(delta, panels):

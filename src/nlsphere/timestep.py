@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sht import _keep_tables, _per_degree, analysis, synthesis
-from .specfun import _check_count, _check_positive
+from .specfun import _check_count, _check_real
 
 __all__ = [
     "BlowUpError",
@@ -157,7 +157,7 @@ def etdrk4_tables(operators, h):
             "operators must be k per-degree arrays of one length n+1 "
             "that stack to a (k, n+1) float array"
         )
-    h = _check_positive(h, "step size")
+    h = _check_real(h, "step size", 0, math.inf)
     with np.errstate(over="ignore"):
         z_deg = h * lam
     if not np.all(np.isfinite(z_deg)):
@@ -285,8 +285,8 @@ def evolve(initial, operators, nonlinearity, h, steps, observers=()):
     """
     steps = _check_count(steps, "steps", 1)
     state = np.asarray(initial, dtype=float)
-    h = float(h)
     tables = etdrk4_tables(operators, h)
+    h = float(h)  # once the tables have accepted it
     _check_shape(state, tables)
     # observers get read-only views: broadcast_to never returns a writable one
     for obs in observers:

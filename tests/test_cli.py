@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from nlsphere import models as M
 from nlsphere import sht
 from nlsphere import cli
-from nlsphere.cli import CliError, _apply_thread_cap, build_parser, main, run
+from nlsphere.cli import _apply_thread_cap, build_parser, main, run
 from nlsphere.sht import SphereGrid, _layout, analysis, read_coeffs, slot, write_coeffs
 from nlsphere.spectrum import KernelParams
 from nlsphere.timestep import StabilityWarning  # noqa: F401  (re-export check)
@@ -384,12 +384,19 @@ def test_negative_seed_error_names_the_seed(tmp_path, capsys):
     (AC_ARGS + ["--cesaro-kappa", "-1"], "--cesaro-kappa must be a non-negative integer, got -1"),
     (AC_ARGS + ["--snapshot-stride", "-1"],
      "--snapshot-stride must be a non-negative integer, got -1"),
-    (AC_ARGS + ["--dt", "inf"], "--dt must be positive and finite, got inf"),
-    (AC_ARGS + ["--t-final", "0"], "--t-final must be positive and finite, got 0.0"),
+    (AC_ARGS + ["--dt", "inf"], "--dt must be a finite number in (0, inf), got inf"),
+    (AC_ARGS + ["--t-final", "0"], "--t-final must be a finite number in (0, inf), got 0.0"),
     (AC_ARGS + ["--ic", "random:-1:1"], "degree_cap must be a non-negative integer, got -1"),
-    (AC_ARGS + ["--epsilon", "inf"], "epsilon must be positive and finite, got inf"),
+    (AC_ARGS + ["--epsilon", "inf"], "epsilon must be a finite number in (0, inf), got inf"),
     (["evolve", "--model", "brusselator", "--degree", "4", "--dt", "0.1", "--t-final", "1",
-      "--ic", "equilibrium", "--tau", "-1"], "tau must be positive and finite, got -1.0"),
+      "--ic", "equilibrium", "--tau", "-1"], "tau must be a finite number in (0, inf), got -1.0"),
+    (["spectrum", "--delta", "0", "--degree", "4"],
+     "delta must be a finite number in (0, 2], got 0.0"),
+    (["spectrum", "--alpha", "nan", "--degree", "4"],
+     "alpha must be a finite number in (-1, 1), got nan"),
+    (["evolve", "--model", "brusselator", "--degree", "4", "--dt", "0.1", "--t-final", "1",
+      "--ic", "equilibrium", "--f", "1"], "f must be a finite number in (0, 1), got 1.0"),
+    (AC_ARGS + ["--ic", "random:3:nan"], "scale must be a finite number in (-inf, inf), got nan"),
 ])
 def test_refusal_message_names_the_flag(tmp_path, capsys, args, message):
     assert main(args + ["--output-dir", str(tmp_path / "out")]) == 1
@@ -416,6 +423,39 @@ def test_input_phase_refuses_exactly_the_bad_step_sizes(tmp_path, dt, t_final):
     # --flag=value, as argparse reads "-inf" or "-1e-300" after a space as a flag
     argv = ["evolve", "--model", "allen-cahn", "--degree", "4", f"--dt={dt!r}",
             f"--t-final={t_final!r}", "--output-dir", str(out)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(M, "build_spectrum", build_spectrum)
+        if good:
+            with pytest.raises(Reached):
+                main(argv)
+        else:
+            assert main(argv) == 1
+    assert not out.exists()
+
+
+#: every float the command line can be given, the ends of the kernel's and f's
+#: intervals and the doubles next to them
+KERNEL_VALUES = st.floats() | st.sampled_from(
+    [-1.0, 1.0, 0.0, -0.0, 2.0, math.nextafter(2.0, 3.0), math.nextafter(-1.0, 0.0),
+     math.nextafter(1.0, 0.0), 5e-324, 0.5])
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(alpha=KERNEL_VALUES, delta=KERNEL_VALUES, f=KERNEL_VALUES)
+def test_input_phase_refuses_exactly_the_bad_kernels_and_f(tmp_path, alpha, delta, f):
+    class Reached(Exception):
+        pass
+
+    def build_spectrum(*_):
+        raise Reached  # the input phase passed
+
+    good = -1 < alpha < 1 and 0 < delta <= 2 and 0 < f < 1  # NaN fails each
+    out = tmp_path / "out"
+    # --flag=value, as argparse reads "-inf" or "-1e-300" after a space as a flag
+    argv = ["evolve", "--model", "brusselator", "--ic", "equilibrium", "--degree", "4",
+            "--dt", "0.1", "--t-final", "1", f"--alpha={alpha!r}", f"--delta={delta!r}",
+            f"--f={f!r}", "--output-dir", str(out)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(M, "build_spectrum", build_spectrum)
         if good:
@@ -460,7 +500,7 @@ def test_thread_cap_sets_env(monkeypatch):
 @pytest.mark.parametrize("bad", ["abc", "0", "-2"])
 def test_thread_cap_rejects_bad_values(monkeypatch, bad):
     monkeypatch.setenv("NLSPHERE_THREADS", bad)
-    with pytest.raises(CliError):
+    with pytest.raises(ValueError, match="NLSPHERE_THREADS"):
         _apply_thread_cap()
 
 

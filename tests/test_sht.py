@@ -99,6 +99,17 @@ def test_slot_bounds_checked():
         slot(4, 2, -3)
 
 
+def test_slot_takes_integers():
+    # a bool used to address the slot of ell = 1 and a float to return a
+    # float row, which failed only later as numpy's IndexError
+    for args, name in (((5, True, 1), "ell"), ((5, 2.0, 1), "ell"), ((True, 0, 0), "degree"),
+                       ((5, 2, 1.0), "m"), ((5, 2, -3), "m")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            slot(*args)
+    got = slot(np.int64(5), np.int64(3), np.int64(-2))
+    assert got == (1, 3) and all(type(i) is int for i in got)
+
+
 @pytest.mark.parametrize("n", [0, 1, 8, 64, 127])
 def test_layout_maps_each_slot_to_its_degree(n):
     # by the public map: the degree of every stored slot, 0 and invalid below
