@@ -120,7 +120,7 @@ def run(args):
     )
     from .timestep import BlowUpError, evolve, pseudospectral
 
-    kernel = None if args.local else KernelParams(args.alpha, args.delta)
+    kernel = KernelParams(args.alpha, args.delta)  # checked with --local too
     n = _check_count(args.degree, "degree")
     if args.command == "poisson" and args.rhs != "death-star":
         rhs = read_coeffs(args.rhs)
@@ -160,7 +160,7 @@ def run(args):
                      else np.zeros((n + 1, 2 * n + 1)))
                 c[0, 0] += mean * math.sqrt(4.0 * math.pi)
                 state.append(c)
-    spec = M.build_spectrum(n, kernel)
+    spec = M.build_spectrum(n, None if args.local else kernel)
 
     # the levels of the output path this run creates, innermost first
     created = []

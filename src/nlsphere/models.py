@@ -21,9 +21,9 @@ import numpy as np
 
 from .spectrum import local_spectrum
 from .spectrum import spectrum as _spectrum
-from .sht import (SphereGrid, _csv_body, _degree, _keep_tables, _layout, _parity_parts,
+from .sht import (SphereGrid, _check_coeffs, _csv_body, _keep_tables, _layout, _parity_parts,
                   _per_degree, _write_csv)
-from .specfun import _check_count, _check_real
+from .specfun import _check_array, _check_count, _check_real
 from .timestep import pseudospectral
 
 __all__ = [
@@ -54,21 +54,10 @@ def build_spectrum(degree, kernel=None):
     return _spectrum(degree, kernel)
 
 
-def _check_spectrum(spec, degree, what):
-    """``spec`` as a float array, after checking that it holds one
-    eigenvalue per degree 0..``degree`` of ``what``; raises ValueError
-    otherwise."""
-    shape = np.shape(spec)
-    if shape != (degree + 1,):
-        found = f"spectrum {shape[0] - 1}" if len(shape) == 1 else f"spectrum of shape {shape}"
-        raise ValueError(f"degree mismatch: {what} {degree}, {found}")
-    return np.asarray(spec, dtype=float)
-
-
 def embed(coeffs, degree):
     """Zero-pad an (n+1, 2n+1) coefficient array into the layout of a
     degree >= n; returns a new array."""
-    n = _degree(coeffs)
+    coeffs, n = _check_coeffs(coeffs, "coeffs")
     degree = _check_count(degree, "degree")
     if degree < n:
         raise ValueError(f"target degree {degree} is below the input degree {n}")
@@ -92,8 +81,8 @@ def solve_poisson(rhs, spectrum):
     a non-finite eigenvalue or lambda(0) != 0 raises ValueError, and a
     zero eigenvalue above degree 0 ZeroDivisionError.
     """
-    n = _degree(rhs)
-    lam = _check_spectrum(spectrum, n, "rhs")
+    rhs, n = _check_coeffs(rhs, "rhs")
+    lam = _check_array(spectrum, (n + 1,), "spectrum")
     if not np.all(np.isfinite(lam)):
         bad = int(np.flatnonzero(~np.isfinite(lam))[0])
         raise ValueError(f"eigenvalue at degree {bad} is not finite, got {lam[bad]}")
@@ -155,7 +144,7 @@ def allen_cahn_nonlinearity(u):
 
 def allen_cahn_operator(cfg, spec):
     """Diagonal linear part eps^2 * L, per degree, from a precomputed spectrum."""
-    return cfg.epsilon**2 * np.asarray(spec, dtype=float)
+    return cfg.epsilon**2 * _check_array(spec, (None,), "spec")
 
 
 def brusselator_nonlinearity(cfg, grid):
@@ -190,7 +179,7 @@ def brusselator_nonlinearity(cfg, grid):
 
 def brusselator_operators(cfg, spec):
     """Diagonal linear parts (eps^2 * L, L / tau) per degree."""
-    spec = np.asarray(spec, dtype=float)
+    spec = _check_array(spec, (None,), "spec")
     # the reciprocal rounds differently from spec / tau; the outputs keep it
     return cfg.epsilon**2 * spec, (1.0 / cfg.tau) * spec
 
@@ -240,9 +229,9 @@ def ginzburg_landau_energy(u, spec, epsilon):
     <= n of that grid.  ``u`` is one field's (n+1, 2n+1) coefficient
     array and ``spec`` its (n+1,) eigenvalues.
     """
-    n = _degree(u)
-    lam = _check_spectrum(spec, n, "coefficients")
-    u = np.asarray(u, dtype=float)
+    u, n = _check_coeffs(u, "u")
+    lam = _check_array(spec, (n + 1,), "spec")
+    epsilon = _check_real(epsilon, "epsilon", 0, math.inf)
     deg, valid = _layout(n)
     # u^2 summed per degree; the slots below the stored triangle count 0
     squares = np.multiply(u, u, out=np.zeros_like(u), where=valid)
@@ -265,7 +254,7 @@ class EnergyRecorder:
 
     def __init__(self, spec, epsilon):
         self.spec = spec
-        self.epsilon = epsilon
+        self.epsilon = _check_real(epsilon, "epsilon", 0, math.inf)
         self.times = []
         self.energies = []
 
@@ -300,7 +289,8 @@ def cesaro_weights(degree, kappa):
 def cesaro_apply(coeffs, kappa):
     """Scale the degree-l coefficients of an (n+1, 2n+1) array by
     A_{n-l}^kappa / A_n^kappa into a new array; kappa = 0 copies it."""
-    return coeffs * _per_degree(cesaro_weights(_degree(coeffs), kappa), 0.0)
+    coeffs, n = _check_coeffs(coeffs, "coeffs")
+    return coeffs * _per_degree(cesaro_weights(n, kappa), 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,12 @@ hemisphere assembly turns them into values, even + odd in the north and
 even - odd at the southern mirror nodes.  A caller that needs only a
 symmetric function of the values, such as the Ginzburg--Landau energy's
 quartic, can work on the parts and skip the assembly.
+
+Every array argument goes through ``specfun._check_array``, which takes
+it as a float64 array (a float64 ndarray as it is, uncopied) and refuses
+another shape, or what does not convert, with a ValueError naming the
+argument; a degree, order or count goes through ``specfun._check_count``.
+A coefficient file is checked by ``read_coeffs`` itself.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import gauss_legendre
-from .specfun import _check_count, _legendre_rows, assoc_legendre_table
+from .specfun import _check_array, _check_count, _legendre_rows, assoc_legendre_table
 
 __all__ = [
     "SphereGrid",
@@ -139,13 +145,12 @@ def slot(degree, ell, m):
     return ell - abs(m), col
 
 
-def _degree(coeffs):
-    """Degree n of one field's (n+1, 2n+1) coefficient array; raises
-    ValueError on any other shape."""
-    shape = np.shape(coeffs)
-    if len(shape) != 2 or shape[1] != 2 * shape[0] - 1:
-        raise ValueError(f"coefficient shape {shape} is not (n+1, 2n+1) for any degree n")
-    return shape[0] - 1
+def _check_coeffs(coeffs, name):
+    """(array, n): one field's coefficients through ``_check_array`` as an
+    (n+1, 2n+1) array, n read from its row count."""
+    array = _check_array(coeffs, (None, None), name)
+    n = max(len(array) - 1, 0)
+    return _check_array(array, (n + 1, 2 * n + 1), name), n
 
 
 class SphereGrid:
@@ -227,13 +232,6 @@ class SphereGrid:
 
     def __repr__(self):
         return f"SphereGrid(degree={self.degree})"
-
-
-def _check_stack(arr, rows, cols, what):
-    """A (k, rows, cols) view of a (rows, cols) or (k, rows, cols) array."""
-    if arr.ndim not in (2, 3) or arr.shape[-2:] != (rows, cols):
-        raise ValueError(f"{what} shape {arr.shape} does not match the grid's {(rows, cols)}")
-    return arr.reshape(-1, rows, cols)
 
 
 def _keep_tables(grid, degree):
@@ -416,9 +414,9 @@ def synthesis(coeffs, grid):
     (k, n+1, 2n+1) stack of k fields; returns (n+1, L) values on the
     grid's L longitudes, or a (k, n+1, L) stack of them.
     """
-    n = grid.degree
-    data = np.asarray(coeffs, dtype=float)
-    values = _synthesize(_check_stack(data, n + 1, 2 * n + 1, "coefficient"), grid)
+    one = (grid.degree + 1, 2 * grid.degree + 1)
+    data = _check_array(coeffs, [one, (None, *one)], "coeffs")
+    values = _synthesize(data.reshape(-1, *one), grid)
     return values.reshape(data.shape[:-1] + values.shape[-1:])
 
 
@@ -428,9 +426,9 @@ def analysis(values, grid):
     ``values`` is one field's (n+1, L) array or a (k, n+1, L) stack;
     returns the (n+1, 2n+1) coefficient array or the (k, n+1, 2n+1) stack.
     """
-    values = np.asarray(values, dtype=float)
-    stack = _check_stack(values, grid.degree + 1, grid.lon_nodes.size, "values")
-    data = _analyze(stack, grid)
+    one = (grid.degree + 1, grid.lon_nodes.size)
+    values = _check_array(values, [one, (None, *one)], "values")
+    data = _analyze(values.reshape(-1, *one), grid)
     return data.reshape(values.shape[:-1] + data.shape[-1:])
 
 
@@ -686,8 +684,7 @@ def write_coeffs(coeffs, path, comment=None):
     an optional extra ``#`` comment line follows (a comment holding a line
     break raises ValueError).  Deterministic output.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = _degree(coeffs)
+    coeffs, n = _check_coeffs(coeffs, "coeffs")
     head = [f"# sht-coeffs v1 degree={n}", comment and f"# {comment}"]
     _write_csv(path, head, _csv_body(coeffs, 2 * np.arange(n + 1)))
 
@@ -762,14 +759,10 @@ def _first_bad_line(path, shape):
 
 def write_grid_values(values, grid, path):
     """Write grid values as CSV with columns ``theta,phi,value``."""
-    values = np.asarray(values, dtype=float)
     n = grid.degree
     if grid.lon_nodes.size != 2 * n + 1:
         raise ValueError(f"sht-grid v1 files hold 2n+1 longitudes, not {grid.lon_nodes.size}")
-    if values.shape != (n + 1, 2 * n + 1):
-        raise ValueError(
-            f"values shape {values.shape} does not match grid degree {n}"
-        )
+    values = _check_array(values, (n + 1, 2 * n + 1), "values")
     head = [f"# sht-grid v1 degree={n}", "theta,phi,value"]
     _write_csv(path, head, _grid_body(values, grid))
 

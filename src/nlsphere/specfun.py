@@ -19,6 +19,7 @@ array arithmetic:
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -70,6 +71,29 @@ def _check_real(value, name, low, high, closed=False):
         return x
     raise ValueError(f"{name} must be a finite number in ({low}, {high}{']' if closed else ')'}, "
                      f"got {value!r}")
+
+
+def _check_array(value, shape, name):
+    """``value`` as a float64 ndarray, the same object when it already is
+    one; ``shape`` is a tuple whose None entries are free lengths, or a
+    list of such tuples of which any one will do.  Raises ValueError naming
+    ``name`` for another shape or for what does not convert: a ragged
+    sequence, strings, None, bools, complex numbers or other objects."""
+    shapes = shape if isinstance(shape, list) else [shape]
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        given = reprlib.repr(value)
+    else:
+        array = array.astype(float, copy=False)
+        for want in shapes:
+            if len(want) == array.ndim and all(w in (None, s) for w, s in zip(want, array.shape)):
+                return array
+        given = f"shape {array.shape}"
+    raise ValueError(f"{name} must be a real array of shape {' or '.join(map(str, shapes))}, "
+                     f"got {given}")
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +252,7 @@ def assoc_legendre_table(orders, degree, t):
             f"orders must be a 1-D array of ascending non-negative integers, got {orders!r}"
         )
     degree = _check_count(degree, "degree", int(ms[-1]))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.atleast_1d(_check_array(t, [(), (None,)], "t"))
     if np.any(np.abs(t) > 1.0 + 4.0 * _EPS):
         raise ValueError("argument must lie in [-1, 1]")
     ms = ms.astype(np.int64)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .quadrature import cc_weights
 from .sht import _csv_body, _write_csv
-from .specfun import _check_count, _check_real, _m1_over_hav_rows
+from .specfun import _check_array, _check_count, _check_real, _m1_over_hav_rows
 
 __all__ = [
     "KernelParams",
@@ -105,7 +105,7 @@ def write_spectrum(values, path, comment=None):
     output is deterministic: identical spectra produce
     byte-identical files.
     """
-    values = np.asarray(values, dtype=float)
+    values = _check_array(values, (None,), "values")
     # ell as a float: '%.17g' writes an integer below 10^17 as "%d" does
     table = np.column_stack([np.arange(values.size, dtype=float), values])
     _write_csv(path, [comment and f"# {comment}", "ell,lambda"], _csv_body(table))

@@ -34,6 +34,11 @@ A nonlinearity may return its argument or a view of it: the step copies
 such an output before it overwrites the buffer, and never writes into
 what a nonlinearity returns.  Each step returns a fresh state array, which
 observers may keep.
+
+Arrays are checked where they enter, by ``specfun._check_array``, which
+uses a float64 ndarray as it is, so the aliasing rule above sees the
+caller's own arrays: ``etdrk4_tables``' operators, ``evolve``'s initial
+state, and ``etdrk4_step``'s state, scratch and first nonlinearity output.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sht import _keep_tables, _per_degree, analysis, synthesis
-from .specfun import _check_count, _check_real
+from .specfun import _check_array, _check_count, _check_real
 
 __all__ = [
     "BlowUpError",
@@ -148,15 +153,9 @@ def etdrk4_tables(operators, h):
     non-finite h, or a non-finite h lambda raises ValueError.  Positive
     eigenvalues (growing modes) are allowed but warn.
     """
-    try:
-        lam = np.asarray(tuple(operators), dtype=float)
-    except (TypeError, ValueError):
-        lam = None
-    if lam is None or lam.ndim != 2 or lam.shape[1] == 0:
-        raise ValueError(
-            "operators must be k per-degree arrays of one length n+1 "
-            "that stack to a (k, n+1) float array"
-        )
+    lam = _check_array(operators, (None, None), "operators")
+    if not lam.size:
+        raise ValueError(f"operators must not be empty, got shape {lam.shape}")
     h = _check_real(h, "step size", 0, math.inf)
     with np.errstate(over="ignore"):
         z_deg = h * lam
@@ -197,14 +196,6 @@ def etdrk4_tables(operators, h):
     )
 
 
-def _check_shape(state, tables):
-    if state.shape != tables.exp_full.shape:
-        raise ValueError(
-            f"state shape {state.shape} does not match the coefficient "
-            f"tables {tables.exp_full.shape}"
-        )
-
-
 def _apart(out, *buffers):
     """``out``, or a copy of it when it shares memory with one of the
     ``buffers``, which the step overwrites later."""
@@ -229,16 +220,12 @@ def etdrk4_step(state, tables, nonlinearity, step_index=None, scratch=None):
     state, a fresh array; raises BlowUpError when any output coefficient
     is non-finite.
     """
-    _check_shape(state, tables)
     t = tables
-    table = np.empty_like(state) if scratch is None else scratch
-    n_u = nonlinearity(state)
+    state = _check_array(state, t.exp_full.shape, "state")
+    table = (np.empty_like(state) if scratch is None
+             else _check_array(scratch, state.shape, "scratch"))
     # a stack of another field count would broadcast against the tables
-    if np.shape(n_u) != state.shape:
-        raise ValueError(
-            f"nonlinearity returned shape {np.shape(n_u)} for a state of "
-            f"shape {state.shape}"
-        )
+    n_u = _check_array(nonlinearity(state), state.shape, "nonlinearity output")
     # a = e^{h/2 L} u + stage N(u), b = e^{h/2 L} u + stage N(a)
     np.copyto(table, t.exp_half)
     decayed = np.multiply(table, state)
@@ -284,10 +271,9 @@ def evolve(initial, operators, nonlinearity, h, steps, observers=()):
     the final state array; a BlowUpError carries the failing step.
     """
     steps = _check_count(steps, "steps", 1)
-    state = np.asarray(initial, dtype=float)
     tables = etdrk4_tables(operators, h)
     h = float(h)  # once the tables have accepted it
-    _check_shape(state, tables)
+    state = _check_array(initial, tables.exp_full.shape, "initial")
     # observers get read-only views: broadcast_to never returns a writable one
     for obs in observers:
         obs(0, 0.0, np.broadcast_to(state, state.shape))

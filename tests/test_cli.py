@@ -307,6 +307,9 @@ VALIDATION_FAILURES = [
     AC_ARGS + ["--t-final", "0"],
     AC_ARGS + ["--t-final", "nan"],
     AC_ARGS + ["--dt", "inf"],
+    # --local uses no kernel, but its flags are checked all the same
+    ["spectrum", "--local", "--alpha", "nan", "--degree", "4"],
+    ["spectrum", "--local", "--delta", "7", "--degree", "4"],
 ]
 
 
@@ -397,6 +400,8 @@ def test_negative_seed_error_names_the_seed(tmp_path, capsys):
     (["evolve", "--model", "brusselator", "--degree", "4", "--dt", "0.1", "--t-final", "1",
       "--ic", "equilibrium", "--f", "1"], "f must be a finite number in (0, 1), got 1.0"),
     (AC_ARGS + ["--ic", "random:3:nan"], "scale must be a finite number in (-inf, inf), got nan"),
+    (["spectrum", "--local", "--delta", "7", "--degree", "4"],
+     "delta must be a finite number in (0, 2], got 7.0"),
 ])
 def test_refusal_message_names_the_flag(tmp_path, capsys, args, message):
     assert main(args + ["--output-dir", str(tmp_path / "out")]) == 1
@@ -442,8 +447,8 @@ KERNEL_VALUES = st.floats() | st.sampled_from(
 
 @settings(max_examples=200, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(alpha=KERNEL_VALUES, delta=KERNEL_VALUES, f=KERNEL_VALUES)
-def test_input_phase_refuses_exactly_the_bad_kernels_and_f(tmp_path, alpha, delta, f):
+@given(alpha=KERNEL_VALUES, delta=KERNEL_VALUES, f=KERNEL_VALUES, local=st.booleans())
+def test_input_phase_refuses_exactly_the_bad_kernels_and_f(tmp_path, alpha, delta, f, local):
     class Reached(Exception):
         pass
 
@@ -455,7 +460,7 @@ def test_input_phase_refuses_exactly_the_bad_kernels_and_f(tmp_path, alpha, delt
     # --flag=value, as argparse reads "-inf" or "-1e-300" after a space as a flag
     argv = ["evolve", "--model", "brusselator", "--ic", "equilibrium", "--degree", "4",
             "--dt", "0.1", "--t-final", "1", f"--alpha={alpha!r}", f"--delta={delta!r}",
-            f"--f={f!r}", "--output-dir", str(out)]
+            f"--f={f!r}", "--output-dir", str(out)] + ["--local"] * local
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(M, "build_spectrum", build_spectrum)
         if good:

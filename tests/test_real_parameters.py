@@ -18,7 +18,7 @@ import pytest
 from nlsphere import models as M
 from nlsphere.cli import build_parser, run
 from nlsphere.quadrature import jacobi_moments
-from nlsphere.spectrum import KernelParams
+from nlsphere.spectrum import KernelParams, local_spectrum
 from nlsphere.timestep import etdrk4_tables, evolve
 
 INF = math.inf
@@ -70,6 +70,13 @@ REAL_PARAMETERS = {
     # no integer lies in (0, 1); np.float32 was stored unconverted
     "BrusselatorConfig.f": ("f", 0, 1, False, lambda v: brusselator(f=v).f,
                             (np.float64(0.5), np.float32(0.25))),
+    "ginzburg_landau_energy.epsilon": (
+        "epsilon", 0, INF, False,
+        lambda v: M.ginzburg_landau_energy(M.random_coeffs(2, 2, 0.5, 1), local_spectrum(2), v),
+        (np.float64(0.5), np.int64(1))),
+    "EnergyRecorder.epsilon": ("epsilon", 0, INF, False,
+                               lambda v: M.EnergyRecorder(local_spectrum(2), v).epsilon,
+                               (np.float64(0.5), np.int64(1))),
     "random_coeffs.scale": ("scale", -INF, INF, False, lambda v: M.random_coeffs(1, 2, v, 0),
                             (np.float64(-0.5), np.int64(2))),
     "jacobi_moments.alpha": ("alpha", -1, INF, False, lambda v: jacobi_moments(v, 4),

@@ -7,6 +7,7 @@ not use, hence the (-1)^m factor in the oracle).
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -186,21 +187,25 @@ def test_structural_zeros_enforced_on_construction(tmp_path):
     assert str(info.value) == f"{path}, line 5: column 6 is a structural zero of the layout, got 1"
 
 
+#: the name each refusal gives the coefficients, and a call of the function
 SHAPE_CHECKED = {
-    "write_coeffs": lambda c: write_coeffs(c, "unused.csv"),
-    "embed": lambda c: M.embed(c, 5),
-    "cesaro_apply": lambda c: M.cesaro_apply(c, 2),
-    "ginzburg_landau_energy": lambda c: M.ginzburg_landau_energy(c, local_spectrum(3), 0.1),
-    "solve_poisson": lambda c: M.solve_poisson(c, local_spectrum(3)),
+    "write_coeffs": ("coeffs", lambda c: write_coeffs(c, "unused.csv")),
+    "embed": ("coeffs", lambda c: M.embed(c, 5)),
+    "cesaro_apply": ("coeffs", lambda c: M.cesaro_apply(c, 2)),
+    "ginzburg_landau_energy": ("u", lambda c: M.ginzburg_landau_energy(c, local_spectrum(3), 0.1)),
+    "solve_poisson": ("rhs", lambda c: M.solve_poisson(c, local_spectrum(3))),
 }
 
 
 @pytest.mark.parametrize("name", SHAPE_CHECKED)
 def test_one_field_functions_check_the_coefficient_shape(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
-    SHAPE_CHECKED[name](np.zeros((4, 7)))
-    with pytest.raises(ValueError, match=r"shape \(4, 6\) is not \(n\+1, 2n\+1\)"):
-        SHAPE_CHECKED[name](np.zeros((4, 6)))
+    arg, call = SHAPE_CHECKED[name]
+    call(np.zeros((4, 7)))
+    # the row count gives the degree, and with it the expected shape
+    with pytest.raises(ValueError, match=re.escape(
+            f"{arg} must be a real array of shape (4, 7), got shape (4, 6)")):
+        call(np.zeros((4, 6)))
 
 
 def test_grid_geometry():
