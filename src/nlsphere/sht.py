@@ -44,9 +44,12 @@ every order at once, streamed from the Legendre recurrence as the
 products consume them and never stored, which is the cheapest way to run
 a transform once: it holds that 16-row ring, the arrays it returns and
 the buffers of the stage at hand, and frees each full-size buffer after
-its last read.  A caller that repeats transforms on a grid keeps its
-tables (``_keep_tables``, up to grid degree 300): there the pieces are
-blocks of 32 orders with all their rows, which
+its last read.  The streamed rows come divided by per-order scales that
+save the recurrence a pass per row (``specfun._legendre_rows``); the
+transforms multiply the scales into their small coefficient rows
+instead.  A caller that repeats transforms on a grid keeps its tables
+(``_keep_tables``, up to grid degree 300): there the pieces are blocks of
+32 orders with all their rows, which
 ``SphereGrid.legendre_table`` builds on first use and caches on the grid.
 ``synthesis`` and ``analysis`` accept that leading axis of k fields,
 which share every table read.
@@ -245,26 +248,29 @@ def _keep_tables(grid, degree):
 
 def _legendre_tables(grid, degree):
     """The grid's Legendre tables up to ``degree`` as ``(orders, first,
-    (even, odd))``: for the j-th order m of the slice ``orders``,
+    (even, odd), scales)``: for the j-th order m of the slice ``orders``,
     ``even[j, r]`` holds row ell - m = first + 2 r and ``odd[j, r]`` row
-    first + 2 r + 1 at the northern nodes, zero above ``degree``.
+    first + 2 r + 1 at the northern nodes, zero above ``degree``, each
+    divided by its entry of ``scales``, whose [j, i] holds the scale of row
+    first + i of both parities, or undivided when ``scales`` is None.
 
     At a degree kept by ``_keep_tables`` these are the grid's cached order
-    blocks, all rows of 32 orders at a time.  Otherwise the row recurrence
-    streams ``_ROW_CHUNK`` rows of every order still active at a time, so
-    no table outlives its step.
+    blocks, all rows of 32 orders at a time, undivided.  Otherwise the row
+    recurrence streams ``_ROW_CHUNK`` rows of every order still active at
+    a time, so no table outlives its step, and the transforms apply the
+    scales to their small coefficient rows instead of the table.
     """
     if degree in grid._kept:
         for block, first in enumerate(range(0, degree + 1, _ORDER_BLOCK)):
             even, odd = grid.legendre_table(block, degree)
-            yield slice(first, first + even.shape[0]), 0, (even, odd)
+            yield slice(first, first + even.shape[0]), 0, (even, odd), None
         return
     orders = np.arange(degree + 1)
-    for first, rows in _legendre_rows(orders, degree, grid.colat_cos[: grid.north]):
+    for first, rows, scales in _legendre_rows(orders, degree, grid.colat_cos[: grid.north]):
         # (row, order, node) to (order, row, node) views, each parity's
         # rows a stride apart
         tables = (rows[0::2].transpose(1, 0, 2), rows[1::2].transpose(1, 0, 2))
-        yield slice(0, rows.shape[1]), first, tables
+        yield slice(0, rows.shape[1]), first, tables, scales.T
 
 
 def _is_prime(count):
@@ -337,27 +343,33 @@ def _parity_parts(data, grid):
     coeffs = np.empty((n + 1, n + 1, k), complex)
     coeffs[0] = data[:, :, 0].T
     coeffs[1:].transpose(2, 1, 0)[...] = data[:, :, 1:].view(complex)
-    # (order, parity, northern node, field): one GEMM per order block and
-    # parity, the k fields' real and imaginary parts its 2k columns
-    spectra = np.empty((n + 1, 2, north, k), complex)
+    # (parity, order, northern node, field): one GEMM per order block and
+    # parity, the k fields' real and imaginary parts its 2k columns; parity
+    # leads so that each parity's products of a chunk add into one
+    # contiguous block (twice as fast as a block strided by parity)
+    spectra = np.empty((2, n + 1, north, k), complex)
     coeffs_r, spectra_r = coeffs.view(float), spectra.view(float)
     # streamed chunks after the first accumulate through one buffer, sized
     # for the second chunk, whose orders are the most
     product = None
-    for m, first, tables in _legendre_tables(grid, n):
+    for m, first, tables, scales in _legendre_tables(grid, n):
+        if scales is not None:
+            coeffs[m, first : first + scales.shape[1]] *= scales[:, :, None]
         for parity, table in enumerate(tables):
             rows = coeffs_r[m, first + parity : first + 2 * table.shape[1] : 2]
             if first == 0:
-                np.matmul(table.transpose(0, 2, 1), rows, out=spectra_r[m, parity])
+                np.matmul(table.transpose(0, 2, 1), rows, out=spectra_r[parity, m])
                 continue
             if product is None:
                 product = np.empty((table.shape[0], north, 2 * k))
             np.matmul(table.transpose(0, 2, 1), rows, out=product[: table.shape[0]])
-            spectra_r[m, parity] += product[: table.shape[0]]
-    del coeffs, coeffs_r, product
+            spectra_r[parity, m] += product[: table.shape[0]]
+    # with the loop's last views: a streamed transform's tables view its
+    # ring of rows
+    del coeffs, coeffs_r, product, rows, tables, table
     # the tables are real, so the complex factor commutes with them
-    spectra *= _order_factors(n, count)[0][:, None, None, None]
-    return _irfft(spectra.transpose(3, 1, 2, 0), grid, np.empty((k, 2, north, count)))
+    spectra *= _order_factors(n, count)[0][:, None, None]
+    return _irfft(spectra.transpose(3, 0, 2, 1), grid, np.empty((k, 2, north, count)))
 
 
 def _synthesize(data, grid):
@@ -389,7 +401,7 @@ def _analyze(values, grid):
     np.subtract(values[:, :paired], south, out=folded[:, 1, :paired])
     folded[:, :, paired:] = values[:, None, paired:north]
     folded *= grid.colat_weights[:north, None]
-    # (order, parity, northern node, field), as in synthesis
+    # (order, parity, northern node, field)
     spectra = np.empty((count // 2 + 1, 2, north, k), complex)
     _rfft(folded, grid, spectra.transpose(3, 1, 2, 0))
     del folded
@@ -397,10 +409,14 @@ def _analyze(values, grid):
     spectra *= _order_factors(n, count)[1][:, None, None, None]
     coeffs = np.zeros((n + 1, n + 1, k), complex)
     coeffs_r, spectra_r = coeffs.view(float), spectra.view(float)
-    for m, first, tables in _legendre_tables(grid, n):
+    for m, first, tables, scales in _legendre_tables(grid, n):
         for parity, table in enumerate(tables):
             np.matmul(table, spectra_r[m, parity],
                       out=coeffs_r[m, first + parity : first + 2 * table.shape[1] : 2])
+        if scales is not None:
+            coeffs[m, first : first + scales.shape[1]] *= scales[:, :, None]
+    # freed before the output exists; the last tables may view a ring
+    del spectra, spectra_r, tables, table
     data = np.empty((k, n + 1, 2 * n + 1))
     data[:, :, 0] = coeffs[0].real.T
     data[:, :, 1:].view(complex)[...] = coeffs[1:].transpose(2, 1, 0)

@@ -41,9 +41,9 @@ _SWEEP_BLOCK = 64
 
 #: Rows of the Legendre table per step of the row recurrence, even so that
 #: every step starts on an even row.  16 rows of all 384 orders at 192
-#: points, a degree-383 transform's, take 9.0 MiB (9.4 MB) of the 15.8 MiB
-#: that such a streamed transform allocates at its peak; 8 rows halve the
-#: ring but run slower (5-30 % measured at degree 383).
+#: points, a degree-383 transform's, take 9.0 MiB (9.4 MB) of the 15.2 and
+#: 14.6 MiB that a streamed synthesis and analysis allocate at their peaks;
+#: 8 rows halve the ring but run slower (5-30 % measured at degree 383).
 _ROW_CHUNK = 16
 
 
@@ -101,11 +101,19 @@ def _check_array(value, shape, name):
 # ----------------------------------------------------------------------
 
 def _legendre_pair(n, x):
-    """P_n(x) and P_{n-1}(x) by the three-term recurrence (n >= 1)."""
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence (n >= 1):
+    P_{k+1} = ((2k+1) x P_k - k P_{k-1}) / (k+1), rounded in that order,
+    in three buffers that the steps rotate through."""
     p_prev = np.ones_like(x)
     p = x.copy()
+    new, term = np.empty_like(x), np.empty_like(x)
     for k in range(1, n):
-        p, p_prev = ((2.0 * k + 1.0) * x * p - k * p_prev) / (k + 1.0), p
+        np.multiply(2.0 * k + 1.0, x, out=new)
+        new *= p
+        np.multiply(k, p_prev, out=term)
+        new -= term
+        new /= k + 1.0
+        p, p_prev, new = new, p, p_prev
     return p, p_prev
 
 
@@ -175,17 +183,29 @@ def _m1_over_hav_rows(q, last):
 def _legendre_rows(ms, degree, t):
     """Rows i = ell - m of the normalized associated Legendre table of the
     ascending orders ``ms`` at the points ``t``, ``_ROW_CHUNK`` rows at a
-    time: one three-term recurrence in i, run for every order still
-    active (m <= degree - i) at once.
+    time, each row divided by a per-order scale: one three-term recurrence
+    in i, run for every order still active (m <= degree - i) at once.
 
-    Yields ``(first, rows)`` for first = 0, chunk, 2 chunk, ..., up to
-    row degree - ms[0]: ``rows[r, j]`` holds Ptilde_{m_j+first+r}^{m_j}(t)
-    for the orders active at row ``first``, and zero where
-    m_j + first + r > degree.  ``rows`` views a ring buffer of ``chunk``
-    rows, (row, order, point) row-major, that the next step overwrites.
-    The recurrence coefficients are computed per chunk, for its rows and
-    active orders only, so the generator holds the ring and O(chunk x
-    orders) besides, at any degree.
+    Yields ``(first, rows, scales)`` for first = 0, chunk, 2 chunk, ...,
+    up to row degree - ms[0]: ``scales[r, j] * rows[r, j]`` is
+    Ptilde_{m_j+first+r}^{m_j}(t) for the orders active at row ``first``,
+    and ``rows[r, j]`` is zero where m_j + first + r > degree.  ``rows``
+    views a ring buffer of ``chunk`` rows, (row, order, point) row-major,
+    that the next step overwrites; ``scales`` is a fresh (row, order)
+    array.
+
+    The scale sigma of row i is b_i sigma_{i-2}, with sigma = 1 on rows 0
+    and 1, so that Ptilde_ell = a_ell t Ptilde_{ell-1} - b_ell
+    Ptilde_{ell-2} becomes Q_ell = alpha_ell t Q_{ell-1} - Q_{ell-2} for
+    Q = Ptilde / sigma and alpha_ell = a_ell sigma_{ell-1} / sigma_ell:
+    three passes over a row instead of four.  Each row forms alpha Q_{ell-1}
+    first and multiplies by t after, an order that reads 1.7e-13 against a
+    50-digit run of the recurrence at degree 383 where (alpha t) Q_{ell-1}
+    reads 3.4e-13.  sigma lies in [0.2, 1.2] through degree 2000, so the
+    seeds underflow where they did without it.  The recurrence coefficients
+    and scales are computed per chunk, for its rows and active orders only,
+    so the generator holds the ring and O(chunk x orders) besides, at any
+    degree.
     """
     chunk = _ROW_CHUNK
     total = degree - int(ms[0]) + 1
@@ -199,38 +219,57 @@ def _legendre_rows(ms, degree, t):
     sint = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     np.multiply(np.sqrt((2.0 * k + 1.0) / (2.0 * k))[:, None], sint, out=factors[1:])
     ring = np.empty((chunk, ms.size, t.size))
-    ring[0] = np.multiply.accumulate(factors, axis=0)[ms]
+    ring[0] = np.multiply.accumulate(factors, axis=0, out=factors)[ms]
     del factors
-    scratch = np.empty((ms.size, t.size))
+    # scales of the two rows before the chunk; 1 before row 0
+    carry = np.ones((2, ms.size))
+    ms_float = ms.astype(float)
     for first in range(0, total, chunk):
         top = active[first]
         # row i - lo of a and b holds the coefficients of row i, ell = m + i,
         # for the orders active here; row 0 is the seed, where ell = m
         # would divide by zero
         lo, hi = max(first, 1), min(first + chunk, total)
-        mj = ms[:top]
-        ell = np.arange(lo, hi)[:, None] + mj
-        a = np.sqrt((2.0 * ell - 1.0) * (2.0 * ell + 1.0) / ((ell - mj) * (ell + mj)))
-        b = np.sqrt(
-            (2.0 * ell + 1.0)
-            / (2.0 * ell - 3.0)
-            * ((ell - 1.0 - mj) * (ell - 1.0 + mj))
-            / ((ell - mj) * (ell + mj))
-        )
+        # a = sqrt((2 ell - 1) (2 ell + 1) / ((ell - m) (ell + m))) and
+        # b = sqrt((2 ell + 1) / (2 ell - 3) * ((ell - 1 - m) (ell - 1 + m))
+        # / ((ell - m) (ell + m))), rounded in that order; the products of
+        # integers are exact
+        mj = ms_float[:top]
+        ell = np.arange(lo, hi, dtype=float)[:, None] + mj
+        twice = 2.0 * ell
+        odd = twice + 1.0
+        den = (ell - mj) * (ell + mj)
+        a = (twice - 1.0) * odd
+        a /= den
+        np.sqrt(a, out=a)
+        ell -= 1.0
+        b = odd / (twice - 3.0)
+        b *= (ell - mj) * (ell + mj)
+        b /= den
+        np.sqrt(b, out=b)
+        # row r of sigma holds the scales of row first - 2 + r: the two
+        # carried rows, then b (1 on rows 0 and 1), multiplied up two rows
+        # apart
+        sigma = np.empty((hi - first + 2, top))
+        sigma[:2] = carry[:, :top]
+        sigma[lo - first + 2 :] = b
+        if first == 0:
+            sigma[2:4] = 1.0
+        for parity in (0, 1):
+            np.multiply.accumulate(sigma[parity::2], axis=0, out=sigma[parity::2])
+        carry = sigma[-2:]
+        alpha = a * sigma[lo - first + 1 : -1] / sigma[lo - first + 2 :]
         for i in range(lo, hi):
             live = active[i]
             p, cur = ring[(i - 1) % chunk, :live], ring[i % chunk, :live]
-            # Ptilde_ell = a t Ptilde_{ell-1} - b Ptilde_{ell-2}, rounded
-            # step by step as the one-order recurrence is, bit for bit
+            # Q_ell = (alpha Q_{ell-1}) t - Q_{ell-2} in three passes, each
+            # order rounded as its own one-order recurrence would be
+            np.multiply(p, alpha[i - lo, :live, None], out=cur)
+            cur *= t
             if i > 1:
-                prev = ring[(i - 2) % chunk, :live]
-                np.multiply(b[i - lo, :live, None], prev, out=scratch[:live])
-            np.multiply(a[i - lo, :live, None], t, out=cur)
-            cur *= p
-            if i > 1:
-                cur -= scratch[:live]
+                cur -= ring[(i - 2) % chunk, :live]
             ring[i % chunk, live:top] = 0.0
-        yield first, ring[: min(chunk, total - first), :top]
+        yield first, ring[: hi - first, :top], sigma[2:]
 
 
 def assoc_legendre_table(orders, degree, t):
@@ -260,9 +299,11 @@ def assoc_legendre_table(orders, degree, t):
     # row i of the table goes to row i // 2 of parts[i % 2]
     parts = (np.zeros((ms.size, (rows + 1) // 2, t.size)),
              np.zeros((ms.size, rows // 2, t.size)))
-    for first, chunk in _legendre_rows(ms, degree, t):
+    for first, chunk, scales in _legendre_rows(ms, degree, t):
         for offset, part in enumerate(parts):
             block = chunk[offset::2].transpose(1, 0, 2)
             start = (first + offset) // 2
-            part[: block.shape[0], start : start + block.shape[1]] = block
+            # the table holds Ptilde itself: the rows times their scales
+            np.multiply(block, scales[offset::2].T[:, :, None],
+                        out=part[: block.shape[0], start : start + block.shape[1]])
     return parts

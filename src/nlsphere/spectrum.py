@@ -91,7 +91,8 @@ def local_spectrum(n):
     ``n``, as a read-only float array of shape (n+1,)."""
     n = _check_count(n, "degree")
     ells = np.arange(n + 1, dtype=float)
-    values = -ells * (ells + 1.0)
+    # 0 - x, not -x, so that degree 0 holds +0.0 and prints "0", not "-0"
+    values = 0.0 - ells * (ells + 1.0)
     values.setflags(write=False)
     return values
 

@@ -295,17 +295,21 @@ def pseudospectral(pointwise, grid):
     array), which are analyzed back in one stacked transform.  j need not
     be k: a model whose reaction is linear but for one product returns
     that product alone and forms the linear terms from the coefficients.
-    No dealiasing is applied.  The result transforms at every evaluation,
+    Each output must have the grid values' shape; another is refused with
+    a ValueError naming it ("pointwise output 2").  No dealiasing is
+    applied.  The result transforms at every evaluation,
     so ``grid`` keeps its Legendre tables.
     """
     _keep_tables(grid, grid.degree)
 
+    shape = (grid.degree + 1, grid.lon_nodes.size)
+
     def coefficient_nonlinearity(state):
         outs = pointwise(*synthesis(state, grid))
-        if not isinstance(outs, tuple):
-            outs = (outs,)
+        outs = [_check_array(out, shape, f"pointwise output {j}")
+                for j, out in enumerate(outs if isinstance(outs, tuple) else (outs,), 1)]
         # one output is analyzed as it stands, not copied into a stack
-        values = np.asarray(outs[0])[None] if len(outs) == 1 else np.stack(outs)
+        values = outs[0][None] if len(outs) == 1 else np.stack(outs)
         return analysis(values, grid)
 
     return coefficient_nonlinearity

@@ -22,14 +22,14 @@ from nlsphere import sht, specfun, spectrum, timestep
 from nlsphere.sht import SphereGrid, analysis, synthesis, write_coeffs, write_grid_values
 from nlsphere.specfun import assoc_legendre_table
 from nlsphere.spectrum import write_spectrum
-from nlsphere.timestep import etdrk4_step, etdrk4_tables, evolve
+from nlsphere.timestep import etdrk4_step, etdrk4_tables, evolve, pseudospectral
 
 GRID = SphereGrid(2)
 
 #: integer values, so that float32 and int64 hold them exactly
 COEFFS = np.array([[1.0, 0, 0, 0, 0], [-1, 2, 1, 0, 0], [1, -1, 0, 1, -2]])
 VALUES = np.array([[1.0, 0, -1, 2, 0], [0, 1, 1, -1, 3], [2, 0, 0, 1, -1]])
-SPEC = np.array([0.0, -2.0, -6.0])  # local_spectrum(2), but +0.0 in degree 0
+SPEC = np.array([0.0, -2.0, -6.0])  # local_spectrum(2)
 STATE = COEFFS[None]
 TABLES = etdrk4_tables([SPEC], 0.1)
 CFG = M.AllenCahnConfig(0.5)
@@ -99,6 +99,9 @@ ARRAY_PARAMETERS = {
     "etdrk4_step.nonlinearity": ("nonlinearity output", "(1, 3, 5)", None,
                                  lambda out: etdrk4_step(STATE, TABLES, lambda s: out),
                                  STATE, np.zeros((2, 3, 5))),
+    "pseudospectral.output": ("pointwise output 1", "(3, 5)", None,
+                              lambda v: pseudospectral(lambda u: v, GRID)(STATE), VALUES,
+                              np.zeros((3, 4))),
     "assoc_legendre_table.t": ("t", "() or (None,)", None,
                                lambda t: assoc_legendre_table(np.arange(3), 2, t),
                                np.array([-1.0, 0.0, 1.0]), np.zeros((2, 2))),

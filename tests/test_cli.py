@@ -67,6 +67,13 @@ def test_spectrum_local_flag(tmp_path):
     assert rows[4][1] == -20.0
 
 
+def test_spectrum_local_file_bytes(tmp_path):
+    # degree 0 is written "0", as a kernel spectrum's is, not "-0"
+    assert main(["spectrum", "--local", "--degree", "2", "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "spectrum.csv").read_bytes() == (
+        b"# local degree=2\nell,lambda\n0,0\n1,-2\n2,-6\n")
+
+
 # ----------------------------------------------------------------------
 # poisson command
 # ----------------------------------------------------------------------
@@ -133,8 +140,10 @@ def test_evolve_allen_cahn_outputs(tmp_path):
     assert len(energy) == 6
     values = [e for _, e in energy]
     assert all(b - a <= 1e-8 * abs(a) for a, b in zip(values, values[1:]))
-    # step-0 snapshot is the Cesaro-smoothed initial condition
+    # step-0 snapshot is the Cesaro-smoothed initial condition, analyzed on
+    # a grid that keeps its tables, as the command's stepping grid does
     grid = SphereGrid(n)
+    sht._keep_tables(grid, n)
     u0 = M.cesaro_apply(analysis(M.cos10xy(grid), grid), 2)
     snap = read_coeffs(tmp_path / "snapshot_u_000000.csv")
     np.testing.assert_array_equal(snap, u0)

@@ -881,7 +881,9 @@ def test_synthesis_is_the_hemisphere_assembly_of_the_parity_parts(degree):
 @pytest.mark.parametrize("transform", ["synthesis", "analysis"])
 def test_streamed_transform_memory(transform):
     # 16 rows of the table of all orders at a time (9.0 MiB) are most of
-    # the 15.8 and 15.7 MiB peaks.  Recurrence coefficients for all rows at
+    # the 15.2 and 14.6 MiB peaks (15.8 and 15.8 while the four-pass
+    # recurrence kept a scratch row and the last chunk's views held the
+    # ring through the longitude stage).  Recurrence coefficients for all rows at
     # once and buffers held past their last read peaked at 20.2 and 20.8
     # MiB, 32-order blocks rebuilt per lookup at 40 and 42 MiB, and a
     # cached table set is 123 MB
@@ -905,7 +907,7 @@ def test_streamed_transform_memory(transform):
 
 def test_one_shot_synthesis_streams_and_keeps_no_tables():
     # a grid no caller keeps streams 16 rows of all orders at a time and
-    # peaks at 7.0 MiB; recurrence coefficients for all rows at once peaked
+    # peaks at 6.9 MiB (7.0 with the four-pass recurrence); recurrence coefficients for all rows at once peaked
     # at 8.9 MiB, and 32-order blocks built and cached for one synthesis at
     # 39.1 MiB
     n = 255

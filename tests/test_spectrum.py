@@ -223,6 +223,12 @@ def test_local_eigenvalue_values():
         local_spectrum(-1)
 
 
+def test_local_spectrum_degree_zero_is_positive_zero():
+    # -0.0 printed "-0" as the first row of `nlsphere spectrum --local`
+    for n in (0, 5):
+        assert not np.signbit(local_spectrum(n)[0])
+
+
 def test_local_spectrum_object():
     sp = local_spectrum(4)
     assert sp.shape == (5,) and sp.dtype == np.float64

@@ -517,6 +517,15 @@ def test_pseudospectral_maps_two_fields_to_one_product():
     np.testing.assert_array_equal(out[0], analysis(synthesis(u, grid) * synthesis(v, grid), grid))
 
 
+def test_pseudospectral_names_a_pointwise_output_of_another_shape():
+    # numpy's stacking error, "all input arrays must have the same shape",
+    # was the refusal here
+    nl = pseudospectral(lambda u: (u, u[:2]), SphereGrid(2))
+    with pytest.raises(ValueError, match=re.escape(
+            "pointwise output 2 must be a real array of shape (3, 5), got shape (2, 5)")):
+        nl(stacked(zeros(2)))
+
+
 @pytest.mark.parametrize("make", [
     lambda grid: (lambda state: state[:1]),
     lambda grid: pseudospectral(lambda a, b: a * b, grid),
