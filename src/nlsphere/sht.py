@@ -453,7 +453,9 @@ def analysis(values, grid):
 # number is written as the bytes '%.17g' % x gives, which round-trip every
 # double.  ``_g17`` computes them for a whole chunk of values in numpy and
 # leaves to "%" itself only the values it cannot settle exactly, of which
-# the program's own outputs have none.  Writers format and write a file
+# the program's own outputs have none.  It lays a chunk out one value a
+# row, in fixed columns sized to that chunk's values, and the writer drops
+# the zero pad bytes between the texts.  Writers format and write a file
 # in whole rows of about ``_CSV_CHUNK`` formatted values.  A coefficient
 # file formats only its stored triangle: ``_csv_body`` writes each row's
 # all-+0.0 structural tail as the constant text ",0" per slot.
@@ -462,15 +464,15 @@ def analysis(values, grid):
 #: values formatted per chunk of a CSV body (a few hundred kB of buffers)
 _CSV_CHUNK = 4096
 
-#: columns of one value in a ``_g17`` buffer: the sign, "0." and three
-#: zeros (fixed notation below 1), 17 digits each followed by a slot for
-#: the point, and "e", the exponent's sign and up to three digits
-_G17_WIDTH = 44
-
 #: magnitudes the fast path formats: inside them 10^(16-e) and its low
 #: half are normal doubles and the Dekker products neither overflow nor
 #: underflow
 _G17_RANGE = (1e-280, 1e280)
+
+#: decades e the fast path meets: those of ``_G17_RANGE``, -280..279,
+#: and two more each side for a first estimate or a redo a decade off
+#: (past them Veltkamp's split of 10^(16-e) overflows)
+_G17_DECADES = range(-282, 282)
 
 #: a scaled value whose fraction is within this of 1/2 is left to "%":
 #: the pair product errs by less than 2^-47 (see ``_scaled17``), so
@@ -483,7 +485,6 @@ _G17_TIE = 2.0**-44
 _SPLITTER = 134217729.0
 
 
-@lru_cache(maxsize=1024)
 def _pow10(k):
     """10^k as a pair of doubles (hi, lo): hi the double nearest 10^k and
     lo the double nearest 10^k - hi, so hi + lo is within 2^-106 of 10^k
@@ -504,6 +505,36 @@ def _split(x):
     return hi, x - hi
 
 
+#: per-decade tables, entry e - ``_G17_DECADES.start`` for decade e:
+#: ``_POW10`` holds the row (hi, lo, hi's Veltkamp halves) for 10^(16-e),
+#: ``_pow10``'s pair, and ``_AFFIX`` the text around the digits in three
+#: rows of zero-padded 8-byte words: "0." and the zeros of fixed notation
+#: below 1, then the exponent of %e form in five columns (e, the sign, a
+#: hundreds digit or a pad, two digits) and in four, without the hundreds.
+#: ``_scaled17`` fills a decade's entries, and those of the next decade,
+#: which rounding can carry into, the first time a chunk meets it (NaN
+#: marks the rest): all of them take over 1 ms to build, and an evolve run
+#: writes its first snapshot in its set-up phase.
+_POW10 = np.full((len(_G17_DECADES), 4), np.nan)
+_AFFIX = np.zeros((3, len(_G17_DECADES)), np.uint64)
+
+
+def _fill_decades(entries):
+    """Fill the per-decade tables' ``entries`` and the entries after them."""
+    for entry in set(entries.tolist()) | set((entries + 1).tolist()):
+        if entry >= len(_G17_DECADES):
+            continue
+        decade = _G17_DECADES[entry]
+        power = b"" if -4 <= decade < 17 else b"e%+03d" % decade
+        texts = (b"0." + b"0" * (-1 - decade) if -4 <= decade < 0 else b"",
+                 power if abs(decade) >= 100 else power[:2] + b"\0" + power[2:],
+                 power[:4])
+        _AFFIX[:, entry] = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), np.uint64)
+        # last, as it clears the NaN that marks the entry unfilled
+        hi, lo = _pow10(16 - decade)
+        _POW10[entry] = hi, lo, *_split(np.float64(hi))
+
+
 def _scaled17(a, e):
     """Integer parts of s = a 10^(16-e) for positive doubles ``a`` in
     ``_G17_RANGE`` and integer arrays ``e``: (floor(s), s rounded to the
@@ -516,13 +547,15 @@ def _scaled17(a, e):
     which stay below 32.  There the high part of the product is an
     integer (s > 2^53), so the low parts alone hold the fraction.  Outside
     it floor(s) is outside [10^16, 10^17) too, and the caller redoes it."""
-    k = 16 - e
-    first = int(k.min())
-    his, los = np.array([_pow10(i) for i in range(first, int(k.max()) + 1)]).T
-    hi, lo = his.take(k - first), los.take(k - first)
+    entries = e - _G17_DECADES.start
+    table = _POW10.take(entries, axis=0)
+    missing = np.isnan(table[:, 0])
+    if missing.any():
+        _fill_decades(entries[missing])
+        table = _POW10.take(entries, axis=0)
+    hi, lo, hi_hi, hi_lo = table.T
     high = a * hi
     a_hi, a_lo = _split(a)
-    hi_hi, hi_lo = _split(hi)
     low = (((a_hi * hi_hi - high) + a_hi * hi_lo) + a_lo * hi_hi) + a_lo * hi_lo
     low += a * lo
     whole = np.floor(low)
@@ -531,57 +564,71 @@ def _scaled17(a, e):
     return floor, floor + (frac > 0.5), np.abs(frac - 0.5) < _G17_TIE
 
 
-def _g17(values, out):
-    """Write the bytes of '%.17g' % v for each double of the 1-d array
-    ``values`` into the zeroed (len(values), _G17_WIDTH) uint8 array
-    ``out``, in order, with zero pad bytes between them.
+def _g17(values, head):
+    """The bytes of '%.17g' % v for each double of the 1-d array
+    ``values``, one value a row: a zeroed bytearray and the uint8 array of
+    shape (len(values), head + width + 1) that views it.  Row i holds
+    ``head`` free columns, then the text of values[i] among zero pad bytes
+    in ``width`` columns, then one free separator column; the caller fills
+    the free columns, and ``translate(None, b"\\0")`` of the bytearray
+    drops the pad bytes without another copy.
 
-    The fast path takes the exponent e from log10, rounds |v| 10^(16-e)
-    half to even to a 17-digit integer (``_scaled17``) and lays out its
-    digits as %g does: fixed notation for -4 <= e < 17, otherwise
-    d.ddde+XX, without trailing zeros or a bare point.  Columns: 0 the
-    sign; 1-5 "0." and up to three zeros before the digits of fixed
-    notation below 1; 6-38 the 17 digits, each followed by a slot that
-    holds the point after the last digit of the integer part; 39-43 "e",
-    the exponent's sign and its digits.  Zeros are a constant case.
-    Non-finite values, magnitudes outside ``_G17_RANGE`` and values
-    within the error bound of a rounding tie are formatted with "%".
+    The fast path (``_g17_fast``) takes the exponent e from log10, rounds
+    |v| 10^(16-e) half to even to a 17-digit integer (``_scaled17``) and
+    lays out its digits as %g does: fixed notation for -4 <= e < 17,
+    otherwise d.ddde+XX, without trailing zeros or a bare point.  The
+    columns are sized to the chunk (``_g17_layout``), so a chunk of short
+    texts gets narrow rows.  Zeros are a constant case.  Non-finite
+    values, magnitudes outside ``_G17_RANGE`` and values within the error
+    bound of a rounding tie are formatted with "%".
     """
     mag = np.abs(values)
+    negative = np.signbit(values)
     fast = (mag >= _G17_RANGE[0]) & (mag < _G17_RANGE[1])
-    if fast.all():
-        left = _g17_fast(values, out)
+    # the fast path runs on its values alone: chunks of many zeros still
+    # come here (a chunk with -0 structural slots; the step-0 snapshot of
+    # random:63 at degree 127 holds 12 288 zeros in 16 384 stored slots),
+    # and one masked path ran 25-35 % slower on input that is half zeros
+    rows = None if fast.all() else np.flatnonzero(fast)
+    *parts, left = _g17_fast(mag if rows is None else mag[rows])
+    if rows is not None:
+        left = np.concatenate([rows[left], np.flatnonzero(~fast & (mag != 0.0))])
+    texts = [b"%.17g" % values[i] for i in left.tolist()]
+    layout = _g17_layout(bool(negative.any()), *parts)
+    width = max([sum(layout)] + [len(text) for text in texts])
+    raw = bytearray(len(values) * (head + width + 1))
+    buf = np.frombuffer(raw, np.uint8).reshape(len(values), head + width + 1)
+    field = buf[:, head : head + width]
+    if rows is None:
+        _g17_write(field, negative, *parts, layout)
     else:
-        # the fast path runs on its values alone: chunks of many zeros still
-        # come here (a chunk with -0 structural slots; the step-0 snapshot of
-        # random:63 at degree 127 holds 12 288 zeros in 16 384 stored slots),
-        # and one masked path ran 25-35 % slower on input that is half zeros
-        rows = np.flatnonzero(fast)
-        part = np.zeros((rows.size, _G17_WIDTH), np.uint8)
-        left = rows[_g17_fast(values[rows], part)]
-        out[rows] = part
+        part = np.zeros((rows.size, width), np.uint8)
+        _g17_write(part, negative[rows], *parts, layout)
+        field[rows] = part
         zero = np.flatnonzero(mag == 0.0)
-        out[zero, 0] = np.signbit(values[zero]) * np.uint8(ord("-"))
-        out[zero, 6] = ord("0")
-        left = np.concatenate([left, np.flatnonzero(~fast & (mag != 0.0))])
-    for i in left:
-        text = b"%.17g" % values[i]
-        out[i] = 0
-        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+        sign, lead = layout[:2]
+        if sign:
+            field[zero, 0] = negative[zero] * np.uint8(ord("-"))
+        field[zero, sign + lead] = ord("0")
+    for i, text in zip(left.tolist(), texts):
+        field[i] = 0
+        field[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return raw, buf
 
 
 #: digit positions 0..16 of a (17, count) digit array
 _DIGIT_INDEX = np.arange(17, dtype=np.uint8)[:, None]
 
 
-def _g17_fast(values, out):
-    """``_g17`` for values whose magnitudes lie in ``_G17_RANGE``; returns
-    the indices of the values it leaves to "%": those within the error
-    bound of a rounding tie."""
-    count = values.size
-    if not count:  # a chunk without a value in range
-        return np.zeros(0, np.intp)
-    mag = np.abs(values)
+def _g17_fast(mag):
+    """The parts of '%.17g' for magnitudes in ``_G17_RANGE``: (digits,
+    exp, whole, point, left).  Row j of ``digits`` holds the j-th of the 17
+    rounded digits as text, zero past the last one %g writes, and the
+    array stops after the last row any value writes.  ``exp`` is the
+    decimal exponent, ``whole`` the digit a point follows (the last of the
+    integer part in fixed notation, else 0) and ``point`` whether one
+    does.  ``left`` holds the indices of the values left to "%": those
+    within the error bound of a rounding tie."""
     exp = np.floor(np.log10(mag)).astype(np.int64)
     floor, num, tie = _scaled17(mag, exp)
     # log10 can be one decade off next to a power of ten: redo those
@@ -595,7 +642,7 @@ def _g17_fast(values, out):
     exp += carry
     # the 17 digits, most significant first: the leading one, then pairs
     # of the two 8-digit halves of the rest
-    digits = np.empty((17, count), np.uint8)
+    digits = np.empty((17, mag.size), np.uint8)
     lead = num // 10**16
     digits[0] = lead
     rest = num - lead * 10**16
@@ -611,38 +658,63 @@ def _g17_fast(values, out):
                 row += 2
     last = ((digits != 0) * _DIGIT_INDEX).max(axis=0)  # the last nonzero digit
     exp = exp.astype(np.int16)
-    fixed = (exp >= -4) & (exp < 17)
-    below_one = fixed & (exp < 0)
-    # digits 0..whole are the integer part (only the first in %e form)
-    whole = np.where(fixed & ~below_one, exp, 0).astype(np.uint8)
+    below_one = (exp >= -4) & (exp < 0)
+    whole = np.where((exp >= 0) & (exp < 17), exp, 0).astype(np.uint8)
+    used = np.maximum(last, whole)
     digits += ord("0")
-    digits *= _DIGIT_INDEX <= np.maximum(last, whole)
-    out[:, 0] = np.signbit(values) * np.uint8(ord("-"))
-    out[:, 6:39:2] = digits.T
-    point = np.flatnonzero((last > whole) & ~below_one)
-    out[point, 7 + 2 * whole[point]] = ord(".")
-    if below_one.any():
-        out[:, 1] = below_one * np.uint8(ord("0"))
-        out[:, 2] = below_one * np.uint8(ord("."))
-        for i in range(3):
-            out[:, 3 + i] = (below_one & (exp < -1 - i)) * np.uint8(ord("0"))
-    if not fixed.all():
-        large = ~fixed
-        power = np.abs(exp)
-        hundreds, tens = power // 100, power // 10
-        out[:, 39] = large * np.uint8(ord("e"))
-        out[:, 40] = large * np.where(exp < 0, np.uint8(ord("-")), np.uint8(ord("+")))
-        out[:, 41] = (large & (hundreds > 0)) * (hundreds + ord("0"))
-        out[:, 42] = large * (tens - 10 * hundreds + ord("0"))
-        out[:, 43] = large * (power - 10 * tens + ord("0"))
-    return np.flatnonzero(tie | (num < 10**16) | (num >= 10**17))
+    digits *= _DIGIT_INDEX <= used
+    point = (last > whole) & ~below_one
+    left = np.flatnonzero(tie | (num < 10**16) | (num >= 10**17))
+    return digits[: int(used.max(initial=0)) + 1], exp, whole, point, left
 
 
-def _text_buffer(shape):
-    """A zeroed uint8 array of ``shape`` and the bytearray it views, whose
-    ``translate(None, b"\\0")`` drops the pad bytes without another copy."""
-    raw = bytearray(math.prod(shape))
-    return raw, np.frombuffer(raw, np.uint8).reshape(shape)
+def _g17_layout(sign, digits, exp, whole, point):
+    """Column counts (sign, lead, points, digits, power) of the narrowest
+    ``_g17_write`` layout for the ``_g17_fast`` parts of a chunk: the sign
+    column if ``sign``; "0." and as many zeros as the smallest exponent
+    below 1 needs; a point slot after each digit up to the widest integer
+    part that a point follows; a column per row of ``digits``; and, if a
+    value has %e form, "e", the exponent's sign and two digits, or three
+    if some |e| >= 100."""
+    low = int(np.where((exp >= -4) & (exp < 0), exp, 0).min(initial=0))
+    lead = 1 - low if low else 0
+    points = int((whole * point).max()) + 1 if point.any() else 0
+    low, high = int(exp.min(initial=0)), int(exp.max(initial=0))
+    power = 0
+    if low < -4 or high >= 17:
+        power = 5 if low <= -100 or high >= 100 else 4
+    return int(sign), lead, points, len(digits), power
+
+
+def _g17_write(out, negative, digits, exp, whole, point, layout):
+    """Lay out the ``_g17_fast`` parts of some values in the zeroed uint8
+    array ``out``, one value a row, in the columns of ``layout``: the
+    sign; "0." and zeros before the digits of fixed notation below 1; the
+    digits, the first ``points`` of them each followed by a slot that
+    holds the point after the last digit of the integer part; and "e",
+    the exponent's sign and its digits."""
+    sign, lead, points, count, power = layout
+    if sign:
+        out[:, 0] = negative * np.uint8(ord("-"))
+    decade = exp - _G17_DECADES.start
+    if lead:
+        _put(out, sign, lead, _AFFIX[0].take(decade))
+    first = sign + lead
+    out[:, first : first + 2 * points : 2] = digits[:points].T
+    out[:, first + 2 * points : first + points + count] = digits[points:].T
+    for slot in range(points):
+        out[:, first + 1 + 2 * slot] = (point & (whole == slot)) * np.uint8(ord("."))
+    if power:
+        _put(out, first + points + count, power, _AFFIX[1 if power == 5 else 2].take(decade))
+
+
+def _put(out, column, width, words):
+    """out[:, column : column + width] = the first ``width`` bytes of each
+    uint64 of ``words``, copied as one unit a row: numpy copies short rows
+    of bytes several times slower."""
+    unit = f"V{width}"
+    text = words.view(np.uint8).reshape(-1, 8)[:, :width]
+    out[:, column : column + width].view(unit)[:, 0] = text.view(unit)[:, 0]
 
 
 def _csv_body(table, tails=None):
@@ -668,11 +740,9 @@ def _csv_body(table, tails=None):
         stored = np.arange(cols) < (cols - tail)[:, None]
         if block[~stored].view(np.uint64).any():
             tail, stored = np.zeros_like(tail), np.ones_like(stored)
-        ends = np.cumsum(cols - tail)
-        raw, buf = _text_buffer((int(ends[-1]), _G17_WIDTH + 1))
+        raw, buf = _g17(block[stored], 0)
         buf[:, -1] = ord(",")
-        buf[ends - 1, -1] = ord("\n")
-        _g17(block[stored], buf[:, :-1])
+        buf[np.cumsum(cols - tail) - 1, -1] = ord("\n")
         text = raw.translate(None, b"\0")
         if tail.any():
             text = b"".join(line + b",0" * count + b"\n"
@@ -792,11 +862,11 @@ def _grid_body(values, grid):
     step = max(1, _CSV_CHUNK // phis.shape[0])
     for start in range(0, values.shape[0], step):
         block = values[start : start + step]
-        raw, buf = _text_buffer(block.shape + (head + _G17_WIDTH + 1,))
-        buf[..., : thetas.shape[1]] = thetas[start : start + step, None]
-        buf[..., thetas.shape[1] : head] = phis
-        buf[..., -1] = ord("\n")
-        _g17(block.ravel(), buf.reshape(-1, buf.shape[-1])[:, head:-1])
+        raw, buf = _g17(block.ravel(), head)
+        lines = buf.reshape(block.shape + buf.shape[1:])
+        lines[..., : thetas.shape[1]] = thetas[start : start + step, None]
+        lines[..., thetas.shape[1] : head] = phis
+        buf[:, -1] = ord("\n")
         yield raw.translate(None, b"\0")
 
 

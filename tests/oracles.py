@@ -91,3 +91,32 @@ def brusselator_reactions(u, v, cfg):
     n_u = cfg.epsilon**2 * cfg.E + cfg.f * uuv - u
     n_v = (u - uuv) / (cfg.tau * cfg.epsilon**2)
     return n_u, n_v
+
+
+def delta_two_spectrum(degree, alpha):
+    """Eigenvalues lambda_0..lambda_degree of the delta = 2 kernel of
+    parameter ``alpha`` in closed form, as floats:
+
+        lambda_ell = (1+alpha)/alpha [(1-alpha)_ell / (1+alpha)_ell - 1],
+
+    and its limit -2 H_ell at alpha = 0 (H_ell the harmonic number).  At
+    delta = 2 the terminating series of the eigenvalue integral (the one
+    ``test_spectrum._mpmath_eigenvalue`` sums) is a balanced 3F2 at 1,
+    which the Pfaff--Saalschutz identity (DLMF 16.4.3) sums.  Evaluated
+    in 40-digit mpmath, the Pochhammer ratio as the running product of
+    (j - alpha) / (j + alpha): float lgamma's rounding alone is about
+    1e-11 relative at ell = 10^4.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        ratio, harmonic, values = mpmath.mpf(1), mpmath.mpf(0), [0.0]
+        for j in range(1, degree + 1):
+            if a == 0:
+                harmonic += mpmath.mpf(1) / j
+                values.append(float(-2 * harmonic))
+            else:
+                ratio *= (j - a) / (j + a)
+                values.append(float((1 + a) / a * (ratio - 1)))
+    return np.array(values)

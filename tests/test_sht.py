@@ -518,6 +518,50 @@ def test_formatter_matches_percent_formatting_on_random_bit_patterns():
     assert _formatted(values) == _per_value(values.tolist())
 
 
+def test_formatter_matches_percent_formatting_on_a_million_random_bit_patterns():
+    # the formatter's strongest gate: a platform whose log10 or casts round
+    # differently fails here instead of writing different bytes.  About 9 %
+    # of random bit patterns fall outside the fast path's magnitudes.
+    bits = np.random.default_rng(2024).integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    texts = _formatted(values).decode().splitlines()
+    bad = [v for v, text in zip(values.tolist(), texts) if "%.17g" % v != text]
+    assert len(texts) == values.size and not bad, f"{len(bad)} values differ from %.17g: {bad[:3]}"
+
+
+def _recorded_widths(monkeypatch):
+    """The text width of each chunk the formatter lays out from now on:
+    its rows' columns less the head and the separator."""
+    widths = []
+
+    def recording(values, head):
+        raw, buf = _g17(values, head)
+        widths.append(buf.shape[1] - head - 1)
+        return raw, buf
+
+    monkeypatch.setattr(sht, "_g17", recording)
+    return widths
+
+
+def test_each_chunk_is_as_wide_as_its_values_need(monkeypatch):
+    widths = _recorded_widths(monkeypatch)
+    # three chunks of a one-column body, values in [0.1, 1): "0." and up
+    # to 17 digits, no sign, point slot or exponent
+    values = np.random.default_rng(8).uniform(0.1, 1.0, 3 * _CSV_CHUNK)
+    longest = max(len(f"{v:.17g}") for v in values)
+    assert _formatted(values) == _per_value(values)
+    # rows no wider than the longest text and the separator
+    assert len(widths) == 3 and max(widths) <= longest
+    plain = widths[:]
+    # one value of %e form widens only its own chunk, by its point slot and
+    # "e", the sign and two digits; a 3-digit exponent adds one column more
+    for tiny, extra in ((1.5e-20, 1 + 4), (1.5e-200, 1 + 5)):
+        widths.clear()
+        values[_CSV_CHUNK + 5] = tiny
+        assert _formatted(values) == _per_value(values)
+        assert widths == [plain[0], plain[1] + extra, plain[2]], tiny
+
+
 def _coeff_chunks(n):
     """(start, stop) rows of each chunk of a degree-n coefficient file:
     whole rows until they hold ``_CSV_CHUNK`` stored values, row r storing
@@ -535,9 +579,9 @@ def _coeff_chunks(n):
 def test_coeff_writer_formats_only_the_stored_triangle(tmp_path, monkeypatch, n):
     sizes = []
 
-    def recording(values, out):
+    def recording(values, head):
         sizes.append(values.size)
-        return _g17(values, out)
+        return _g17(values, head)
 
     monkeypatch.setattr(sht, "_g17", recording)
     c = random_coeffs(n, seed=n)
@@ -710,14 +754,16 @@ def test_grid_writer_streams(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the whole file as text is about 15 MB at this degree
+    # the whole file as text is about 15 MB at this degree; the writer
+    # peaks near 0.85 MiB
     assert peak <= 8 * 2**20
 
 
 @pytest.mark.parametrize("writer", ["coeffs", "grid"])
 def test_writers_hold_one_chunk(tmp_path, writer):
     # each chunk's text buffer and the formatter's arrays for about 4096
-    # values peak near 0.9 MiB; the whole degree-383 grid file is 17 MB
+    # values peak near 0.87 MiB (coefficients) and 0.81 MiB (grid); the
+    # whole degree-383 grid file is 17 MB
     n = 383
     grid = SphereGrid(n)
     coeffs = random_coeffs(n, seed=n)
