@@ -330,13 +330,24 @@ def _grid_xyz(grid):
 
 def death_star_rhs(grid):
     """Gaussian dimple plus an equatorial band, evaluated on the grid."""
-    x, y, _ = _grid_xyz(grid)
+    st = np.sin(grid.colat_nodes)[:, None]
     # z is constant along a grid row: its factors are computed per row
     z = grid.colat_cos[:, None]
-    bump = np.exp(
-        -30.0 * ((x - 0.25) ** 2 + (y - math.sqrt(11.0) / 4.0) ** 2 + (z - 0.25) ** 2)
-    )
-    return -bump - np.exp(-50.0 * z * z)
+    # -exp(-30 ((x - 1/4)^2 + (y - sqrt(11)/4)^2 + (z - 1/4)^2)) - exp(-50 z^2),
+    # rounded in that order, in two full-grid buffers
+    values = st * np.cos(grid.lon_nodes)
+    values -= 0.25
+    np.square(values, out=values)
+    term = st * np.sin(grid.lon_nodes)
+    term -= math.sqrt(11.0) / 4.0
+    np.square(term, out=term)
+    values += term
+    values += (z - 0.25) ** 2
+    values *= -30.0
+    np.exp(values, out=values)
+    np.negative(values, out=values)
+    values -= np.exp(-50.0 * z * z)
+    return values
 
 
 def cos10xy(grid):

@@ -40,16 +40,17 @@ odd rows, and the two parities are summed separately and then combined
 into the two hemispheres.  Each table piece and parity is one batched
 matrix product over the piece's orders, whose 2k columns are the real and
 imaginary parts of the k fields.  By default the pieces are 16 rows of
-every order at once, streamed from the Legendre recurrence as the
-products consume them and never stored, which is the cheapest way to run
-a transform once: it holds that 16-row ring, the arrays it returns and
-the buffers of the stage at hand, and frees each full-size buffer after
-its last read.  The streamed rows come divided by per-order scales that
-save the recurrence a pass per row (``specfun._legendre_rows``); the
-transforms multiply the scales into their small coefficient rows
-instead.  A caller that repeats transforms on a grid keeps its tables
-(``_keep_tables``, up to grid degree 300): there the pieces are blocks of
-32 orders with all their rows, which
+up to 128 orders at once, streamed from the Legendre recurrence, one
+block of orders after another, as the products consume them and never
+stored, which is the cheapest way to run a transform once: it holds that
+ring of 16 rows of 128 orders, the seeds of the recurrence, the arrays
+it returns and the buffers of the stage at hand, and frees each
+full-size buffer after its last read.  The streamed rows come divided by
+per-order scales that save the recurrence a pass per row
+(``specfun._legendre_rows``); the transforms multiply the scales into
+their small coefficient rows instead.  A caller that repeats transforms
+on a grid keeps its tables (``_keep_tables``, up to grid degree 300):
+there the pieces are blocks of 32 orders with all their rows, which
 ``SphereGrid.legendre_table`` builds on first use and caches on the grid.
 ``synthesis`` and ``analysis`` accept that leading axis of k fields,
 which share every table read.
@@ -166,8 +167,8 @@ class SphereGrid:
     grid instance.  The transforms read them only at the degrees a caller
     that repeats transforms has kept (``_keep_tables``, up to grid degree
     ``_TABLE_CACHE_MAX_DEGREE``); at any other degree they look up no
-    table and stream the recurrence rows of all orders a few rows at a
-    time, storing nothing.  A grid with a prime longitude count, whose FFT
+    table and stream the recurrence rows a few rows of a block of orders
+    at a time, storing nothing.  A grid with a prime longitude count, whose FFT
     is slow, runs its longitude stage as a dense product with the DFT
     matrix instead, and caches that matrix.
     """
@@ -256,8 +257,9 @@ def _legendre_tables(grid, degree):
 
     At a degree kept by ``_keep_tables`` these are the grid's cached order
     blocks, all rows of 32 orders at a time, undivided.  Otherwise the row
-    recurrence streams ``_ROW_CHUNK`` rows of every order still active at
-    a time, so no table outlives its step, and the transforms apply the
+    recurrence streams ``_ROW_CHUNK`` rows at a time of the orders still
+    active in a block of up to ``specfun._ORDER_CHUNK``, block after
+    block, so no table outlives its step, and the transforms apply the
     scales to their small coefficient rows instead of the table.
     """
     if degree in grid._kept:
@@ -266,11 +268,11 @@ def _legendre_tables(grid, degree):
             yield slice(first, first + even.shape[0]), 0, (even, odd), None
         return
     orders = np.arange(degree + 1)
-    for first, rows, scales in _legendre_rows(orders, degree, grid.colat_cos[: grid.north]):
+    for m, first, rows, scales in _legendre_rows(orders, degree, grid.colat_cos[: grid.north]):
         # (row, order, node) to (order, row, node) views, each parity's
         # rows a stride apart
         tables = (rows[0::2].transpose(1, 0, 2), rows[1::2].transpose(1, 0, 2))
-        yield slice(0, rows.shape[1]), first, tables, scales.T
+        yield m, first, tables, scales.T
 
 
 def _is_prime(count):
@@ -349,8 +351,8 @@ def _parity_parts(data, grid):
     # contiguous block (twice as fast as a block strided by parity)
     spectra = np.empty((2, n + 1, north, k), complex)
     coeffs_r, spectra_r = coeffs.view(float), spectra.view(float)
-    # streamed chunks after the first accumulate through one buffer, sized
-    # for the second chunk, whose orders are the most
+    # streamed chunks after a block's first accumulate through one buffer,
+    # sized for the first block's second chunk, whose orders are the most
     product = None
     for m, first, tables, scales in _legendre_tables(grid, n):
         if scales is not None:
@@ -856,16 +858,18 @@ def write_grid_values(values, grid, path):
 def _grid_body(values, grid):
     """The "theta,phi,value" lines of a grid file: bytes chunks of whole
     colatitude rows, about ``_CSV_CHUNK`` values each.  theta and phi are
-    formatted once and copied into each line."""
+    formatted once and copied into each line, each text as one unit, as
+    ``_put`` copies."""
     thetas, phis = (_padded_texts(nodes) for nodes in (grid.colat_nodes, grid.lon_nodes))
-    head = thetas.shape[1] + phis.shape[1]
-    step = max(1, _CSV_CHUNK // phis.shape[0])
+    cut, head = thetas.shape[1], thetas.shape[1] + phis.shape[1]
+    thetas, phis = (texts.view(f"V{texts.shape[1]}")[:, 0] for texts in (thetas, phis))
+    step = max(1, _CSV_CHUNK // phis.size)
     for start in range(0, values.shape[0], step):
         block = values[start : start + step]
         raw, buf = _g17(block.ravel(), head)
         lines = buf.reshape(block.shape + buf.shape[1:])
-        lines[..., : thetas.shape[1]] = thetas[start : start + step, None]
-        lines[..., thetas.shape[1] : head] = phis
+        lines[..., :cut].view(thetas.dtype)[..., 0] = thetas[start : start + step, None]
+        lines[..., cut:head].view(phis.dtype)[..., 0] = phis
         buf[:, -1] = ord("\n")
         yield raw.translate(None, b"\0")
 

@@ -40,11 +40,17 @@ _SERIES_HAV_MAX = 1e-2
 _SWEEP_BLOCK = 64
 
 #: Rows of the Legendre table per step of the row recurrence, even so that
-#: every step starts on an even row.  16 rows of all 384 orders at 192
-#: points, a degree-383 transform's, take 9.0 MiB (9.4 MB) of the 15.2 and
-#: 14.6 MiB that a streamed synthesis and analysis allocate at their peaks;
-#: 8 rows halve the ring but run slower (5-30 % measured at degree 383).
+#: every step starts on an even row.  8 rows of all orders halved the ring
+#: of 16 but ran slower (5-30 % measured at degree 383).
 _ROW_CHUNK = 16
+
+#: Orders per block of the row recurrence; its blocks share one ring of
+#: ``_ROW_CHUNK`` rows of this many orders.  At 192 points, a degree-383
+#: transform's, the ring takes 3.0 MiB of the 8.7 and 8.3 MiB that a
+#: streamed synthesis and analysis allocate at their peaks (9.0 MiB of
+#: 15.2 and 14.6 for 16 rows of all 384 orders, at the same speed); 64
+#: and 96 orders ran up to 9 % slower, 192 kept 1.8 MiB more.
+_ORDER_CHUNK = 128
 
 
 def _check_count(value, name, minimum=0):
@@ -184,15 +190,18 @@ def _legendre_rows(ms, degree, t):
     """Rows i = ell - m of the normalized associated Legendre table of the
     ascending orders ``ms`` at the points ``t``, ``_ROW_CHUNK`` rows at a
     time, each row divided by a per-order scale: one three-term recurrence
-    in i, run for every order still active (m <= degree - i) at once.
+    in i, run for the orders of a block of at most ``_ORDER_CHUNK`` at
+    once, every block through all its rows before the next starts.
 
-    Yields ``(first, rows, scales)`` for first = 0, chunk, 2 chunk, ...,
-    up to row degree - ms[0]: ``scales[r, j] * rows[r, j]`` is
-    Ptilde_{m_j+first+r}^{m_j}(t) for the orders active at row ``first``,
-    and ``rows[r, j]`` is zero where m_j + first + r > degree.  ``rows``
-    views a ring buffer of ``chunk`` rows, (row, order, point) row-major,
-    that the next step overwrites; ``scales`` is a fresh (row, order)
-    array.
+    Yields ``(orders, first, rows, scales)`` block by block, for first = 0,
+    chunk, 2 chunk, ... up to row degree - m of the block's first order m:
+    ``orders`` is the slice of ``ms`` whose rows these are, the block's
+    orders active at row ``first`` (m <= degree - first), and
+    ``scales[r, j] * rows[r, j]`` is Ptilde_{m_j+first+r}^{m_j}(t) for the
+    j-th of them; ``rows[r, j]`` is zero where m_j + first + r > degree.
+    ``rows`` views a ring buffer of ``chunk`` rows of one block, (row,
+    order, point) row-major, that the next step overwrites; ``scales`` is
+    a fresh (row, order) array.
 
     The scale sigma of row i is b_i sigma_{i-2}, with sigma = 1 on rows 0
     and 1, so that Ptilde_ell = a_ell t Ptilde_{ell-1} - b_ell
@@ -202,15 +211,14 @@ def _legendre_rows(ms, degree, t):
     first and multiplies by t after, an order that reads 1.7e-13 against a
     50-digit run of the recurrence at degree 383 where (alpha t) Q_{ell-1}
     reads 3.4e-13.  sigma lies in [0.2, 1.2] through degree 2000, so the
-    seeds underflow where they did without it.  The recurrence coefficients
-    and scales are computed per chunk, for its rows and active orders only,
-    so the generator holds the ring and O(chunk x orders) besides, at any
-    degree.
+    seeds underflow where they did without it.  Every operation is per
+    order, so an order's rows do not depend on the block it runs in.  The
+    seeds of all orders are made once per call; the recurrence
+    coefficients and scales per chunk, for its rows and active orders
+    only, so the generator holds the seeds, the ring and O(chunk x
+    ``_ORDER_CHUNK``) besides, at any degree.
     """
     chunk = _ROW_CHUNK
-    total = degree - int(ms[0]) + 1
-    # orders active at row i: ms <= degree - i, a prefix of the ascending ms
-    active = np.searchsorted(ms, degree - np.arange(total), side="right")
     # diagonal seeds Ptilde_m^m, a running product over k = 1..m so that
     # large m cannot overflow before the sin^m factor damps it
     k = np.arange(1, int(ms[-1]) + 1)
@@ -218,58 +226,70 @@ def _legendre_rows(ms, degree, t):
     factors[0] = 1.0 / math.sqrt(2.0)
     sint = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     np.multiply(np.sqrt((2.0 * k + 1.0) / (2.0 * k))[:, None], sint, out=factors[1:])
-    ring = np.empty((chunk, ms.size, t.size))
-    ring[0] = np.multiply.accumulate(factors, axis=0, out=factors)[ms]
+    seeds = np.multiply.accumulate(factors, axis=0, out=factors)[ms]
     del factors
-    # scales of the two rows before the chunk; 1 before row 0
-    carry = np.ones((2, ms.size))
+    ring = np.empty((chunk, min(ms.size, _ORDER_CHUNK), t.size))
     ms_float = ms.astype(float)
-    for first in range(0, total, chunk):
-        top = active[first]
-        # row i - lo of a and b holds the coefficients of row i, ell = m + i,
-        # for the orders active here; row 0 is the seed, where ell = m
-        # would divide by zero
-        lo, hi = max(first, 1), min(first + chunk, total)
-        # a = sqrt((2 ell - 1) (2 ell + 1) / ((ell - m) (ell + m))) and
-        # b = sqrt((2 ell + 1) / (2 ell - 3) * ((ell - 1 - m) (ell - 1 + m))
-        # / ((ell - m) (ell + m))), rounded in that order; the products of
-        # integers are exact
-        mj = ms_float[:top]
-        ell = np.arange(lo, hi, dtype=float)[:, None] + mj
-        twice = 2.0 * ell
-        odd = twice + 1.0
-        den = (ell - mj) * (ell + mj)
-        a = (twice - 1.0) * odd
-        a /= den
-        np.sqrt(a, out=a)
-        ell -= 1.0
-        b = odd / (twice - 3.0)
-        b *= (ell - mj) * (ell + mj)
-        b /= den
-        np.sqrt(b, out=b)
-        # row r of sigma holds the scales of row first - 2 + r: the two
-        # carried rows, then b (1 on rows 0 and 1), multiplied up two rows
-        # apart
-        sigma = np.empty((hi - first + 2, top))
-        sigma[:2] = carry[:, :top]
-        sigma[lo - first + 2 :] = b
-        if first == 0:
-            sigma[2:4] = 1.0
-        for parity in (0, 1):
-            np.multiply.accumulate(sigma[parity::2], axis=0, out=sigma[parity::2])
-        carry = sigma[-2:]
-        alpha = a * sigma[lo - first + 1 : -1] / sigma[lo - first + 2 :]
-        for i in range(lo, hi):
-            live = active[i]
-            p, cur = ring[(i - 1) % chunk, :live], ring[i % chunk, :live]
-            # Q_ell = (alpha Q_{ell-1}) t - Q_{ell-2} in three passes, each
-            # order rounded as its own one-order recurrence would be
-            np.multiply(p, alpha[i - lo, :live, None], out=cur)
-            cur *= t
-            if i > 1:
-                cur -= ring[(i - 2) % chunk, :live]
-            ring[i % chunk, live:top] = 0.0
-        yield first, ring[: hi - first, :top], sigma[2:]
+    # every block steps through the chunks of the first order's rows, so
+    # an order's chunks, and the products the transforms form of them,
+    # have the same shapes in whatever block it runs
+    total = degree - int(ms[0]) + 1
+    for start in range(0, ms.size, _ORDER_CHUNK):
+        block = ms[start : start + _ORDER_CHUNK]
+        # orders active at row i: block <= degree - i, a prefix of the
+        # ascending block
+        active = np.searchsorted(block, degree - np.arange(total), side="right")
+        ring[0, : block.size] = seeds[start : start + block.size]
+        # scales of the two rows before the chunk; 1 before row 0
+        carry = np.ones((2, block.size))
+        for first in range(0, total, chunk):
+            top = active[first]
+            if not top:
+                break
+            # row i - lo of a and b holds the coefficients of row i, ell = m + i,
+            # for the orders active here; row 0 is the seed, where ell = m
+            # would divide by zero
+            lo, hi = max(first, 1), min(first + chunk, total)
+            # a = sqrt((2 ell - 1) (2 ell + 1) / ((ell - m) (ell + m))) and
+            # b = sqrt((2 ell + 1) / (2 ell - 3) * ((ell - 1 - m) (ell - 1 + m))
+            # / ((ell - m) (ell + m))), rounded in that order; the products of
+            # integers are exact
+            mj = ms_float[start : start + top]
+            ell = np.arange(lo, hi, dtype=float)[:, None] + mj
+            twice = 2.0 * ell
+            odd = twice + 1.0
+            den = (ell - mj) * (ell + mj)
+            a = (twice - 1.0) * odd
+            a /= den
+            np.sqrt(a, out=a)
+            ell -= 1.0
+            b = odd / (twice - 3.0)
+            b *= (ell - mj) * (ell + mj)
+            b /= den
+            np.sqrt(b, out=b)
+            # row r of sigma holds the scales of row first - 2 + r: the two
+            # carried rows, then b (1 on rows 0 and 1), multiplied up two rows
+            # apart
+            sigma = np.empty((hi - first + 2, top))
+            sigma[:2] = carry[:, :top]
+            sigma[lo - first + 2 :] = b
+            if first == 0:
+                sigma[2:4] = 1.0
+            for parity in (0, 1):
+                np.multiply.accumulate(sigma[parity::2], axis=0, out=sigma[parity::2])
+            carry = sigma[-2:]
+            alpha = a * sigma[lo - first + 1 : -1] / sigma[lo - first + 2 :]
+            for i in range(lo, hi):
+                live = active[i]
+                p, cur = ring[(i - 1) % chunk, :live], ring[i % chunk, :live]
+                # Q_ell = (alpha Q_{ell-1}) t - Q_{ell-2} in three passes, each
+                # order rounded as its own one-order recurrence would be
+                np.multiply(p, alpha[i - lo, :live, None], out=cur)
+                cur *= t
+                if i > 1:
+                    cur -= ring[(i - 2) % chunk, :live]
+                ring[i % chunk, live:top] = 0.0
+            yield slice(start, start + top), first, ring[: hi - first, :top], sigma[2:]
 
 
 def assoc_legendre_table(orders, degree, t):
@@ -299,11 +319,11 @@ def assoc_legendre_table(orders, degree, t):
     # row i of the table goes to row i // 2 of parts[i % 2]
     parts = (np.zeros((ms.size, (rows + 1) // 2, t.size)),
              np.zeros((ms.size, rows // 2, t.size)))
-    for first, chunk, scales in _legendre_rows(ms, degree, t):
+    for m, first, chunk, scales in _legendre_rows(ms, degree, t):
         for offset, part in enumerate(parts):
             block = chunk[offset::2].transpose(1, 0, 2)
             start = (first + offset) // 2
             # the table holds Ptilde itself: the rows times their scales
             np.multiply(block, scales[offset::2].T[:, :, None],
-                        out=part[: block.shape[0], start : start + block.shape[1]])
+                        out=part[m, start : start + block.shape[1]])
     return parts

@@ -871,9 +871,11 @@ def test_round_trip_above_cache_limit_keeps_no_tables():
 
 @pytest.mark.parametrize("degree,field_degree", [(301, 200), (302, 151), (383, 191)])
 def test_streamed_rows_match_the_cached_tables(monkeypatch, degree, field_degree):
-    # above the cache limit the transforms stream the row recurrence of all
-    # orders and look up no table, even where a caller keeps tables; the
-    # reference is the cached-table path, kept with the limit raised
+    # above the cache limit the transforms stream the row recurrence in
+    # blocks of 128 orders and look up no table, even where a caller keeps
+    # tables; the reference is the cached-table path, kept with the limit
+    # raised.  Degrees 301 and 302 (and field degree 191) end in a partial
+    # block, 383 in a full one.
     streamed = SphereGrid(degree)
     _keep_tables(streamed, degree)
 
@@ -926,13 +928,14 @@ def test_synthesis_is_the_hemisphere_assembly_of_the_parity_parts(degree):
 
 @pytest.mark.parametrize("transform", ["synthesis", "analysis"])
 def test_streamed_transform_memory(transform):
-    # 16 rows of the table of all orders at a time (9.0 MiB) are most of
-    # the 15.2 and 14.6 MiB peaks (15.8 and 15.8 while the four-pass
-    # recurrence kept a scratch row and the last chunk's views held the
-    # ring through the longitude stage).  Recurrence coefficients for all rows at
-    # once and buffers held past their last read peaked at 20.2 and 20.8
-    # MiB, 32-order blocks rebuilt per lookup at 40 and 42 MiB, and a
-    # cached table set is 123 MB
+    # a ring of 16 rows of 128 orders (3.0 MiB) and the seeds of all
+    # orders (0.6 MiB) peak at 8.7 and 8.3 MiB.  16 rows of all orders at
+    # once (9.0 MiB) peaked at 15.2 and 14.6 MiB (15.8 and 15.8 while the
+    # four-pass recurrence kept a scratch row and the last chunk's views
+    # held the ring through the longitude stage), recurrence coefficients
+    # for all rows at once and buffers held past their last read at 20.2
+    # and 20.8 MiB, 32-order blocks rebuilt per lookup at 40 and 42 MiB,
+    # and a cached table set is 123 MB
     n = 383
     assert n > _TABLE_CACHE_MAX_DEGREE
     grid = SphereGrid(n)
@@ -948,14 +951,32 @@ def test_streamed_transform_memory(transform):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18 * 2**20
+    assert peak <= 11 * 2**20
+
+
+def test_degree_1000_synthesis_streams_in_order_blocks():
+    # 16 rows of 128 orders at the 501 northern nodes (7.8 MiB) peak at
+    # 43.5 MiB with the output's 15.3 MiB; 16 rows of all 1001 orders at
+    # once peaked at 100.7 MiB
+    n = 1000
+    grid = SphereGrid(n)
+    data = random_stack(1, n, seed=n)[0]
+    tracemalloc.start()
+    try:
+        synthesis(data, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 54 * 2**20
+    assert grid._tables == {}
 
 
 def test_one_shot_synthesis_streams_and_keeps_no_tables():
-    # a grid no caller keeps streams 16 rows of all orders at a time and
-    # peaks at 6.9 MiB (7.0 with the four-pass recurrence); recurrence coefficients for all rows at once peaked
-    # at 8.9 MiB, and 32-order blocks built and cached for one synthesis at
-    # 39.1 MiB
+    # a grid no caller keeps streams 16 rows of 128 orders at a time and
+    # peaks at 4.7 MiB; 16 rows of all orders at once peaked at 6.9 MiB
+    # (7.0 with the four-pass recurrence), recurrence coefficients for all
+    # rows at once at 8.9 MiB, and 32-order blocks built and cached for one
+    # synthesis at 39.1 MiB
     n = 255
     grid = SphereGrid(n)
     data = random_stack(1, n, seed=n)[0]
@@ -965,7 +986,7 @@ def test_one_shot_synthesis_streams_and_keeps_no_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= 6 * 2**20
     assert grid._tables == {}
 
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from scipy.special import eval_legendre
 
 from nlsphere.specfun import (
+    _ORDER_CHUNK,
+    _ROW_CHUNK,
     _SERIES_HAV_MAX,
     _SERIES_OSC_MAX,
     _legendre_pair,
@@ -354,6 +356,38 @@ def test_assoc_legendre_table_order_array_matches_one_order_rows(n):
             assert np.all(full[m, n - m + 1 :] == 0.0)
 
 
+@pytest.mark.parametrize("offset", [0, 3])
+def test_order_blocks_match_one_order_rows(offset):
+    # the recurrence runs _ORDER_CHUNK orders at a time, and at this degree
+    # the last block is partial: the orders on each side of every block
+    # boundary, and the last, are bit for bit the one-order rows, for
+    # orders from 0 and from 3 (whose block boundaries fall 3 orders later)
+    n = 2 * _ORDER_CHUNK + _ORDER_CHUNK // 3
+    t = np.polynomial.legendre.leggauss(n + 1)[0][: (n + 2) // 2]
+    t = np.concatenate([t, [-1.0, 0.0, 1.0]])
+    orders = np.arange(offset, n + 1)
+    table = legendre_rows(orders, n, t)
+    edges = range(_ORDER_CHUNK, orders.size, _ORDER_CHUNK)
+    assert orders.size % _ORDER_CHUNK and len(edges) == 2
+    for j in sorted({0, orders.size - 1, *edges, *(edge - 1 for edge in edges)}):
+        m = int(orders[j])
+        assert table[j, : n - m + 1].tobytes() == _one_order_rows(m, n, t).tobytes()
+        assert not table[j, n - m + 1 :].any()
+    # each yield's slice is its block's orders active at its first row, and
+    # every block steps through the row chunks of the call's first order
+    # until none of its orders is active
+    total, firsts = n - offset + 1, {}
+    for block, first, rows, scales in _legendre_rows(orders, n, t):
+        start = block.start - block.start % _ORDER_CHUNK
+        active = orders[start : start + _ORDER_CHUNK] <= n - first
+        assert block == slice(start, start + int(active.sum()))
+        assert rows.shape == (min(_ROW_CHUNK, total - first), block.stop - start, t.size)
+        assert scales.shape == rows.shape[:2]
+        firsts.setdefault(start, []).append(first)
+    assert firsts == {start: list(range(0, n - int(orders[start]) + 1, _ROW_CHUNK))
+                      for start in range(0, orders.size, _ORDER_CHUNK)}
+
+
 def test_streamed_rows_hold_one_chunk_of_coefficients():
     # the recurrence coefficients of one chunk of rows, not of all n rows
     # of every order, which peaked at 46 MiB here
@@ -409,7 +443,7 @@ def test_scaled_rows_stay_finite_through_degree_2000():
     # as the unscaled rows do and nothing overflows
     t = np.cos([1e-3, 0.3, 1.0, np.pi / 2 - 1e-4])
     low, high = math.inf, 0.0
-    for _, rows, scales in _legendre_rows(np.arange(2001), 2000, t):
+    for _, _, rows, scales in _legendre_rows(np.arange(2001), 2000, t):
         assert np.isfinite(rows).all()
         low, high = min(low, scales.min()), max(high, scales.max())
     assert 0.2 <= low and high <= 1.2
