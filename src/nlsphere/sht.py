@@ -235,7 +235,9 @@ class SphereGrid:
         return self._dft
 
     def __repr__(self):
-        return f"SphereGrid(degree={self.degree})"
+        count = self.lon_nodes.size
+        longitudes = "" if count == 2 * self.degree + 1 else f", longitudes={count}"
+        return f"SphereGrid(degree={self.degree}{longitudes})"
 
 
 def _keep_tables(grid, degree):

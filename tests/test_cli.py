@@ -366,6 +366,9 @@ def test_validation_failures_exit_1(tmp_path, args):
     ["evolve", "--model", "brusselator", "--degree", "-1", "--dt", "0.1",
      "--t-final", "1", "--ic", "equilibrium"],
     HANG_ARGS,
+    ["spectrum", "--alpha", "nan", "--degree", "8"],
+    ["evolve", "--model", "brusselator", "--degree", "4", "--dt", "0.1", "--t-final", "1",
+     "--ic", "equilibrium", "--f", "1"],
 ])
 def test_refused_command_line_leaves_nothing_behind(tmp_path, monkeypatch, args):
     write_coeffs(np.zeros((5, 9)), tmp_path / "rhs4.csv")

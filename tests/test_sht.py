@@ -221,6 +221,14 @@ def test_grid_geometry():
             SphereGrid(degree)
 
 
+def test_grid_repr_rebuilds_the_grid():
+    # longitudes is named only when it is not 2n+1, as for the 18 of
+    # models._refined_grid(8)
+    for text in ("SphereGrid(degree=8)", "SphereGrid(degree=8, longitudes=18)"):
+        assert repr(eval(text, {"SphereGrid": SphereGrid})) == text
+    assert repr(SphereGrid(8, longitudes=17)) == "SphereGrid(degree=8)"
+
+
 # ----------------------------------------------------------------------
 # synthesis
 # ----------------------------------------------------------------------

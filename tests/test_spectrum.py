@@ -85,6 +85,17 @@ def test_minus_two_ell_kernel_through_degree_10000():
     np.testing.assert_allclose(values[1:], -2.0 * ells, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("alpha,rtol", [(-0.9, 1.5e-13), (0.0, 1.2e-12), (0.9, 1.3e-12)])
+def test_delta_two_spectrum_against_closed_form_through_degree_10000(alpha, rtol):
+    # rtol: about twice the worst error over ell = 1..10000, measured 7.7e-14
+    # (alpha = -0.9, ell = 8632), 5.8e-13 (0, ell = 8721) and 6.5e-13 (0.9,
+    # ell = 9998)
+    pytest.importorskip("mpmath")
+    values = spectrum(10000, KernelParams(alpha, 2.0))
+    assert values[0] == 0.0
+    np.testing.assert_allclose(values[1:], delta_two_spectrum(10000, alpha)[1:], rtol=rtol, atol=0)
+
+
 def test_isolated_eigenvalues_near_degree_10000():
     # an isolated eigenvalue is the last row of its own spectrum, seeded by
     # the ratio series like every sweep row; measured 2.2e-13, 5.8e-13,
